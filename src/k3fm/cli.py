@@ -99,13 +99,6 @@ def _vec_strs(vec) -> list[str]:
     return [frac_str(x) for x in vec]
 
 
-def _matrix_json(matrix) -> list[list]:
-    return [
-        [int(x) if Fraction(x).denominator == 1 else frac_str(x) for x in row]
-        for row in matrix
-    ]
-
-
 def _render_text(payload) -> str:
     pairs: list[tuple[str, str]] = []
 
@@ -312,6 +305,8 @@ def _cmd_transform_apply(args):
 
 
 def _cmd_transform_crosscheck(args):
+    if args.max_entries < 0:
+        raise ValueError(f"--max-entries must be non-negative, got {args.max_entries}")
     t = _builder_transform(args)
     formula = args.formula or _BUILDER_FORMULA[args.builder]
     report = crosscheck_specialized(t, formula)
@@ -410,7 +405,7 @@ def _cmd_reflexive_kernel(args):
         "kernel": kernel.to_dict(),
         "declared_vanishing": [list(v.coords) for v in kernel.declared_vanishing],
         "report": report.to_dict(),
-        "matrix": _matrix_json(t.matrix),
+        "matrix": [list(row) for row in t.matrix],
         "isometry": is_mukai_isometry(t),
         "structure_sheaf_image": _ch_dict(t.apply(unit)),
     }

@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from .errors import RejectionError
 from .lattice import DivisorClass, degree, intersect
+from .linalg import rank
 from .mukai import MukaiVector, ch_to_mukai, frac_str, ideal_sheaf_ch, sign_normalized
 from .surface import SurfaceSpec
 from .transform import CohTransform
@@ -124,21 +125,6 @@ def es_relation(lsq: int) -> int:
     return (lsq + 8) // 4
 
 
-def _independent(l: DivisorClass, m: DivisorClass) -> bool:
-    """Whether alpha*m = beta*l has only the zero integer solution.
-
-    Integer vectors admit a nonzero relation exactly when all of their
-    2x2 coordinate minors vanish, so the test is exact with no search.
-    """
-    coords_l, coords_m = l.coords, m.coords
-    k = len(coords_l)
-    return any(
-        coords_m[i] * coords_l[j] - coords_m[j] * coords_l[i] != 0
-        for i in range(k)
-        for j in range(i + 1, k)
-    )
-
-
 def strata_chain(
     l: DivisorClass,
     m: DivisorClass,
@@ -183,7 +169,7 @@ def strata_chain(
         )
     return StrataReport(
         l=l, m=m, h=h, z=z, slopes=slopes, verdicts=verdicts,
-        independent=_independent(l, m), lemma=lemma,
+        independent=rank((l.coords, m.coords)) == 2, lemma=lemma,
     )
 
 

@@ -34,8 +34,6 @@ __all__ = [
     "ideal_sheaf_ch",
     "twisted_ideal_ch",
     "extension_ch",
-    "standard_ch",
-    "STANDARD_KINDS",
 ]
 
 
@@ -175,29 +173,3 @@ def extension_ch(m: DivisorClass, l: DivisorClass, n: int) -> ChernCharacter:
     ch = ChernCharacter(2, m + l, t)
     assert ch.t.denominator == 1, "sheaf classes have integral ch_2"
     return ch
-
-
-STANDARD_KINDS = ("line_bundle", "twisted_ideal", "point", "ideal", "extension")
-
-
-def standard_ch(kind: str, **params) -> ChernCharacter:
-    """Dispatch to the named standard-class constructor.
-
-    Kinds and their parameters:
-      line_bundle(l), twisted_ideal(l, n), point(lattice), ideal(lattice, n),
-      extension(m, l, n).
-    """
-    try:
-        if kind == "line_bundle":
-            return line_bundle_ch(params.pop("l"))
-        if kind == "twisted_ideal":
-            return twisted_ideal_ch(params.pop("l"), params.pop("n"))
-        if kind == "point":
-            return point_ch(params.pop("lattice"))
-        if kind == "ideal":
-            return ideal_sheaf_ch(params.pop("lattice"), params.pop("n"))
-        if kind == "extension":
-            return extension_ch(params.pop("m"), params.pop("l"), params.pop("n"))
-    except KeyError as missing:
-        raise ValueError(f"standard_ch kind {kind!r} is missing parameter {missing}") from None
-    raise ValueError(f"unknown standard class kind {kind!r}; expected one of {STANDARD_KINDS}")

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import NSLattice
+from .linalg import det
 from .mukai import frac_str
 from .transform import CohTransform
 
@@ -37,11 +38,6 @@ __all__ = [
     "brute_force_oracle",
     "transform_from_solution",
 ]
-
-
-def _det3(m) -> int:
-    (a, b, c), (d, e, f), (g, h, i) = m
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def _matrix_for(lsq: int, z: int, c: int, x: int, alpha: int, y: int):
@@ -86,7 +82,7 @@ class Pic1Solution:
             raise ValueError("constraint residuals do not vanish")
         if self.matrix != _matrix_for(self.lsq, self.z, self.c, self.x, self.alpha, self.y):
             raise ValueError("matrix entries do not match the scalar coordinates")
-        if self.det != _det3(self.matrix):
+        if self.det != det(self.matrix):
             raise ValueError("stored determinant is wrong")
         image = tuple(
             row[0] * 2 + row[1] * 1 + row[2] * (self.z - 4) for row in self.matrix
@@ -167,7 +163,7 @@ def _solution(n: int, c: int) -> Pic1Solution:
     y = c + 2
     matrix = _matrix_for(lsq, z, c, x, alpha, y)
     return Pic1Solution(
-        n=n, lsq=lsq, z=z, c=c, x=x, alpha=alpha, y=y, matrix=matrix, det=_det3(matrix)
+        n=n, lsq=lsq, z=z, c=c, x=x, alpha=alpha, y=y, matrix=matrix, det=det(matrix)
     )
 
 
@@ -235,7 +231,7 @@ def brute_force_oracle(n: int, bound: int, oo_rhs: int = 2) -> list[Pic1Solution
         found.append(
             Pic1Solution(
                 n=n, lsq=lsq, z=z, c=c, x=x, alpha=alpha, y=y,
-                matrix=matrix, det=_det3(matrix),
+                matrix=matrix, det=det(matrix),
             )
         )
     return found
@@ -247,6 +243,6 @@ def transform_from_solution(sol: Pic1Solution) -> CohTransform:
     return CohTransform(
         source=lattice,
         target=lattice,
-        matrix=tuple(tuple(Fraction(v) for v in row) for row in sol.matrix),
+        matrix=sol.matrix,
         labels=(("n", sol.n),),
     )

@@ -424,10 +424,8 @@ def transform_for(rs: ReflexiveSurface, variant: str, dec: Decomposition | None 
     lhat, hhat = hat_classes(rs)
     labels = [("h", rs.h), ("l", rs.l), ("lhat", lhat), ("hhat", hhat)]
     if variant != "nondegenerate":
-        if dec is None:
-            dec = decompose_l2h(rs)
-        report = classify_type(rs, dec)
-        labels += [("d1", report.d1), ("d2", report.d2)]
+        # Both degenerate kernels have a = d1 - h and c = d2 - h.
+        labels += [("d1", kernel.a + rs.h), ("d2", kernel.c + rs.h)]
     return from_kernel(kernel, labels=tuple(labels))
 
 

@@ -30,7 +30,6 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import RejectionError
 from .lattice import DivisorClass, NSLattice
 
 __all__ = [
@@ -46,8 +45,8 @@ __all__ = [
 ASSUMPTION_KINDS = ("ample", "effective", "irreducible_rational", "no_cohomology")
 
 
-class SurfaceSpecError(RejectionError):
-    """A surface description violates a structural invariant."""
+class SurfaceSpecError(ValueError):
+    """A surface description violates a structural invariant: an input error."""
 
 
 @dataclass(frozen=True)
@@ -152,8 +151,11 @@ def surface_spec_from_dict(data: dict) -> SurfaceSpec:
             f'"rank" is {data["rank"]} but the gram matrix has rank {lattice.rank}'
         )
 
+    classes = data.get("classes", {})
+    if not isinstance(classes, dict):
+        raise SurfaceSpecError('"classes" must be an object mapping names to coordinate lists')
     named = []
-    for name, coords in dict(data.get("classes", {})).items():
+    for name, coords in classes.items():
         if not isinstance(coords, list):
             raise SurfaceSpecError(f"class {name!r} must map to a coordinate list")
         try:
@@ -161,8 +163,11 @@ def surface_spec_from_dict(data: dict) -> SurfaceSpec:
         except ValueError as exc:
             raise SurfaceSpecError(f"class {name!r}: {exc}") from None
 
+    entries = data.get("assumptions", [])
+    if not isinstance(entries, list):
+        raise SurfaceSpecError('"assumptions" must be a list')
     assumptions = []
-    for i, entry in enumerate(data.get("assumptions", [])):
+    for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or set(entry) != {"kind", "class"}:
             raise SurfaceSpecError(
                 f'assumption {i} must be an object with exactly the keys "kind" and "class"'

@@ -9,9 +9,9 @@ closed-form block for a particular kernel family is implemented separately
 and compared against this engine by crosscheck_specialized; where a block
 disagrees, the difference is reported, never patched into either side.
 
-Transforms are stored as exact rational matrices acting on coordinate
-vectors (rank, NS-basis coefficients, ch2).  The Euler pairing in these
-coordinates has Gram matrix
+Transforms are stored as integer matrices (integral on an even lattice)
+acting on rational coordinate vectors (rank, NS-basis coefficients, ch2).
+The Euler pairing in these coordinates has Gram matrix
 
     [[2, 0, 1],
      [0, -G, 0],
@@ -26,8 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import linalg
 from .kernel import KernelSpec
 from .lattice import DivisorClass, NSLattice, intersect
+from .linalg import Matrix, integer_matrix, mat_mul, transpose
 from .mukai import ChernCharacter
 
 __all__ = [
@@ -46,91 +48,19 @@ __all__ = [
     "default_grid",
 ]
 
-Matrix = tuple[tuple[Fraction, ...], ...]
-
-
-def _freeze(rows) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def _mat_vec(m: Matrix, v) -> tuple[Fraction, ...]:
-    return tuple(sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in m)
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    inner = len(b)
-    return tuple(
-        tuple(
-            sum((a_row[k] * b[k][j] for k in range(inner)), Fraction(0))
-            for j in range(len(b[0]))
-        )
-        for a_row in a
-    )
-
-
-def _identity(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
-
-
-def _det(m: Matrix) -> Fraction:
-    n = len(m)
-    rows = [list(row) for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col] * inv
-            if factor == 0:
-                continue
-            for c in range(col, n):
-                rows[r][c] -= factor * rows[col][c]
-    return det
-
-
-def _inverse(m: Matrix) -> Matrix:
-    n = len(m)
-    rows = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(n):
-            if r == col or rows[r][col] == 0:
-                continue
-            factor = rows[r][col]
-            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return tuple(tuple(row[n:]) for row in rows)
-
-
 def euler_gram(lattice: NSLattice) -> Matrix:
     """Gram matrix of the Euler pairing in coordinates (r, f, ch2)."""
-    k = lattice.rank
-    n = k + 2
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    rows[0][0] = Fraction(2)
-    rows[0][n - 1] = Fraction(1)
-    rows[n - 1][0] = Fraction(1)
-    for i in range(k):
-        for j in range(k):
-            rows[1 + i][1 + j] = Fraction(-lattice.gram[i][j])
-    return tuple(tuple(row) for row in rows)
+    zeros = (0,) * lattice.rank
+    middle = tuple((0, *(-x for x in row), 0) for row in lattice.gram)
+    return ((2, *zeros, 1), *middle, (1, *zeros, 0))
 
 
 @dataclass(frozen=True)
 class CohTransform:
-    """An exact linear map on (r, f, ch2) coordinate vectors.
+    """An integer matrix acting on (r, f, ch2) coordinate vectors.
+
+    Construction converts every entry to int once; a non-integral entry
+    raises ValueError.
 
     shift_parity records whether the underlying functor carries an odd
     homological shift; the matrix already contains any resulting signs.
@@ -149,7 +79,7 @@ class CohTransform:
     labels: tuple[tuple[str, object], ...] = field(default=(), compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _freeze(self.matrix))
+        object.__setattr__(self, "matrix", integer_matrix(self.matrix))
         object.__setattr__(self, "labels", tuple(self.labels))
         rows, cols = self.target.rank + 2, self.source.rank + 2
         if len(self.matrix) != rows or any(len(r) != cols for r in self.matrix):
@@ -159,16 +89,17 @@ class CohTransform:
     def label_map(self) -> dict:
         return dict(self.labels)
 
-    def determinant(self) -> Fraction:
+    def determinant(self) -> int:
         if self.source != self.target:
             raise ValueError("determinant requires equal source and target lattices")
-        return _det(self.matrix)
+        return linalg.det(self.matrix)
 
     def inverse(self) -> "CohTransform":
+        """The inverse map; ValueError unless the determinant is +-1."""
         return CohTransform(
             source=self.target,
             target=self.source,
-            matrix=_inverse(self.matrix),
+            matrix=linalg.inverse(self.matrix),
             shift_parity=self.shift_parity,
             numerically_valid=self.numerically_valid,
         )
@@ -191,7 +122,7 @@ class CohTransform:
     def apply_vector(self, vec) -> tuple[Fraction, ...]:
         if len(vec) != self.source.rank + 2:
             raise ValueError("coordinate vector has the wrong length for the source lattice")
-        return _mat_vec(self.matrix, tuple(Fraction(x) for x in vec))
+        return linalg.mat_vec(self.matrix, vec)
 
     def apply(self, c: ChernCharacter) -> ChernCharacter:
         if c.lattice != self.source:
@@ -218,7 +149,7 @@ def vector_to_ch(lattice: NSLattice, vec) -> ChernCharacter:
 
 
 def identity_transform(lattice: NSLattice) -> CohTransform:
-    return CohTransform(lattice, lattice, _identity(lattice.rank + 2))
+    return CohTransform(lattice, lattice, linalg.identity(lattice.rank + 2))
 
 
 def _frac_dot(lattice: NSLattice, fcoords, dc: DivisorClass) -> Fraction:
@@ -280,34 +211,22 @@ def from_kernel(
     relattice identification is involved.
     """
     lat = kernel.lattice
-    n = lat.rank + 2
-    cols = []
-    for j in range(n):
-        basis_vec = tuple(Fraction(int(i == j)) for i in range(n))
-        cols.append(kernel_action_vector(kernel, basis_vec))
-    matrix = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    matrix = transpose(
+        kernel_action_vector(kernel, unit) for unit in linalg.identity(lat.rank + 2)
+    )
 
     tgt = lat
     if phi is not None:
         if target is None:
             raise ValueError("phi requires an explicit target lattice")
         tgt = target
-        phi = _freeze(phi)
+        phi = integer_matrix(phi)
         if len(phi) != tgt.rank or any(len(row) != lat.rank for row in phi):
             raise ValueError("phi has the wrong shape for the given lattices")
-        gs = _freeze(lat.gram)
-        gt = _freeze(tgt.gram)
-        phit = tuple(tuple(phi[r][c] for r in range(len(phi))) for c in range(len(phi[0])))
-        if _mat_mul(_mat_mul(phit, gt), phi) != gs:
+        if mat_mul(mat_mul(transpose(phi), tgt.gram), phi) != lat.gram:
             raise ValueError("phi is not an isometry of the divisor lattices")
-        m = tgt.rank + 2
-        big = [[Fraction(0)] * n for _ in range(m)]
-        big[0][0] = Fraction(1)
-        big[m - 1][n - 1] = Fraction(1)
-        for i in range(tgt.rank):
-            for j in range(lat.rank):
-                big[1 + i][1 + j] = phi[i][j]
-        matrix = _mat_mul(tuple(tuple(row) for row in big), matrix)
+        # The block-diagonal extension fixes the rank and ch2 rows.
+        matrix = (matrix[0], *mat_mul(phi, matrix[1:-1]), matrix[-1])
     elif target is not None:
         if target != lat:
             raise ValueError("target lattice differs from the kernel lattice; supply phi")
@@ -331,16 +250,16 @@ def from_kernel(
 
 
 def compose(outer: CohTransform, inner: CohTransform) -> CohTransform:
-    """outer after inner."""
+    """outer after inner, with no labels: the classes a closed-form block
+    reads from labels belong to one kernel, not to a composite."""
     if inner.target != outer.source:
         raise ValueError("inner transform's target lattice differs from outer's source")
     return CohTransform(
         source=inner.source,
         target=outer.target,
-        matrix=_mat_mul(outer.matrix, inner.matrix),
+        matrix=mat_mul(outer.matrix, inner.matrix),
         shift_parity=(outer.shift_parity + inner.shift_parity) % 2,
         numerically_valid=outer.numerically_valid and inner.numerically_valid,
-        labels=outer.labels,
     )
 
 
@@ -351,9 +270,7 @@ def is_mukai_isometry(t: CohTransform) -> bool:
     of euler_chi on all pairs by bilinearity.
     """
     m = t.matrix
-    mt = tuple(tuple(m[r][c] for r in range(len(m))) for c in range(len(m[0])))
-    lhs = _mat_mul(_mat_mul(mt, euler_gram(t.target)), m)
-    return lhs == euler_gram(t.source)
+    return mat_mul(mat_mul(transpose(m), euler_gram(t.target)), m) == euler_gram(t.source)
 
 
 # Closed-form blocks.  Each evaluates a specialized displayed formula for a
@@ -523,43 +440,6 @@ class DiffReport:
         return not self.entries
 
 
-def _hat_coordinates(t: CohTransform, delta_f) -> tuple[Fraction, Fraction] | None:
-    """Express the divisor part of a difference in the (hhat, lhat) basis.
-
-    Returns None when the labels are absent or the difference is not in
-    their span.
-    """
-    labels = t.label_map
-    if "hhat" not in labels or "lhat" not in labels:
-        return None
-    hhat, lhat = labels["hhat"], labels["lhat"]
-    k = t.target.rank
-    rows = [
-        [Fraction(hhat.coords[i]), Fraction(lhat.coords[i]), Fraction(delta_f[i])]
-        for i in range(k)
-    ]
-    pivots = []
-    col = 0
-    for want in (0, 1):
-        pivot = next((r for r in range(col, k) if rows[r][want] != 0), None)
-        if pivot is None:
-            continue
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = 1 / rows[col][want]
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(k):
-            if r != col and rows[r][want] != 0:
-                factor = rows[r][want]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-        pivots.append(want)
-        col += 1
-    if pivots != [0, 1]:
-        return None
-    if any(rows[r][2] != 0 for r in range(col, k)):
-        return None
-    return (rows[0][2], rows[1][2])
-
-
 def default_grid(lattice: NSLattice) -> tuple[tuple[int, ...], ...]:
     """Small deterministic grid of (r, f, t) coordinate vectors."""
     span = {1: 2, 2: 2}.get(lattice.rank, 1)
@@ -585,8 +465,9 @@ def crosscheck_specialized(t: CohTransform, formula_id: str, grid=None) -> DiffR
 
     Evaluates both sides on every grid point and records each disagreement
     with its componentwise difference; for reflexive formulas the divisor
-    part of the difference is additionally expressed in the hat basis when
-    possible.  An empty entry list means exact agreement on the grid.
+    part of the difference is additionally expressed in the (hhat, lhat)
+    basis when the transform names it and the difference lies in its span.
+    An empty entry list means exact agreement on the grid.
     """
     if formula_id not in CLOSED_FORMS:
         raise ValueError(
@@ -595,6 +476,10 @@ def crosscheck_specialized(t: CohTransform, formula_id: str, grid=None) -> DiffR
     func, _ = CLOSED_FORMS[formula_id]
     if grid is None:
         grid = default_grid(t.source)
+    labels = t.label_map
+    hats = None
+    if "hhat" in labels and "lhat" in labels:
+        hats = transpose((labels["hhat"].coords, labels["lhat"].coords))
     entries = []
     for point in grid:
         vec = tuple(Fraction(x) for x in point)
@@ -603,7 +488,7 @@ def crosscheck_specialized(t: CohTransform, formula_id: str, grid=None) -> DiffR
         if engine == closed:
             continue
         delta = tuple(x - y for x, y in zip(closed, engine))
-        delta_hat = _hat_coordinates(t, delta[1:-1])
+        delta_hat = linalg.solve(hats, delta[1:-1]) if hats else None
         entries.append(
             DiffEntry(
                 input=vec,

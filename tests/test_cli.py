@@ -37,17 +37,34 @@ def test_surface_validate(capsys):
     assert block["hhat"] == [5, 2]
 
 
-def test_surface_validate_rejects_bad_gram(tmp_path, capsys):
+def surface_input_error(tmp_path, capsys, surface):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({
+    bad.write_text(json.dumps(surface))
+    code = main(["surface-validate", "--surface", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 2, captured.out + captured.err
+    assert "Traceback" not in captured.err
+    data = json.loads(captured.out)
+    assert data["ok"] is False
+    assert data["error"]["kind"] == "input"
+    return data["error"]["message"]
+
+
+def test_surface_validate_rejects_bad_gram(tmp_path, capsys):
+    message = surface_input_error(tmp_path, capsys, {
         "rank": 1,
         "gram": [[3]],
         "classes": {"h": [1]},
         "assumptions": [],
-    }))
-    data = run_json(capsys, "surface-validate", "--surface", str(bad), expect=1)
-    assert data["ok"] is False
-    assert data["error"]["kind"] == "rejection"
+    })
+    assert "odd" in message
+
+
+@pytest.mark.parametrize("key", ["classes", "assumptions"])
+def test_surface_validate_rejects_non_container_sections(tmp_path, capsys, key):
+    surface = {"gram": [[2]], "classes": {"h": [1]}, key: 5}
+    message = surface_input_error(tmp_path, capsys, surface)
+    assert f'"{key}" must be' in message
 
 
 def test_missing_surface_file(capsys):
@@ -150,6 +167,16 @@ def test_transform_crosscheck_reports_diffs(capsys):
     assert data["truncated"] is True
     first = data["entries"][0]
     assert set(first) >= {"input", "engine", "closed_form", "delta"}
+
+
+def test_transform_crosscheck_rejects_negative_max_entries(capsys):
+    data = run_json(
+        capsys, "transform-crosscheck", "--builder", "reflexive-nondegenerate",
+        "--max-entries", "-1",
+        expect=2,
+    )
+    assert data["error"]["kind"] == "input"
+    assert "--max-entries" in data["error"]["message"]
 
 
 def test_pic1_smallest_square(capsys):

@@ -1,0 +1,132 @@
+import itertools
+from fractions import Fraction
+from math import prod
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from k3fm import linalg
+
+ENTRIES = st.integers(-6, 6)
+# hhat = 2l + 5h and lhat = 5l + 12h on the standard reflexive lattice, basis (h, l).
+HHAT = (5, 2)
+LHAT = (12, 5)
+
+
+def square_matrices(max_size=5):
+    return st.integers(1, max_size).flatmap(
+        lambda n: st.lists(
+            st.lists(ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+
+
+def leibniz_det(m):
+    """Reference: the sum over permutations, sign from the inversion count."""
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(m[i][perm[i]] for i in range(n))
+    return total
+
+
+@st.composite
+def unimodular(draw, max_size=5):
+    """A permutation with signs, times unit lower and unit upper triangular factors."""
+    n = draw(st.integers(1, max_size))
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
+    lower = [[int(i == j) or (draw(ENTRIES) if j < i else 0) for j in range(n)] for i in range(n)]
+    upper = [[int(i == j) or (draw(ENTRIES) if j > i else 0) for j in range(n)] for i in range(n)]
+    p = [[signs[i] * int(perm[i] == j) for j in range(n)] for i in range(n)]
+    return linalg.mat_mul(p, linalg.mat_mul(lower, upper))
+
+
+def minors_independent(u, v):
+    """Reference: two integer vectors are independent iff some 2x2 minor is nonzero."""
+    k = len(u)
+    return any(u[i] * v[j] - u[j] * v[i] for i in range(k) for j in range(i + 1, k))
+
+
+@given(square_matrices())
+def test_det_matches_leibniz(m):
+    got = linalg.det(m)
+    assert type(got) is int
+    assert got == leibniz_det(m)
+
+
+def test_det_small_cases():
+    assert linalg.det([[2, 1], [7, 4]]) == 1
+    assert linalg.det([[0, 1], [1, 0]]) == -1
+    assert linalg.det([[1, 2], [2, 4]]) == 0
+    assert linalg.det([[0, 2, 1], [3, 0, 1], [1, 1, 0]]) == 5
+    with pytest.raises(ValueError, match="square"):
+        linalg.det([[1, 2]])
+
+
+@given(unimodular())
+def test_inverse_of_unimodular(m):
+    inv = linalg.inverse(m)
+    n = len(m)
+    assert all(type(x) is int for row in inv for x in row)
+    assert linalg.mat_mul(m, inv) == linalg.identity(n)
+    assert linalg.mat_mul(inv, m) == linalg.identity(n)
+
+
+@pytest.mark.parametrize(
+    "m, d",
+    [([[2, 0], [0, 1]], 2), ([[1, 1], [1, -1]], -2), ([[1, 2], [2, 4]], 0)],
+)
+def test_inverse_rejects_non_unimodular(m, d):
+    with pytest.raises(ValueError, match=f"determinant {d}"):
+        linalg.inverse(m)
+
+
+def test_non_integral_entry_is_rejected():
+    with pytest.raises(ValueError, match="not an integer"):
+        linalg.det([[Fraction(1, 2)]])
+    assert linalg.integer_matrix([[Fraction(-4, 2)]]) == ((-2,),)
+
+
+@given(ENTRIES, ENTRIES, st.integers(1, 4))
+def test_solve_recovers_hat_coordinates(alpha, factor, den):
+    """A divisor difference alpha*hhat + (factor/den)*lhat solves back to its coordinates."""
+    a = linalg.transpose((HHAT, LHAT))
+    b = [alpha * x + Fraction(factor, den) * y for x, y in zip(HHAT, LHAT)]
+    assert linalg.solve(a, b) == (alpha, Fraction(factor, den))
+
+
+@given(st.data())
+def test_solve_recovers_rational_solution(data):
+    k = data.draw(st.integers(1, 5))
+    m = data.draw(st.integers(1, k))
+    a = data.draw(st.lists(st.lists(ENTRIES, min_size=m, max_size=m), min_size=k, max_size=k))
+    x = [Fraction(data.draw(ENTRIES), data.draw(st.integers(1, 4))) for _ in range(m)]
+    b = [sum(ai * xi for ai, xi in zip(row, x)) for row in a]
+    got = linalg.solve(a, b)
+    if linalg.rank(a) < m:
+        assert got is None
+    else:
+        assert got == tuple(x)
+
+
+def test_solve_none_outside_span_or_dependent():
+    assert linalg.solve(((1, 0), (0, 1), (0, 0)), (1, 2, 3)) is None
+    assert linalg.solve(((1, 2), (2, 4)), (1, 2)) is None
+    assert linalg.solve(((1, 0), (0, 1), (0, 0)), (1, 2, 0)) == (1, 2)
+
+
+@given(st.integers(1, 4).flatmap(lambda k: st.tuples(
+    st.lists(ENTRIES, min_size=k, max_size=k), st.lists(ENTRIES, min_size=k, max_size=k)
+)))
+def test_rank_of_pair_matches_minors(pair):
+    u, v = pair
+    assert (linalg.rank((u, v)) == 2) == minors_independent(u, v)
+
+
+def test_mat_vec_is_exact():
+    got = linalg.mat_vec(((1, 2), (3, -4)), (Fraction(1, 2), Fraction(1, 3)))
+    assert got == (Fraction(7, 6), Fraction(1, 6))
+    assert all(type(x) is Fraction for x in got)

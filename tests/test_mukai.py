@@ -21,7 +21,6 @@ from k3fm import (
     mukai_to_ch,
     point_ch,
     sign_normalized,
-    standard_ch,
     twist,
     twisted_ideal_ch,
 )
@@ -96,15 +95,6 @@ def test_standard_class_constructors():
     assert (ext.r, ext.f, ext.t) == (2, L, Fraction(-8))
     with pytest.raises(ValueError, match="non-negative"):
         ideal_sheaf_ch(REFLEXIVE, -1)
-
-
-def test_standard_ch_dispatch():
-    assert standard_ch("point", lattice=REFLEXIVE) == point_ch(REFLEXIVE)
-    assert standard_ch("line_bundle", l=L) == line_bundle_ch(L)
-    with pytest.raises(ValueError, match="unknown standard class"):
-        standard_ch("mystery")
-    with pytest.raises(ValueError, match="missing parameter"):
-        standard_ch("ideal", lattice=REFLEXIVE)
 
 
 def test_frac_str_canonical():

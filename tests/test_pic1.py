@@ -14,7 +14,8 @@ from k3fm import (
     solve_constraints,
     transform_from_solution,
 )
-from k3fm.pic1 import Pic1Solution, _det3, _matrix_for, residuals
+from k3fm.linalg import det
+from k3fm.pic1 import Pic1Solution, _matrix_for, residuals
 
 
 def key(sol):
@@ -161,4 +162,4 @@ def test_to_dict_shape():
 
 def test_matrix_helper_consistency():
     m = _matrix_for(4, 3, -1, 1, -2, 1)
-    assert _det3(m) == 1
+    assert det(m) == 1

@@ -24,7 +24,8 @@ from k3fm import (
     transform_for,
     validate_reflexive,
 )
-from k3fm.transform import CLOSED_FORMS, ch_vector, default_grid, vector_to_ch
+from k3fm.cli import BUILDERS, _builder_transform, build_parser
+from k3fm.transform import CLOSED_FORMS, CohTransform, ch_vector, default_grid, vector_to_ch
 
 from helpers import SQUARE_MINUS_4, characters_on, grid_vectors, kernels
 
@@ -229,6 +230,49 @@ def test_compose_and_inverse():
     assert both.matrix == ident.matrix
     c = ChernCharacter(2, 3 * H - L, Fraction(-7))
     assert ti.apply(t.apply(c)) == c
+
+
+def test_composite_carries_no_labels():
+    t = nondeg_transform()
+    with pytest.raises(ValueError, match="missing labels"):
+        crosscheck_specialized(compose(t, t.inverse()), "reflexive_nondegenerate")
+
+
+def assert_integer_matrices(t):
+    assert all(type(x) is int for row in t.matrix for x in row)
+    assert all(type(x) is int for row in euler_gram(t.source) for x in row)
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_builder_matrices_are_integral(builder):
+    argv = ["transform-apply", "--builder", builder, "--ch", "0", "--lsq", "12"]
+    assert_integer_matrices(_builder_transform(build_parser().parse_args(argv)))
+
+
+@given(kernels())
+def test_kernel_matrices_are_integral(k):
+    t = from_kernel(k)
+    assert_integer_matrices(t)
+    assert_integer_matrices(t.shifted())
+    assert_integer_matrices(compose(t, t))
+
+
+def test_non_integral_entry_is_rejected():
+    rows = ((1, 0, 0), (0, Fraction(1, 2), 0), (0, 0, 1))
+    lattice = NSLattice(((-4,),))
+    with pytest.raises(ValueError, match="1/2 is not an integer"):
+        CohTransform(lattice, lattice, rows)
+    integral = CohTransform(lattice, lattice, ((Fraction(2, 2), 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert integral.matrix == identity_transform(lattice).matrix
+
+
+@pytest.mark.parametrize("scale", [2, -2])
+def test_inverse_needs_unit_determinant(scale):
+    lattice = NSLattice(((-4,),))
+    t = CohTransform(lattice, lattice, ((scale, 0, 0), (0, 1, 0), (0, 0, 1)))
+    assert t.determinant() == scale
+    with pytest.raises(ValueError, match=f"determinant {scale}"):
+        t.inverse()
 
 
 def test_shifted_negates_action():
