@@ -604,6 +604,10 @@ def _resolve_format(args) -> str:
     return fmt
 
 
+def _error_payload(kind: str, exc: Exception) -> dict:
+    return {"ok": False, "error": {"kind": kind, "message": str(exc)}}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -612,30 +616,21 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    command = args.command
     try:
         status, payload = args.handler(args)
     except RejectionError as exc:
-        _emit(
-            {
-                "command": command,
-                "ok": False,
-                "error": {"kind": "rejection", "message": str(exc)},
-            },
-            fmt,
-        )
-        return 1
+        status, payload = 1, _error_payload("rejection", exc)
     except (ValueError, OSError) as exc:
-        _emit(
-            {
-                "command": command,
-                "ok": False,
-                "error": {"kind": "input", "message": str(exc)},
-            },
-            fmt,
-        )
-        return 2
-    _emit({"command": command, **payload}, fmt)
+        status, payload = 2, _error_payload("input", exc)
+    try:
+        _emit({"command": args.command, **payload}, fmt)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away: point stdout at devnull so the interpreter's
+        # final flush cannot fail again, and keep the command's own status.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return status
 
 

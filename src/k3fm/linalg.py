@@ -21,6 +21,7 @@ __all__ = [
     "identity",
     "transpose",
     "mat_mul",
+    "scaled",
     "mat_vec",
     "det",
     "rank",
@@ -58,7 +59,7 @@ def mat_mul(a, b) -> Matrix:
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
-def _scaled(v) -> tuple[list[int], int]:
+def scaled(v) -> tuple[list[int], int]:
     """Integer numerators of a rational vector over its common denominator."""
     v = [Fraction(x) for x in v]
     den = lcm(*(x.denominator for x in v))
@@ -67,7 +68,7 @@ def _scaled(v) -> tuple[list[int], int]:
 
 def mat_vec(m, v) -> tuple[Fraction, ...]:
     """Exact product of an integer matrix and a rational vector."""
-    nums, den = _scaled(v)
+    nums, den = scaled(v)
     return tuple(Fraction(sum(map(mul, row, nums)), den) for row in m)
 
 
@@ -151,7 +152,7 @@ def solve(a, b) -> tuple[Fraction, ...] | None:
     Returns None when the columns of a are dependent or b is not in their
     span.
     """
-    nums, den = _scaled(b)
+    nums, den = scaled(b)
     ncols = len(a[0])
     rows = [list(row) + [x] for row, x in zip(integer_matrix(a), nums)]
     pivots, _ = _eliminate(rows, ncols)

@@ -123,6 +123,22 @@ class SurfaceSpec:
         }
 
 
+def _reject_booleans(values, what: str) -> None:
+    # JSON true and false load as bool, an int subclass the lattice would take as 1 and 0.
+    if any(isinstance(x, bool) for x in values):
+        raise SurfaceSpecError(f"{what} must be integers, not true or false")
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict; a repeated key raises SurfaceSpecError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SurfaceSpecError(f"key {key!r} appears twice in one JSON object")
+        obj[key] = value
+    return obj
+
+
 def surface_spec_from_dict(data: dict) -> SurfaceSpec:
     """Build and validate a SurfaceSpec from parsed JSON data.
 
@@ -142,6 +158,7 @@ def surface_spec_from_dict(data: dict) -> SurfaceSpec:
         raise SurfaceSpecError('surface description is missing "gram"') from None
     if not isinstance(gram_rows, list) or not all(isinstance(r, list) for r in gram_rows):
         raise SurfaceSpecError('"gram" must be a list of rows')
+    _reject_booleans((x for row in gram_rows for x in row), '"gram" entries')
     try:
         lattice = NSLattice(tuple(tuple(r) for r in gram_rows))
     except ValueError as exc:
@@ -158,6 +175,7 @@ def surface_spec_from_dict(data: dict) -> SurfaceSpec:
     for name, coords in classes.items():
         if not isinstance(coords, list):
             raise SurfaceSpecError(f"class {name!r} must map to a coordinate list")
+        _reject_booleans(coords, f"class {name!r} coordinates")
         try:
             named.append((str(name), DivisorClass(lattice, tuple(coords))))
         except ValueError as exc:
@@ -181,10 +199,11 @@ def load_surface_spec(path) -> SurfaceSpec:
     """Read a surface description from a JSON file.
 
     Parse errors (bad JSON) surface as json.JSONDecodeError with line and
-    column; semantic violations surface as SurfaceSpecError.
+    column; a key repeated within one object and semantic violations
+    surface as SurfaceSpecError.
     """
     text = Path(path).read_text()
-    return surface_spec_from_dict(json.loads(text))
+    return surface_spec_from_dict(json.loads(text, object_pairs_hook=_unique_keys))
 
 
 _COORDS_RE = re.compile(r"^[+-]?\d+(,[+-]?\d+)*$")

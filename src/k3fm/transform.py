@@ -4,10 +4,14 @@ The normative computation is the pushforward formula
 
     ch(Phi F) = chi(F*A) ch(B) + chi(F*C) ch(D) - ch(F*C*D),
 
-evaluated term by term with exact twist formulas.  Every specialized
-closed-form block for a particular kernel family is implemented separately
-and compared against this engine by crosscheck_specialized; where a block
-disagrees, the difference is reported, never patched into either side.
+kernel_action_vector evaluates it term by term with exact twist formulas;
+it is the reference that the tests compare from_kernel's matrix against.
+from_kernel builds the same map in closed form, as a matrix in int:
+chi(F*A) and chi(F*C) are linear forms and the twist by c+d is a fixed
+matrix.  Every specialized closed-form block for a particular kernel
+family is implemented separately and compared against this engine by
+crosscheck_specialized; where a block disagrees, the difference is
+reported, never patched into either side.
 
 Transforms are stored as integer matrices (integral on an even lattice)
 acting on rational coordinate vectors (rank, NS-basis coefficients, ch2).
@@ -25,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import add, mul
 
 from . import linalg
 from .kernel import KernelSpec
@@ -195,6 +201,11 @@ def kernel_action_vector(kernel: KernelSpec, vec) -> tuple[Fraction, ...]:
     return (ch0, *ch1, ch2)
 
 
+def _half_square(x, gx) -> int:
+    """x^2/2 from x and G x; exact because the lattice is even."""
+    return sum(map(mul, x, gx)) // 2
+
+
 def from_kernel(
     kernel: KernelSpec,
     labels: tuple = (),
@@ -202,7 +213,16 @@ def from_kernel(
     target: NSLattice | None = None,
     phi: Matrix | None = None,
 ) -> CohTransform:
-    """Build the transform matrix by evaluating the kernel action on a basis.
+    """Build the transform matrix in closed form, in int.
+
+    Read as matrices, the term-by-term evaluation of kernel_action_vector
+    is M = B alpha^T + D gamma^T - T_e: the linear forms
+    alpha = (2 + a^2/2, G a, 1) and gamma = (2 + c^2/2, G c, 1) give
+    chi(F*A) and chi(F*C), B = (1, b, b^2/2) and D = (1, d, d^2/2) are
+    ch(B) and ch(D), and T_e, with rows (1, 0, 0), (e_i, unit_i, 0) and
+    (e^2/2, (G e)^T, 1), twists by e = c + d.  Every x^2/2 is an integer
+    because the lattice is even.  kernel_action_vector stays the reference
+    the tests check this matrix against.
 
     phi, when given, is an isometry matrix taking source NS coordinates to
     target NS coordinates (phi^T G_target phi = G_source) and is applied as
@@ -211,8 +231,22 @@ def from_kernel(
     relattice identification is involved.
     """
     lat = kernel.lattice
-    matrix = transpose(
-        kernel_action_vector(kernel, unit) for unit in linalg.identity(lat.rank + 2)
+    a, b, c, d = (x.coords for x in (kernel.a, kernel.b, kernel.c, kernel.d))
+    e = tuple(map(add, c, d))
+    ga, gb, gc, gd = transpose(mat_mul(lat.gram, transpose((a, b, c, d))))
+    ge = tuple(map(add, gc, gd))
+    alpha = (2 + _half_square(a, ga), *ga, 1)
+    gamma = (2 + _half_square(c, gc), *gc, 1)
+    big_b = (1, *b, _half_square(b, gb))
+    big_d = (1, *d, _half_square(d, gd))
+    twist = (
+        (1, *(0,) * lat.rank, 0),
+        *((ei, *unit, 0) for ei, unit in zip(e, linalg.identity(lat.rank))),
+        (_half_square(e, ge), *ge, 1),
+    )
+    matrix = tuple(
+        tuple(bi * x + di * y - z for x, y, z in zip(alpha, gamma, row))
+        for bi, di, row in zip(big_b, big_d, twist)
     )
 
     tgt = lat
@@ -463,11 +497,15 @@ def default_grid(lattice: NSLattice) -> tuple[tuple[int, ...], ...]:
 def crosscheck_specialized(t: CohTransform, formula_id: str, grid=None) -> DiffReport:
     """Compare the transform's action against a named closed-form block.
 
-    Evaluates both sides on every grid point and records each disagreement
-    with its componentwise difference; for reflexive formulas the divisor
-    part of the difference is additionally expressed in the (hhat, lhat)
-    basis when the transform names it and the difference lies in its span.
-    An empty entry list means exact agreement on the grid.
+    Every block is linear in (r, f, t), so it is evaluated once per unit
+    vector into a matrix C, and the grid is scanned with the integer
+    matrix Delta = den * (C - M), den the common denominator of C.  A grid
+    point x is a disagreement exactly where Delta x is nonzero; it is
+    recorded with the engine value M x, the closed-form value, and their
+    componentwise difference.  For reflexive formulas the divisor part of
+    the difference is additionally expressed in the (hhat, lhat) basis
+    when the transform names it and the difference lies in its span.  An
+    empty entry list means exact agreement on the grid.
     """
     if formula_id not in CLOSED_FORMS:
         raise ValueError(
@@ -476,26 +514,37 @@ def crosscheck_specialized(t: CohTransform, formula_id: str, grid=None) -> DiffR
     func, _ = CLOSED_FORMS[formula_id]
     if grid is None:
         grid = default_grid(t.source)
+    n = t.source.rank + 2
+    if any(len(point) != n for point in grid):
+        raise ValueError("coordinate vector has the wrong length for the source lattice")
+    closed = transpose(func(t, unit) for unit in linalg.identity(n))
+    den = lcm(*(x.denominator for row in closed for x in row))
+    delta_matrix = tuple(
+        tuple(int(x * den) - den * y for x, y in zip(crow, mrow))
+        for crow, mrow in zip(closed, t.matrix)
+    )
+    if not any(map(any, delta_matrix)):
+        return DiffReport(formula_id=formula_id, points=len(grid), entries=())
     labels = t.label_map
     hats = None
     if "hhat" in labels and "lhat" in labels:
         hats = transpose((labels["hhat"].coords, labels["lhat"].coords))
     entries = []
     for point in grid:
+        nums, vden = linalg.scaled(point)
+        diff = tuple(sum(map(mul, row, nums)) for row in delta_matrix)
+        if not any(diff):
+            continue
         vec = tuple(Fraction(x) for x in point)
         engine = t.apply_vector(vec)
-        closed = func(t, vec)
-        if engine == closed:
-            continue
-        delta = tuple(x - y for x, y in zip(closed, engine))
-        delta_hat = linalg.solve(hats, delta[1:-1]) if hats else None
+        delta = tuple(Fraction(x, den * vden) for x in diff)
         entries.append(
             DiffEntry(
                 input=vec,
                 engine=engine,
-                closed_form=closed,
+                closed_form=tuple(map(add, engine, delta)),
                 delta=delta,
-                delta_hat=delta_hat,
+                delta_hat=linalg.solve(hats, delta[1:-1]) if hats else None,
             )
         )
     return DiffReport(formula_id=formula_id, points=len(grid), entries=tuple(entries))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,8 +41,9 @@ def test_surface_validate(capsys):
 
 
 def surface_input_error(tmp_path, capsys, surface):
+    """Exit 2 with an input report for a surface given as a dict or as raw JSON text."""
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(surface))
+    bad.write_text(surface if isinstance(surface, str) else json.dumps(surface))
     code = main(["surface-validate", "--surface", str(bad)])
     captured = capsys.readouterr()
     assert code == 2, captured.out + captured.err
@@ -65,6 +69,24 @@ def test_surface_validate_rejects_non_container_sections(tmp_path, capsys, key):
     surface = {"gram": [[2]], "classes": {"h": [1]}, key: 5}
     message = surface_input_error(tmp_path, capsys, surface)
     assert f'"{key}" must be' in message
+
+
+def test_surface_validate_rejects_duplicate_keys(tmp_path, capsys):
+    text = '{"gram": [[2]], "classes": {"h": [1], "h": [true]}}'
+    message = surface_input_error(tmp_path, capsys, text)
+    assert "'h' appears twice" in message
+
+
+@pytest.mark.parametrize(
+    "surface, what",
+    [
+        ({"gram": [[2]], "classes": {"h": [True]}}, "class 'h' coordinates"),
+        ({"gram": [[2, False], [False, -2]], "classes": {}}, '"gram" entries'),
+    ],
+)
+def test_surface_validate_rejects_booleans(tmp_path, capsys, surface, what):
+    message = surface_input_error(tmp_path, capsys, surface)
+    assert f"{what} must be integers, not true or false" in message
 
 
 def test_missing_surface_file(capsys):
@@ -370,3 +392,34 @@ def test_json_output_is_sorted_and_stable(capsys):
     assert out1 == out2
     data = json.loads(out1)
     assert list(data) == sorted(data)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # Larger than the pipe buffer: print itself meets the closed pipe.
+        ["transform-crosscheck", "--builder", "pic1", "--lsq", "12", "--max-entries", "1000"],
+        # Small: the write fails only when stdout is flushed.
+        ["pic1", "--lsq", "4"],
+    ],
+)
+def test_closed_stdout_is_not_a_rejection(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("K3FM_FORMAT", None)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "k3fm", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            cwd=ROOT,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode in (0, 2), result.stderr
+    assert "Traceback" not in result.stderr
+    assert "BrokenPipeError" not in result.stderr

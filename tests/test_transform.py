@@ -1,4 +1,6 @@
+import functools
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +27,18 @@ from k3fm import (
     validate_reflexive,
 )
 from k3fm.cli import BUILDERS, _builder_transform, build_parser
-from k3fm.transform import CLOSED_FORMS, CohTransform, ch_vector, default_grid, vector_to_ch
+from k3fm.linalg import solve
+from k3fm.transform import (
+    CLOSED_FORMS,
+    CohTransform,
+    DiffEntry,
+    DiffReport,
+    ch_vector,
+    default_grid,
+    vector_to_ch,
+)
 
-from helpers import SQUARE_MINUS_4, characters_on, grid_vectors, kernels
+from helpers import SQUARE_MINUS_4, characters_on, class_on, grid_vectors, kernels
 
 REFLEXIVE = NSLattice(((2, 0), (0, -12)))
 H = DivisorClass(REFLEXIVE, (1, 0))
@@ -306,6 +317,130 @@ def test_phi_identification_requires_isometry():
         )
     with pytest.raises(ValueError, match="target"):
         from_kernel(k, phi=neg)
+
+
+def crosscheck_by_points(t, formula_id, grid=None):
+    """Reference scan: the engine and the block evaluated at every grid point."""
+    func, _ = CLOSED_FORMS[formula_id]
+    if grid is None:
+        grid = default_grid(t.source)
+    labels = t.label_map
+    hats = None
+    if "hhat" in labels and "lhat" in labels:
+        hats = tuple(zip(labels["hhat"].coords, labels["lhat"].coords))
+    entries = []
+    for point in grid:
+        vec = tuple(Fraction(x) for x in point)
+        engine = t.apply_vector(vec)
+        closed = func(t, vec)
+        if engine == closed:
+            continue
+        delta = tuple(x - y for x, y in zip(closed, engine))
+        delta_hat = solve(hats, delta[1:-1]) if hats else None
+        entries.append(DiffEntry(vec, engine, closed, delta, delta_hat))
+    return DiffReport(formula_id=formula_id, points=len(grid), entries=tuple(entries))
+
+
+@functools.cache
+def builder_transform(builder, lsq=12):
+    argv = ["transform-crosscheck", "--builder", builder, "--lsq", str(lsq)]
+    return _builder_transform(build_parser().parse_args(argv))
+
+
+# Each block with the builders whose transforms it applies to; every
+# builder but pic1 goes through from_kernel, which labels a, b, c, d.
+BLOCK_BUILDERS = {
+    "general": tuple(b for b in BUILDERS if b != "pic1"),
+    "no_cohomology": ("no-cohomology",),
+    "reflexive_nondegenerate": ("reflexive-nondegenerate",),
+    "reflexive_type_i": ("reflexive-type-i",),
+    "reflexive_type_ii": ("reflexive-type-ii",),
+    "picard_rank_one": ("pic1",),
+}
+
+
+def test_block_builders_cover_every_block():
+    assert set(BLOCK_BUILDERS) == set(CLOSED_FORMS)
+
+
+@pytest.mark.parametrize(
+    "builder, formula_id",
+    [(b, f) for f, builders in BLOCK_BUILDERS.items() for b in builders],
+)
+def test_crosscheck_matches_point_scan_on_builders(builder, formula_id):
+    t = builder_transform(builder)
+    report = crosscheck_specialized(t, formula_id)
+    assert report == crosscheck_by_points(t, formula_id)
+    assert all(type(x) is Fraction for e in report.entries for x in e.closed_form)
+
+
+def half_integral_grid(data, lattice, size=12):
+    ints = st.integers(-3, 3)
+    point = st.tuples(
+        ints, *(ints for _ in range(lattice.rank)), ints.map(lambda n: Fraction(n, 2))
+    )
+    return data.draw(st.lists(point, max_size=size))
+
+
+@pytest.mark.parametrize("formula_id", sorted(CLOSED_FORMS))
+@settings(max_examples=15)
+@given(st.data())
+def test_crosscheck_matches_point_scan_on_random_grids(formula_id, data):
+    builder = data.draw(st.sampled_from(BLOCK_BUILDERS[formula_id]))
+    t = builder_transform(builder, lsq=data.draw(st.sampled_from((4, 12, 20, 28))))
+    grid = half_integral_grid(data, t.source)
+    report = crosscheck_specialized(t, formula_id, grid)
+    assert report == crosscheck_by_points(t, formula_id, grid)
+    assert report.points == len(grid)
+
+
+@given(kernels(), st.data())
+def test_general_crosscheck_of_mislabelled_kernel_matches_point_scan(k, data):
+    # Labelled with other classes, the general block disagrees with the engine.
+    t = from_kernel(k)
+    labels = tuple((name, data.draw(class_on(k.lattice))) for name in "abcd")
+    t = CohTransform(t.source, t.target, t.matrix, labels=labels)
+    grid = half_integral_grid(data, t.source)
+    assert crosscheck_specialized(t, "general", grid) == crosscheck_by_points(
+        t, "general", grid
+    )
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@pytest.mark.parametrize("formula_id", sorted(CLOSED_FORMS))
+@settings(max_examples=15)
+@given(st.data())
+def test_closed_form_blocks_are_linear(formula_id, data):
+    if formula_id == "general":
+        t = from_kernel(data.draw(kernels()))
+    else:
+        builder = data.draw(st.sampled_from(BLOCK_BUILDERS[formula_id]))
+        t = builder_transform(builder, lsq=data.draw(st.sampled_from((4, 12, 20))))
+    func = CLOSED_FORMS[formula_id][0]
+    n = t.source.rank + 2
+    x = data.draw(st.tuples(*(rationals for _ in range(n))))
+    y = data.draw(st.tuples(*(rationals for _ in range(n))))
+    q = data.draw(rationals)
+    fx, fy = func(t, x), func(t, y)
+    assert func(t, tuple(map(add, x, y))) == tuple(map(add, fx, fy))
+    assert func(t, tuple(q * v for v in x)) == tuple(q * v for v in fx)
+    assert func(t, (0,) * n) == (0,) * n
+
+
+@pytest.mark.parametrize("formula_id", sorted(CLOSED_FORMS))
+@pytest.mark.parametrize("grid", [None, [(1, 0, Fraction(1, 2))]])
+def test_crosscheck_without_labels_raises(formula_id, grid):
+    t = identity_transform(NSLattice(((-4,),)))
+    with pytest.raises(ValueError, match="missing labels"):
+        crosscheck_specialized(t, formula_id, grid)
+
+
+def test_crosscheck_rejects_wrong_length_points():
+    t = nondeg_transform()
+    with pytest.raises(ValueError, match="wrong length"):
+        crosscheck_specialized(t, "reflexive_nondegenerate", [(0, 0, 0, 0), (1, 0, 0)])
 
 
 def test_crosscheck_unknown_formula():
