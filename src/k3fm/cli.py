@@ -66,14 +66,6 @@ from .transform import (
 
 __all__ = ["main", "BUILDERS"]
 
-BUILDERS = (
-    "no-cohomology",
-    "reflexive-nondegenerate",
-    "reflexive-type-i",
-    "reflexive-type-ii",
-    "pic1",
-)
-
 _BUILDER_FORMULA = {
     "no-cohomology": "no_cohomology",
     "reflexive-nondegenerate": "reflexive_nondegenerate",
@@ -81,6 +73,8 @@ _BUILDER_FORMULA = {
     "reflexive-type-ii": "reflexive_type_ii",
     "pic1": "picard_rank_one",
 }
+
+BUILDERS = tuple(_BUILDER_FORMULA)
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +125,6 @@ def _emit(payload: dict, fmt: str):
 # input helpers
 
 
-def _load_surface(args) -> SurfaceSpec:
-    if getattr(args, "surface", None) is None:
-        raise ValueError("this command requires --surface")
-    return load_surface_spec(args.surface)
-
-
 def _parse_ch(lattice: NSLattice, text: str) -> ChernCharacter:
     parts = [p.strip() for p in text.split(",")]
     want = lattice.rank + 2
@@ -162,51 +150,50 @@ def _default_no_cohomology_spec() -> SurfaceSpec:
     return SurfaceSpec(lattice, named, (Assumption("no_cohomology", "m"),))
 
 
-def _no_cohomology_transform(args) -> CohTransform:
-    if getattr(args, "surface", None) is not None:
-        spec = load_surface_spec(args.surface)
-    else:
-        spec = _default_no_cohomology_spec()
-    m = parse_class_expr(spec, getattr(args, "m_class", None) or "m")
-    kernel = KernelSpec(
-        a=spec.lattice.zero(),
-        b=spec.lattice.zero(),
-        c=m,
-        d=-m,
-        declared_vanishing=spec.declared("no_cohomology"),
-        source=spec,
-        target=spec,
-    )
-    return from_kernel(kernel, labels=(("m", m),))
+def _pic1_n(lsq: int) -> int:
+    """The n of the rank-1 solution for generator square lsq, or a rejection."""
+    n = existence_test(lsq)
+    if n is None:
+        raise RejectionError(
+            f"no transform exists for generator square {lsq}: it is not 4 mod 8"
+        )
+    return n
 
 
-def _reflexive_surface(args, variant: str):
-    if getattr(args, "surface", None) is not None:
-        spec = load_surface_spec(args.surface)
-        return validate_reflexive(spec, h_name=args.h_name, l_name=args.l_name)
-    if variant == "nondegenerate":
-        return validate_reflexive(standard_spec())
-    if variant == "type-i":
-        return component_surface(("c1", "c2"), {"c1": 2, "c2": 2})
-    return component_surface(("c1", "c2"), {"c1": 1, "c2": 3})
+def _builder_transform(args, name: str | None = None) -> CohTransform:
+    """The transform of builder name (default args.builder).
 
-
-def _builder_transform(args) -> CohTransform:
-    name = args.builder
-    if name == "no-cohomology":
-        return _no_cohomology_transform(args)
+    Without --surface each builder works on its own default surface.
+    """
+    name = name or args.builder
     if name == "pic1":
-        lsq = getattr(args, "lsq", None)
-        if lsq is None:
+        if args.lsq is None:
             raise ValueError("builder pic1 requires --lsq")
-        n = existence_test(lsq)
-        if n is None:
-            raise RejectionError(
-                f"no transform exists for generator square {lsq}: it is not 4 mod 8"
-            )
-        return transform_from_solution(select_physical(solve_constraints(n)))
+        return transform_from_solution(select_physical(solve_constraints(_pic1_n(args.lsq))))
+    spec = None if args.surface is None else load_surface_spec(args.surface)
+    if name == "no-cohomology":
+        if spec is None:
+            spec = _default_no_cohomology_spec()
+        m = parse_class_expr(spec, args.m_class or "m")
+        kernel = KernelSpec(
+            a=spec.lattice.zero(),
+            b=spec.lattice.zero(),
+            c=m,
+            d=-m,
+            declared_vanishing=spec.declared("no_cohomology"),
+            source=spec,
+            target=spec,
+        )
+        return from_kernel(kernel, labels=(("m", m),))
     variant = name.removeprefix("reflexive-")
-    rs = _reflexive_surface(args, variant)
+    if spec is not None:
+        rs = validate_reflexive(spec, h_name=args.h_name, l_name=args.l_name)
+    elif variant == "nondegenerate":
+        rs = validate_reflexive(standard_spec())
+    elif variant == "type-i":
+        rs = component_surface(("c1", "c2"), {"c1": 2, "c2": 2})
+    else:
+        rs = component_surface(("c1", "c2"), {"c1": 1, "c2": 3})
     return transform_for(rs, variant)
 
 
@@ -234,7 +221,7 @@ def _kernel_from_exprs(spec: SurfaceSpec, args, extra_vanishing=()) -> KernelSpe
 
 
 def _cmd_surface_validate(args):
-    spec = _load_surface(args)
+    spec = load_surface_spec(args.surface)
     payload = {"ok": True, "surface": spec.to_dict()}
     if args.reflexive:
         rs = validate_reflexive(spec, h_name=args.h_name, l_name=args.l_name)
@@ -254,7 +241,7 @@ def _cmd_surface_validate(args):
 
 
 def _cmd_chi(args):
-    spec = _load_surface(args)
+    spec = load_surface_spec(args.surface)
     dc = parse_class_expr(spec, args.class_expr)
     return 0, {
         "ok": True,
@@ -266,7 +253,7 @@ def _cmd_chi(args):
 
 
 def _cmd_kernel_check(args):
-    spec = _load_surface(args)
+    spec = load_surface_spec(args.surface)
     kernel = _kernel_from_exprs(spec, args, extra_vanishing=args.vanishing or ())
     report = check_sufficient(kernel)
     normalized = normalize_twist(kernel)
@@ -334,11 +321,7 @@ def _cmd_transform_crosscheck(args):
 
 
 def _cmd_pic1(args):
-    n = existence_test(args.lsq)
-    if n is None:
-        raise RejectionError(
-            f"no transform exists for generator square {args.lsq}: it is not 4 mod 8"
-        )
+    n = _pic1_n(args.lsq)
     pair = solve_constraints(n)
     selected = select_physical(pair)
     witness = exclusion_witness(pair)
@@ -368,7 +351,7 @@ def _cmd_pic1(args):
 
 
 def _cmd_reflexive_decompose(args):
-    spec = _load_surface(args)
+    spec = load_surface_spec(args.surface)
     rs = validate_reflexive(spec, h_name=args.h_name, l_name=args.l_name)
     dec = decompose_l2h(rs)
     payload = {"ok": True, "d1": list(dec.d1.coords), "d2": list(dec.d2.coords)}
@@ -386,22 +369,20 @@ def _cmd_reflexive_decompose(args):
 
 
 def _cmd_reflexive_classify(args):
-    spec = _load_surface(args)
+    spec = load_surface_spec(args.surface)
     rs = validate_reflexive(spec, h_name=args.h_name, l_name=args.l_name)
     report = classify_type(rs, decompose_l2h(rs))
     return 0, {"ok": True, **report.to_dict()}
 
 
 def _cmd_reflexive_kernel(args):
-    variant = args.variant
-    rs = _reflexive_surface(args, variant)
-    t = transform_for(rs, variant)
+    t = _builder_transform(args, "reflexive-" + args.variant)
     kernel = t.kernel
     report = check_sufficient(kernel)
     unit = ChernCharacter(1, t.source.zero(), Fraction(0))
     payload = {
         "ok": True,
-        "variant": variant,
+        "variant": args.variant,
         "kernel": kernel.to_dict(),
         "declared_vanishing": [list(v.coords) for v in kernel.declared_vanishing],
         "report": report.to_dict(),
@@ -414,12 +395,10 @@ def _cmd_reflexive_kernel(args):
 
 def _cmd_hilb_moduli(args):
     if args.flavor == "no-cohomology":
-        t = _no_cohomology_transform(args)
+        name = "no-cohomology"
     else:
-        variant = args.variant or "nondegenerate"
-        rs = _reflexive_surface(args, variant)
-        t = transform_for(rs, variant)
-    v = hilb_moduli_vector(t, args.n, args.flavor)
+        name = "reflexive-" + (args.variant or "nondegenerate")
+    v = hilb_moduli_vector(_builder_transform(args, name), args.n, args.flavor)
     return 0, {
         "ok": True,
         "n": args.n,
@@ -430,7 +409,7 @@ def _cmd_hilb_moduli(args):
 
 
 def _cmd_strata(args):
-    spec = _load_surface(args)
+    spec = load_surface_spec(args.surface)
     l = parse_class_expr(spec, args.l)
     m = parse_class_expr(spec, args.m)
     h = parse_class_expr(spec, args.h)
@@ -440,7 +419,7 @@ def _cmd_strata(args):
 
 
 def _cmd_primitive_check(args):
-    spec = _load_surface(args)
+    spec = load_surface_spec(args.surface)
     h = parse_class_expr(spec, args.h)
     l = parse_class_expr(spec, args.l) if args.l else args.n * h
     excluded = check_ample_primitive(l, args.n, h, surface=spec)

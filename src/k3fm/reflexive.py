@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import RejectionError
 from .kernel import KernelSpec
-from .lattice import DivisorClass, NSLattice, chi_line, degree, intersect
+from .lattice import DivisorClass, NSLattice, degree, intersect
 from .surface import Assumption, SurfaceSpec
 from .transform import CohTransform, from_kernel
 
@@ -54,9 +54,14 @@ class DecompositionError(RejectionError):
 class ReflexiveSurface:
     """A surface together with its resolved h, l classes and declared data.
 
-    Normally produced by validate_reflexive; constructing it directly
-    bypasses the intersection-number checks (useful only for probing the
-    decomposition rejections on deliberately inconsistent data).
+    validate_reflexive and component_surface are the two constructors, and
+    they establish the component invariants that decomposition relies on:
+    every declared curve has square -2 and the curves sum to l+2h.
+    validate_reflexive checks them on declared data; component_surface
+    meets them by construction (its curves are basis classes of square -2,
+    and l is defined as their sum minus 2h).  Constructing the class
+    directly skips both.  decompose_l2h does not check them again; _finish
+    guards every decomposition it returns.
     """
 
     spec: SurfaceSpec
@@ -174,20 +179,7 @@ def _check_components(rs: ReflexiveSurface):
             "no irreducible rational components are declared; "
             "decomposition requires the degenerate case data"
         )
-    curves = rs.curves
-    for i, c in enumerate(curves, start=1):
-        if c.square != -2:
-            raise DecompositionError(
-                f"component {i} has square {c.square}; a rational curve needs -2"
-            )
-    total = rs.spec.lattice.zero()
-    for c in curves:
-        total = total + c
-    if total != rs.l2h:
-        raise DecompositionError(
-            f"components sum to {list(total.coords)}, but l+2h = {list(rs.l2h.coords)}"
-        )
-    return curves
+    return rs.curves
 
 
 def _finish(rs: ReflexiveSurface, d1: DivisorClass, d2: DivisorClass) -> Decomposition:
@@ -371,7 +363,7 @@ def classify_type(rs: ReflexiveSurface, dec: Decomposition) -> TypeReport:
     )
 
 
-def build_kernel(rs: ReflexiveSurface, variant: str, dec: Decomposition | None = None) -> KernelSpec:
+def build_kernel(rs: ReflexiveSurface, variant: str) -> KernelSpec:
     """The kernel quadruple for the requested transform family.
 
     nondegenerate: (-h, 3l+7h, l+h, 2l+5h); requires a surface not
@@ -397,9 +389,7 @@ def build_kernel(rs: ReflexiveSurface, variant: str, dec: Decomposition | None =
             source=rs.spec,
             target=rs.spec,
         )
-    if dec is None:
-        dec = decompose_l2h(rs)
-    report = classify_type(rs, dec)
+    report = classify_type(rs, decompose_l2h(rs))
     wanted = "I" if variant == "type-i" else "II"
     if report.surface_type != wanted:
         raise ReflexiveViolation(
@@ -418,9 +408,9 @@ def build_kernel(rs: ReflexiveSurface, variant: str, dec: Decomposition | None =
     )
 
 
-def transform_for(rs: ReflexiveSurface, variant: str, dec: Decomposition | None = None) -> CohTransform:
+def transform_for(rs: ReflexiveSurface, variant: str) -> CohTransform:
     """Kernel transform with the surface's named classes attached as labels."""
-    kernel = build_kernel(rs, variant, dec)
+    kernel = build_kernel(rs, variant)
     lhat, hhat = hat_classes(rs)
     labels = [("h", rs.h), ("l", rs.l), ("lhat", lhat), ("hhat", hhat)]
     if variant != "nondegenerate":

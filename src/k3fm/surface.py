@@ -88,10 +88,6 @@ class SurfaceSpec:
                 )
 
     @property
-    def class_map(self) -> dict[str, DivisorClass]:
-        return dict(self.named)
-
-    @property
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.named)
 
@@ -163,10 +159,11 @@ def surface_spec_from_dict(data: dict) -> SurfaceSpec:
         lattice = NSLattice(tuple(tuple(r) for r in gram_rows))
     except ValueError as exc:
         raise SurfaceSpecError(str(exc)) from None
-    if "rank" in data and data["rank"] != lattice.rank:
-        raise SurfaceSpecError(
-            f'"rank" is {data["rank"]} but the gram matrix has rank {lattice.rank}'
-        )
+    rank = data.get("rank", lattice.rank)
+    if isinstance(rank, bool) or not isinstance(rank, int):
+        raise SurfaceSpecError(f'"rank" must be an integer, got {rank!r}')
+    if rank != lattice.rank:
+        raise SurfaceSpecError(f'"rank" is {rank} but the gram matrix has rank {lattice.rank}')
 
     classes = data.get("classes", {})
     if not isinstance(classes, dict):

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from operator import add, mul
 
@@ -478,20 +479,11 @@ def default_grid(lattice: NSLattice) -> tuple[tuple[int, ...], ...]:
     """Small deterministic grid of (r, f, t) coordinate vectors."""
     span = {1: 2, 2: 2}.get(lattice.rank, 1)
     fspan = {1: 3, 2: 2}.get(lattice.rank, 1)
-    rs = range(-span, span + 1)
-    ts = range(-span, span + 1)
+    rts = range(-span, span + 1)
     fvals = range(-fspan, fspan + 1)
-    grid = []
-    def rec(prefix, depth):
-        if depth == lattice.rank:
-            for r in rs:
-                for t in ts:
-                    grid.append((r, *prefix, t))
-            return
-        for v in fvals:
-            rec(prefix + (v,), depth + 1)
-    rec((), 0)
-    return tuple(grid)
+    return tuple(
+        (r, *f, t) for f in product(fvals, repeat=lattice.rank) for r in rts for t in rts
+    )
 
 
 def crosscheck_specialized(t: CohTransform, formula_id: str, grid=None) -> DiffReport:
@@ -535,12 +527,11 @@ def crosscheck_specialized(t: CohTransform, formula_id: str, grid=None) -> DiffR
         diff = tuple(sum(map(mul, row, nums)) for row in delta_matrix)
         if not any(diff):
             continue
-        vec = tuple(Fraction(x) for x in point)
-        engine = t.apply_vector(vec)
+        engine = tuple(Fraction(sum(map(mul, row, nums)), vden) for row in t.matrix)
         delta = tuple(Fraction(x, den * vden) for x in diff)
         entries.append(
             DiffEntry(
-                input=vec,
+                input=tuple(map(Fraction, point)),
                 engine=engine,
                 closed_form=tuple(map(add, engine, delta)),
                 delta=delta,

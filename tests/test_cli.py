@@ -89,6 +89,14 @@ def test_surface_validate_rejects_booleans(tmp_path, capsys, surface, what):
     assert f"{what} must be integers, not true or false" in message
 
 
+@pytest.mark.parametrize("rank, shown", [(True, "True"), (1.0, "1.0")])
+def test_surface_validate_rejects_non_integer_rank(tmp_path, capsys, rank, shown):
+    # Both compare equal to the gram matrix's rank 1.
+    surface = {"rank": rank, "gram": [[2]], "classes": {"h": [1]}}
+    message = surface_input_error(tmp_path, capsys, surface)
+    assert f'"rank" must be an integer, got {shown}' in message
+
+
 def test_missing_surface_file(capsys):
     data = run_json(
         capsys, "chi", "--surface", str(ROOT / "nope.json"), "--class", "h",

@@ -1,6 +1,7 @@
 import functools
 from fractions import Fraction
 from operator import add
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,13 +22,15 @@ from k3fm import (
     intersect,
     is_mukai_isometry,
     kernel_action_vector,
+    load_surface_spec,
     mukai_pairing,
     standard_spec,
     transform_for,
     validate_reflexive,
 )
 from k3fm.cli import BUILDERS, _builder_transform, build_parser
-from k3fm.linalg import solve
+from k3fm.linalg import identity, inverse, mat_mul, mat_vec, solve, transpose
+from k3fm.surface import Assumption, SurfaceSpec
 from k3fm.transform import (
     CLOSED_FORMS,
     CohTransform,
@@ -459,3 +462,71 @@ def test_closed_form_requires_labels():
 def test_default_grid_sizes():
     assert len(default_grid(NSLattice(((-4,),)))) == 175
     assert len(default_grid(REFLEXIVE)) == 625
+
+
+def default_grid_by_recursion(lattice):
+    """The grid as first written: f coordinates outermost, then r, then t."""
+    span = {1: 2, 2: 2}.get(lattice.rank, 1)
+    fspan = {1: 3, 2: 2}.get(lattice.rank, 1)
+    rs = range(-span, span + 1)
+    ts = range(-span, span + 1)
+    fvals = range(-fspan, fspan + 1)
+    grid = []
+
+    def rec(prefix, depth):
+        if depth == lattice.rank:
+            for r in rs:
+                for t in ts:
+                    grid.append((r, *prefix, t))
+            return
+        for v in fvals:
+            rec(prefix + (v,), depth + 1)
+
+    rec((), 0)
+    return tuple(grid)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_default_grid_matches_recursive_construction(rank):
+    lattice = NSLattice(tuple(tuple(-2 * (i == j) for j in range(rank)) for i in range(rank)))
+    assert default_grid(lattice) == default_grid_by_recursion(lattice)
+
+
+def changed_basis_spec():
+    """A rank-3 non-degenerate surface, (h, l, x) with x^2 = -2 orthogonal,
+    written in the basis h + x, l + 2h, x."""
+    gram = ((2, 0, 0), (0, -12, 0), (0, 0, -2))
+    change = ((1, 2, 0), (0, 1, 0), (1, 0, 1))  # columns: the new basis in (h, l, x)
+    lattice = NSLattice(mat_mul(mat_mul(transpose(change), gram), change))
+    back = inverse(change)
+    h, l = (DivisorClass(lattice, map(int, mat_vec(back, v))) for v in ((1, 0, 0), (0, 1, 0)))
+    named = (("h", h), ("l", l), ("l2h", l + 2 * h))
+    assumptions = (Assumption("ample", "h"), Assumption("no_cohomology", "l2h"))
+    return SurfaceSpec(lattice, named, assumptions)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        standard_spec,
+        lambda: load_surface_spec(Path(__file__).parent.parent / "surfaces" / "reflexive.json"),
+        changed_basis_spec,
+    ],
+    ids=["standard", "reflexive-json", "changed-basis"],
+)
+def test_nondegenerate_difference_is_rank_one_matrix(spec):
+    # C - M = 2 (0, lhat, 0) (0, (G h)^T, -1): the block differs from the
+    # engine by 2(f.h - t) lhat on every vector, not only on sampled ones.
+    rs = validate_reflexive(spec())
+    t = transform_for(rs, "nondegenerate")
+    lhat = t.label_map["lhat"]
+    assert lhat == 5 * rs.l + 12 * rs.h
+    n = t.source.rank + 2
+    block = CLOSED_FORMS["reflexive_nondegenerate"][0]
+    closed = transpose(block(t, unit) for unit in identity(n))
+    gh = mat_vec(t.source.gram, rs.h.coords)
+    column = (0, *(2 * x for x in lhat.coords), 0)
+    row = (0, *gh, -1)
+    assert all(
+        closed[i][j] - t.matrix[i][j] == column[i] * row[j] for i in range(n) for j in range(n)
+    )
