@@ -413,7 +413,12 @@ def _cmd_strata(args):
     l = parse_class_expr(spec, args.l)
     m = parse_class_expr(spec, args.m)
     h = parse_class_expr(spec, args.h)
-    a = Fraction(args.a) if args.a is not None else None
+    a = None
+    if args.a is not None:
+        try:
+            a = Fraction(args.a)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"cannot parse --a value {args.a!r}: {exc}") from None
     report = strata_chain(l, m, h, args.z, surface=spec, a=a)
     return 0, {"ok": True, **report.to_dict()}
 

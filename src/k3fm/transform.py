@@ -9,9 +9,10 @@ it is the reference that the tests compare from_kernel's matrix against.
 from_kernel builds the same map in closed form, as a matrix in int:
 chi(F*A) and chi(F*C) are linear forms and the twist by c+d is a fixed
 matrix.  Every specialized closed-form block for a particular kernel
-family is implemented separately and compared against this engine by
-crosscheck_specialized; where a block disagrees, the difference is
-reported, never patched into either side.
+family is written separately, as the matrix of its displayed formula in
+the classes CLOSED_FORMS names for it, and crosscheck_specialized compares
+it with this engine as a matrix identity; where a block disagrees, the
+difference is reported, never patched into either side.
 
 Transforms are stored as integer matrices (integral on an even lattice)
 acting on rational coordinate vectors (rank, NS-basis coefficients, ch2).
@@ -51,6 +52,7 @@ __all__ = [
     "DiffEntry",
     "DiffReport",
     "CLOSED_FORMS",
+    "closed_form_matrix",
     "crosscheck_specialized",
     "default_grid",
 ]
@@ -308,138 +310,92 @@ def is_mukai_isometry(t: CohTransform) -> bool:
     return mat_mul(mat_mul(transpose(m), euler_gram(t.target)), m) == euler_gram(t.source)
 
 
-# Closed-form blocks.  Each evaluates a specialized displayed formula for a
-# particular kernel family on a raw coordinate vector, pulling the classes
-# it mentions from the transform's labels.  They are crosscheck targets
-# only; the engine above is never defined through them.
+# Closed-form blocks.  Each takes the lattice and the classes CLOSED_FORMS
+# names for it, in that order, and returns the (k+2)x(k+2) matrix of a
+# specialized displayed formula for one kernel family.  They are crosscheck
+# targets only; the engine above is never defined through them.
 
 
-def _require_labels(t: CohTransform, *names: str) -> list:
-    found = t.label_map
-    missing = [n for n in names if n not in found]
-    if missing:
-        raise ValueError(f"transform is missing labels {missing} required by this formula")
-    return [found[n] for n in names]
+def _form(r, x: DivisorClass, t) -> tuple:
+    """The row (r, (G x)^T, t): the linear form r*rank + f.x + t*ch2."""
+    return (r, *(sum(map(mul, row, x.coords)) for row in x.lattice.gram), t)
 
 
-def _split(lattice: NSLattice, vec):
-    vec = tuple(Fraction(x) for x in vec)
-    if len(vec) != lattice.rank + 2:
-        raise ValueError("coordinate vector has the wrong length")
-    return vec[0], vec[1:-1], vec[-1]
-
-
-def closed_form_general(t: CohTransform, vec) -> tuple[Fraction, ...]:
-    """Fully general block in the four kernel classes."""
-    a, b, c, d = _require_labels(t, "a", "b", "c", "d")
-    lat = t.source
-    r, f, tt = _split(lat, vec)
-    fa = _frac_dot(lat, f, a)
-    fc = _frac_dot(lat, f, c)
-    fd = _frac_dot(lat, f, d)
-    asq, bsq, csq, dsq = a.square, b.square, c.square, d.square
-    ch0 = r * (asq + csq + 6) / 2 + fa + fc + 2 * tt
-    ch1 = tuple(
-        r * ((asq + 4) * b.coords[i] + (csq + 2) * d.coords[i] - 2 * c.coords[i]) / 2
-        + fa * b.coords[i]
-        + fc * d.coords[i]
-        - f[i]
-        + tt * (b.coords[i] + d.coords[i])
-        for i in range(lat.rank)
+def _block(rank_row, ch2_row, *terms) -> Matrix:
+    """Rank row, divisor rows sum(x (x) row for x, row in terms) - I_f, ch2 row."""
+    n = len(rank_row)
+    middle = tuple(
+        tuple(sum(x.coords[i] * row[j] for x, row in terms) - (j == i + 1) for j in range(n))
+        for i in range(n - 2)
     )
-    ch2 = (
-        r * (asq * bsq + 4 * bsq + csq * dsq - 2 * csq + 2 * dsq - 4 * intersect(c, d)) / 4
-        + ((dsq - 2) * fc + bsq * fa - 2 * fd) / 2
-        + tt * (bsq + dsq - 2) / 2
+    return (rank_row, *middle, ch2_row)
+
+
+def closed_form_general(lattice, a, b, c, d) -> Matrix:
+    """Fully general block in the four kernel classes; each x^2/2 is exact
+    because the lattice is even."""
+    ha, hb, hc, hd = (x.square // 2 for x in (a, b, c, d))
+    return _block(
+        _form(ha + hc + 3, a + c, 2),
+        _form(
+            ha * hb + 2 * hb + hc * hd - hc + hd - intersect(c, d),
+            hb * a + (hd - 1) * c - d,
+            hb + hd - 1,
+        ),
+        (b, _form(ha + 2, a, 1)),
+        (d, _form(hc + 1, c, 1)),
+        (c, _form(-1, lattice.zero(), 0)),
     )
-    return (ch0, *ch1, ch2)
 
 
-def closed_form_no_cohomology(t: CohTransform, vec) -> tuple[Fraction, ...]:
+def closed_form_no_cohomology(lattice, m) -> Matrix:
     """Block for the kernel (0, 0, m, -m) built on a no-cohomology class m."""
-    (m,) = _require_labels(t, "m")
-    lat = t.source
-    r, f, tt = _split(lat, vec)
-    fm = _frac_dot(lat, f, m)
-    ch0 = r + fm + 2 * tt
-    ch1 = tuple(-(fm + tt) * m.coords[i] - f[i] for i in range(lat.rank))
-    ch2 = -2 * fm - 3 * tt
-    return (ch0, *ch1, ch2)
+    return _block(_form(1, m, 2), _form(0, -2 * m, -3), (m, _form(0, -m, -1)))
 
 
-def closed_form_reflexive_nondegenerate(t: CohTransform, vec) -> tuple[Fraction, ...]:
+def closed_form_reflexive_nondegenerate(lattice, l, h, lhat, hhat) -> Matrix:
     """Block for the non-degenerate reflexive kernel, in the hat classes."""
-    l, h, lhat, hhat = _require_labels(t, "l", "h", "lhat", "hhat")
-    lat = t.source
-    r, f, tt = _split(lat, vec)
-    fl = _frac_dot(lat, f, l)
-    fh = _frac_dot(lat, f, h)
-    ch0 = -r + fl + 2 * tt
-    ch1 = tuple(
-        -f[i] + (fl + 2 * fh) * hhat.coords[i] + (fh - tt) * lhat.coords[i]
-        for i in range(lat.rank)
+    return _block(
+        _form(-1, l, 2),
+        _form(0, -2 * l, -5),
+        (hhat, _form(0, l + 2 * h, 0)),
+        (lhat, _form(0, h, -1)),
     )
-    ch2 = -2 * fl - 5 * tt
-    return (ch0, *ch1, ch2)
 
 
-def closed_form_reflexive_type_i(t: CohTransform, vec) -> tuple[Fraction, ...]:
+def closed_form_reflexive_type_i(lattice, l, h, d1, d2) -> Matrix:
     """Block for the type I degenerate kernel, in l, h and the components."""
-    l, h, d1, d2 = _require_labels(t, "l", "h", "d1", "d2")
-    lat = t.source
-    r, f, tt = _split(lat, vec)
-    fl = _frac_dot(lat, f, l)
-    fh = _frac_dot(lat, f, h)
-    fd1 = _frac_dot(lat, f, d1)
-    fd2 = _frac_dot(lat, f, d2)
-    ch0 = -r + fl + 2 * tt
-    ch1 = tuple(
-        -f[i]
-        - tt * l.coords[i]
-        - fh * (l.coords[i] + 2 * h.coords[i])
-        + fl * l.coords[i]
-        - fd1 * d1.coords[i]
-        - fd2 * d2.coords[i]
-        for i in range(lat.rank)
+    return _block(
+        _form(-1, l, 2),
+        _form(0, -2 * l, -5),
+        (l, _form(0, l - h, -1)),
+        (h, _form(0, -2 * h, 0)),
+        (d1, _form(0, -d1, 0)),
+        (d2, _form(0, -d2, 0)),
     )
-    ch2 = -2 * fl - 5 * tt
-    return (ch0, *ch1, ch2)
 
 
-def closed_form_reflexive_type_ii(t: CohTransform, vec) -> tuple[Fraction, ...]:
+def closed_form_reflexive_type_ii(lattice, l, h, d1, d2) -> Matrix:
     """Block for the type II degenerate kernel; deg(d1) = 1 is assumed."""
-    l, h, d1, d2 = _require_labels(t, "l", "h", "d1", "d2")
-    lat = t.source
-    r, f, tt = _split(lat, vec)
-    fl = _frac_dot(lat, f, l)
-    fd1 = _frac_dot(lat, f, d1)
-    f2d1d2 = _frac_dot(lat, f, 2 * d1 + d2)
-    ch0 = -r + fl + 2 * tt
-    ch1 = tuple(
-        -f[i]
-        + fl * h.coords[i]
-        + fd1 * d2.coords[i]
-        - f2d1d2 * d1.coords[i]
-        + tt * (d2.coords[i] - 3 * d1.coords[i] + 2 * h.coords[i])
-        for i in range(lat.rank)
+    return _block(
+        _form(-1, l, 2),
+        _form(0, -2 * l, -5),
+        (h, _form(0, l, 2)),
+        (d2, _form(0, d1, 1)),
+        (d1, _form(0, -(2 * d1 + d2), -3)),
     )
-    ch2 = -2 * fl - 5 * tt
-    return (ch0, *ch1, ch2)
 
 
-def closed_form_picard_rank_one(t: CohTransform, vec) -> tuple[Fraction, ...]:
+def closed_form_picard_rank_one(lattice, n) -> Matrix:
     """Rank-1 block in scalar coordinates (r, coefficient of l, ch2)."""
-    (n,) = _require_labels(t, "n")
-    lat = t.source
-    if lat.rank != 1:
+    if lattice.rank != 1:
         raise ValueError("this formula applies to rank-1 lattices only")
-    lsq = lat.gram[0][0]
-    r, f, tt = _split(lat, vec)
-    c = f[0]
-    ch0 = (2 * n + 3) * r + c * lsq + 2 * tt
-    ch1 = (n + 1) * r + c * (4 * n + 1) + tt
-    ch2 = 2 * (n * n - 1) * r + (n - 1) * c * lsq + (2 * n - 1) * tt
-    return (ch0, ch1, ch2)
+    lsq = lattice.gram[0][0]
+    return _block(
+        (2 * n + 3, lsq, 2),
+        (2 * (n * n - 1), (n - 1) * lsq, 2 * n - 1),
+        (lattice.basis(0), (n + 1, 4 * n + 2, 1)),
+    )
 
 
 CLOSED_FORMS = {
@@ -453,6 +409,16 @@ CLOSED_FORMS = {
     "reflexive_type_ii": (closed_form_reflexive_type_ii, ("l", "h", "d1", "d2")),
     "picard_rank_one": (closed_form_picard_rank_one, ("n",)),
 }
+
+
+def closed_form_matrix(t: CohTransform, formula_id: str) -> Matrix:
+    """The named block's matrix, of the classes the transform labels."""
+    block, names = CLOSED_FORMS[formula_id]
+    found = t.label_map
+    missing = [name for name in names if name not in found]
+    if missing:
+        raise ValueError(f"transform is missing labels {missing} required by this formula")
+    return block(t.source, *(found[name] for name in names))
 
 
 @dataclass(frozen=True)
@@ -489,9 +455,9 @@ def default_grid(lattice: NSLattice) -> tuple[tuple[int, ...], ...]:
 def crosscheck_specialized(t: CohTransform, formula_id: str, grid=None) -> DiffReport:
     """Compare the transform's action against a named closed-form block.
 
-    Every block is linear in (r, f, t), so it is evaluated once per unit
-    vector into a matrix C, and the grid is scanned with the integer
-    matrix Delta = den * (C - M), den the common denominator of C.  A grid
+    The block's matrix C is built once from the classes the transform
+    labels, and the grid is scanned with the integer matrix
+    Delta = den * (C - M), den the common denominator of C.  A grid
     point x is a disagreement exactly where Delta x is nonzero; it is
     recorded with the engine value M x, the closed-form value, and their
     componentwise difference.  For reflexive formulas the divisor part of
@@ -503,13 +469,11 @@ def crosscheck_specialized(t: CohTransform, formula_id: str, grid=None) -> DiffR
         raise ValueError(
             f"unknown formula id {formula_id!r}; known: {sorted(CLOSED_FORMS)}"
         )
-    func, _ = CLOSED_FORMS[formula_id]
     if grid is None:
         grid = default_grid(t.source)
-    n = t.source.rank + 2
-    if any(len(point) != n for point in grid):
+    if any(len(point) != t.source.rank + 2 for point in grid):
         raise ValueError("coordinate vector has the wrong length for the source lattice")
-    closed = transpose(func(t, unit) for unit in linalg.identity(n))
+    closed = closed_form_matrix(t, formula_id)
     den = lcm(*(x.denominator for row in closed for x in row))
     delta_matrix = tuple(
         tuple(int(x * den) - den * y for x, y in zip(crow, mrow))

@@ -50,7 +50,8 @@ from k3fm import (
 )
 from k3fm.errors import RejectionError
 from k3fm.kernel import vanishing_covers
-from k3fm.transform import CLOSED_FORMS, kernel_action_vector
+from k3fm.linalg import mat_vec
+from k3fm.transform import closed_form_matrix, kernel_action_vector
 
 from helpers import SQUARE_MINUS_4
 
@@ -143,7 +144,6 @@ def test_criterion_03_engine_matches_general_block():
     failures = []
     rng = random.Random(31415)
     started = time.perf_counter()
-    general = CLOSED_FORMS["general"][0]
     points = 0
     for _ in range(160):
         rank = rng.randint(1, 4)
@@ -154,6 +154,7 @@ def test_criterion_03_engine_matches_general_block():
 
         kernel = KernelSpec(a=rand_dc(), b=rand_dc(), c=rand_dc(), d=rand_dc())
         t = from_kernel(kernel)
+        general = closed_form_matrix(t, "general")
         for _ in range(70):
             vec = (
                 rng.randint(-3, 3),
@@ -161,27 +162,27 @@ def test_criterion_03_engine_matches_general_block():
                 Fraction(rng.randint(-10, 10), 2),
             )
             points += 1
-            if t.apply_vector(vec) != general(t, vec):
+            if t.apply_vector(vec) != mat_vec(general, vec):
                 failures.append(f"general block mismatch at {vec} on {lat.gram}")
     if points < 10_000:
         failures.append(f"only {points} comparison points, need at least 10000")
 
-    block = CLOSED_FORMS["no_cohomology"][0]
     for lat, coords in SQUARE_MINUS_4:
         t = no_cohomology_transform(lat, coords)
+        block = closed_form_matrix(t, "no_cohomology")
         for _ in range(500):
             vec = (
                 rng.randint(-3, 3),
                 *(rng.randint(-3, 3) for _ in range(lat.rank)),
                 Fraction(rng.randint(-10, 10), 2),
             )
-            if t.apply_vector(vec) != block(t, vec):
+            if t.apply_vector(vec) != mat_vec(block, vec):
                 failures.append(f"no-cohomology block mismatch at {vec}")
 
     nondeg = reflexive_transforms()["nondegenerate"]
     h = nondeg.label_map["h"]
     lhat = nondeg.label_map["lhat"]
-    closed = CLOSED_FORMS["reflexive_nondegenerate"][0]
+    closed = closed_form_matrix(nondeg, "reflexive_nondegenerate")
     lat = nondeg.source
     for _ in range(1000):
         vec = (
@@ -191,7 +192,7 @@ def test_criterion_03_engine_matches_general_block():
             Fraction(rng.randint(-10, 10), 2),
         )
         engine = nondeg.apply_vector(vec)
-        spec = closed(nondeg, vec)
+        spec = mat_vec(closed, vec)
         f = vec[1:-1]
         factor = 2 * (
             sum(
@@ -245,7 +246,7 @@ def test_criterion_04_structure_sheaf_and_point_images():
     if (engine_v.r, engine_v.f, engine_v.s) != (2, lhat, Fraction(-3)):
         failures.append(f"engine point image {engine_v} != (2, lhat, -3)")
 
-    closed = CLOSED_FORMS["reflexive_nondegenerate"][0](nondeg, point)
+    closed = mat_vec(closed_form_matrix(nondeg, "reflexive_nondegenerate"), point)
     closed_v = ch_to_mukai(
         ChernCharacter(
             2, DivisorClass(nondeg.source, tuple(int(x) for x in closed[1:-1])), closed[-1]

@@ -333,6 +333,20 @@ def test_strata(capsys):
     assert data["independent"] is True
 
 
+@pytest.mark.parametrize("a", ["1/0", "half"])
+def test_strata_rejects_unparsable_a(capsys, a):
+    code = main([
+        "strata", "--surface", REFLEXIVE,
+        "--l", "l2h", "--m", "h", "--h", "h", "--z", "1", "--a", a,
+    ])
+    captured = capsys.readouterr()
+    assert code == 2, captured.out + captured.err
+    assert "Traceback" not in captured.err
+    data = json.loads(captured.out)
+    assert data["error"]["kind"] == "input"
+    assert data["error"]["message"].startswith(f"cannot parse --a value {a!r}")
+
+
 def test_strata_requires_ample(capsys):
     data = run_json(
         capsys,

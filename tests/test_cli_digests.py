@@ -2,11 +2,12 @@
 
 Each argv below maps to the exit status and the sha256 of the stdout it
 produced when the table was recorded.  The cases cover every builder under
-transform-apply and transform-crosscheck, every reflexive-kernel variant,
-both hilb-moduli flavours with every variant, and the pic1 existence
-rejection through both commands that reach it.  The commands run in-process
-through cli.main from the repository root, with K3FM_FORMAT unset, so a
-changed byte or status in any of them fails here.
+transform-apply and transform-crosscheck, every builder crosschecked against
+every closed-form formula, every reflexive-kernel variant, both hilb-moduli
+flavours with every variant, and the pic1 existence rejection through both
+commands that reach it.  The commands run in-process through cli.main from
+the repository root, with K3FM_FORMAT unset, so a changed byte or status in
+any of them fails here.
 """
 
 from hashlib import sha256
@@ -146,7 +147,67 @@ DIGESTS = {
         (0, "37b19b23f7146726f7cc97169317eedfd3cc6f3cbd1bed44f05c26849228ee95"),
     ("primitive-check", "--surface", REFLEXIVE, "--h", "h", "--n", "2"):
         (0, "9a0a436f5fcd1c85c5baf9e51b914445b077aed3d98f394519c92db441b8f986"),
-
+    # transform-crosscheck: every builder against every formula, all entries
+    ("transform-crosscheck", "--builder", "no-cohomology", "--formula", "general", "--max-entries", "100000"):
+        (0, "6ff3155457d484d4692c6d3f897da633e356b8a049b7f42204016974a1cd9272"),
+    ("transform-crosscheck", "--builder", "no-cohomology", "--formula", "no_cohomology", "--max-entries", "100000"):
+        (0, "91825de28a5a7329e6c4a0f7d13e8c9ecc4954c916e9f3536a8833e741cc4cef"),
+    ("transform-crosscheck", "--builder", "no-cohomology", "--formula", "reflexive_nondegenerate", "--max-entries", "100000"):
+        (2, "2e57e9ee2cbc62e6b064452b87036955230bd763349dc15a8a662f0e30a521b7"),
+    ("transform-crosscheck", "--builder", "no-cohomology", "--formula", "reflexive_type_i", "--max-entries", "100000"):
+        (2, "c290e4bba7674e9ea69c93078da54e64703eb1dce0347b0a69a0cd36ca052afb"),
+    ("transform-crosscheck", "--builder", "no-cohomology", "--formula", "reflexive_type_ii", "--max-entries", "100000"):
+        (2, "c290e4bba7674e9ea69c93078da54e64703eb1dce0347b0a69a0cd36ca052afb"),
+    ("transform-crosscheck", "--builder", "no-cohomology", "--formula", "picard_rank_one", "--max-entries", "100000"):
+        (2, "c6ea2f5e235e5f6beb99ffa40a17df2bd2d1d98c52ad27b6d1b7ceb97967967b"),
+    ("transform-crosscheck", "--builder", "reflexive-nondegenerate", "--formula", "general", "--max-entries", "100000"):
+        (0, "d6b32ac6174f0ec0899f8b42f167cbab3a0d798607da7ff855039a2cb5002025"),
+    ("transform-crosscheck", "--builder", "reflexive-nondegenerate", "--formula", "no_cohomology", "--max-entries", "100000"):
+        (2, "82930a5b357b3f244099bc5711dfc3514c7a35b8880bd272739ccf62fa1df202"),
+    ("transform-crosscheck", "--builder", "reflexive-nondegenerate", "--formula", "reflexive_nondegenerate", "--max-entries", "100000"):
+        (0, "1761a00664783923891cb876e8ef019b684fda9231e9bbd6d13c2c3b399e69db"),
+    ("transform-crosscheck", "--builder", "reflexive-nondegenerate", "--formula", "reflexive_type_i", "--max-entries", "100000"):
+        (2, "ac07f4f1cf492aa71632ff6a3fd2ec2c9da8a1ada3bfaaeac945f8e416a1d444"),
+    ("transform-crosscheck", "--builder", "reflexive-nondegenerate", "--formula", "reflexive_type_ii", "--max-entries", "100000"):
+        (2, "ac07f4f1cf492aa71632ff6a3fd2ec2c9da8a1ada3bfaaeac945f8e416a1d444"),
+    ("transform-crosscheck", "--builder", "reflexive-nondegenerate", "--formula", "picard_rank_one", "--max-entries", "100000"):
+        (2, "c6ea2f5e235e5f6beb99ffa40a17df2bd2d1d98c52ad27b6d1b7ceb97967967b"),
+    ("transform-crosscheck", "--builder", "reflexive-type-i", "--formula", "general", "--max-entries", "100000"):
+        (0, "92564c55eeac68d86060c9b4543239ac2f1d9fe32c8def6a4928e23d371112d4"),
+    ("transform-crosscheck", "--builder", "reflexive-type-i", "--formula", "no_cohomology", "--max-entries", "100000"):
+        (2, "82930a5b357b3f244099bc5711dfc3514c7a35b8880bd272739ccf62fa1df202"),
+    ("transform-crosscheck", "--builder", "reflexive-type-i", "--formula", "reflexive_nondegenerate", "--max-entries", "100000"):
+        (0, "aeffcabf5b9c73c54a823d279aff2c8832bc28a27869c86e099ec6177c8929a5"),
+    ("transform-crosscheck", "--builder", "reflexive-type-i", "--formula", "reflexive_type_i", "--max-entries", "100000"):
+        (0, "80667820ab5a18f46cc7034a1249e69db3f7e96f807d8252db6e4459ff0590fb"),
+    ("transform-crosscheck", "--builder", "reflexive-type-i", "--formula", "reflexive_type_ii", "--max-entries", "100000"):
+        (0, "73f005276fefbe489d5957d3b966b7f59ab42d4a70a5bd0725a9dcbb2bbe94f8"),
+    ("transform-crosscheck", "--builder", "reflexive-type-i", "--formula", "picard_rank_one", "--max-entries", "100000"):
+        (2, "c6ea2f5e235e5f6beb99ffa40a17df2bd2d1d98c52ad27b6d1b7ceb97967967b"),
+    ("transform-crosscheck", "--builder", "reflexive-type-ii", "--formula", "general", "--max-entries", "100000"):
+        (0, "a71bf914da45751d739a735da2b791364248d4f6670a2171e244a07040fb2d6f"),
+    ("transform-crosscheck", "--builder", "reflexive-type-ii", "--formula", "no_cohomology", "--max-entries", "100000"):
+        (2, "82930a5b357b3f244099bc5711dfc3514c7a35b8880bd272739ccf62fa1df202"),
+    ("transform-crosscheck", "--builder", "reflexive-type-ii", "--formula", "reflexive_nondegenerate", "--max-entries", "100000"):
+        (0, "1313e4da3eb2da2b29ee9dee407e4acddb9aa640883650e4e038c95c30e2c6c6"),
+    ("transform-crosscheck", "--builder", "reflexive-type-ii", "--formula", "reflexive_type_i", "--max-entries", "100000"):
+        (0, "3ffb0864ddfb96ca86b95604fa8fbc0dc8d4f6f900ed500a96247fe4e87d958f"),
+    ("transform-crosscheck", "--builder", "reflexive-type-ii", "--formula", "reflexive_type_ii", "--max-entries", "100000"):
+        (0, "0cf9dea9b9428519ad86fb9952a045ec2312ce065f29f9eb7067167c6f90c522"),
+    ("transform-crosscheck", "--builder", "reflexive-type-ii", "--formula", "picard_rank_one", "--max-entries", "100000"):
+        (2, "c6ea2f5e235e5f6beb99ffa40a17df2bd2d1d98c52ad27b6d1b7ceb97967967b"),
+    ("transform-crosscheck", "--builder", "pic1", "--lsq", "12", "--formula", "general", "--max-entries", "100000"):
+        (2, "2089e9248992068040808af281f1e0cdd260a88594426534668a34f408dd10c6"),
+    ("transform-crosscheck", "--builder", "pic1", "--lsq", "12", "--formula", "no_cohomology", "--max-entries", "100000"):
+        (2, "82930a5b357b3f244099bc5711dfc3514c7a35b8880bd272739ccf62fa1df202"),
+    ("transform-crosscheck", "--builder", "pic1", "--lsq", "12", "--formula", "reflexive_nondegenerate", "--max-entries", "100000"):
+        (2, "2e57e9ee2cbc62e6b064452b87036955230bd763349dc15a8a662f0e30a521b7"),
+    ("transform-crosscheck", "--builder", "pic1", "--lsq", "12", "--formula", "reflexive_type_i", "--max-entries", "100000"):
+        (2, "c290e4bba7674e9ea69c93078da54e64703eb1dce0347b0a69a0cd36ca052afb"),
+    ("transform-crosscheck", "--builder", "pic1", "--lsq", "12", "--formula", "reflexive_type_ii", "--max-entries", "100000"):
+        (2, "c290e4bba7674e9ea69c93078da54e64703eb1dce0347b0a69a0cd36ca052afb"),
+    ("transform-crosscheck", "--builder", "pic1", "--lsq", "12", "--formula", "picard_rank_one", "--max-entries", "100000"):
+        (0, "e4078f36d0769b73ff9b49c496e4dc096d9a93796178740ba2482fa4da5f388d"),
 }
 
 
