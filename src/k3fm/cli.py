@@ -4,6 +4,10 @@ Every command emits a single report, JSON by default (keys sorted,
 rationals serialized as "p/q" in lowest terms with positive denominator)
 or aligned text via --format / the K3FM_FORMAT environment variable.
 Exit status: 0 on success, 1 on mathematical rejection, 2 on input error.
+
+_BUILDER_TABLE is the one place that says which closed-form formula each
+builder is crosschecked against and which builder options it reads.  An
+option that the command or its builder does not read is an input error.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import RejectionError
 from .kernel import (
@@ -41,6 +46,7 @@ from .pic1 import (
 )
 from .reflexive import (
     KERNEL_VARIANTS,
+    ReflexiveSurface,
     classify_type,
     component_surface,
     decompose_brute_force,
@@ -66,15 +72,24 @@ from .transform import (
 
 __all__ = ["main", "BUILDERS"]
 
-_BUILDER_FORMULA = {
-    "no-cohomology": "no_cohomology",
-    "reflexive-nondegenerate": "reflexive_nondegenerate",
-    "reflexive-type-i": "reflexive_type_i",
-    "reflexive-type-ii": "reflexive_type_ii",
-    "pic1": "picard_rank_one",
+
+class _Builder(NamedTuple):
+    formula: str  # the CLOSED_FORMS block transform-crosscheck compares with
+    reads: frozenset[str]  # the builder options (argparse dests) it reads
+
+
+_REFLEXIVE_READS = frozenset({"surface", "variant", "h_name", "l_name"})
+
+_BUILDER_TABLE = {
+    "no-cohomology": _Builder("no_cohomology", frozenset({"surface", "m_class"})),
+    "reflexive-nondegenerate": _Builder("reflexive_nondegenerate", _REFLEXIVE_READS),
+    "reflexive-type-i": _Builder("reflexive_type_i", _REFLEXIVE_READS),
+    "reflexive-type-ii": _Builder("reflexive_type_ii", _REFLEXIVE_READS),
+    "pic1": _Builder("picard_rank_one", frozenset({"lsq"})),
 }
 
-BUILDERS = tuple(_BUILDER_FORMULA)
+BUILDERS = tuple(_BUILDER_TABLE)
+_BUILDER_OPTIONS = sorted(frozenset().union(*(b.reads for b in _BUILDER_TABLE.values())))
 
 
 # ---------------------------------------------------------------------------
@@ -160,20 +175,40 @@ def _pic1_n(lsq: int) -> int:
     return n
 
 
+def _reject_given(args, options, why: str):
+    """Input error naming the first of options (argparse dests, all
+    defaulting to None) that was given a value."""
+    for option in options:
+        if getattr(args, option, None) is not None:
+            raise ValueError(f"--{option.replace('_', '-')} {why}")
+
+
+def _reflexive_surface(args) -> ReflexiveSurface:
+    """validate_reflexive on --surface, with --h-name and --l-name if given."""
+    names = {k: v for k in ("h_name", "l_name") if (v := getattr(args, k)) is not None}
+    return validate_reflexive(load_surface_spec(args.surface), **names)
+
+
 def _builder_transform(args, name: str | None = None) -> CohTransform:
     """The transform of builder name (default args.builder).
 
     Without --surface each builder works on its own default surface.
     """
     name = name or args.builder
+    reads = _BUILDER_TABLE[name].reads
+    unread = [option for option in _BUILDER_OPTIONS if option not in reads]
+    _reject_given(args, unread, f"is not read by builder {name}")
+    if args.surface is None:  # --h-name and --l-name name classes of --surface
+        _reject_given(args, ("h_name", "l_name"), f"is read by builder {name} only with --surface")
     if name == "pic1":
         if args.lsq is None:
             raise ValueError("builder pic1 requires --lsq")
         return transform_from_solution(select_physical(solve_constraints(_pic1_n(args.lsq))))
-    spec = None if args.surface is None else load_surface_spec(args.surface)
     if name == "no-cohomology":
-        if spec is None:
+        if args.surface is None:
             spec = _default_no_cohomology_spec()
+        else:
+            spec = load_surface_spec(args.surface)
         m = parse_class_expr(spec, args.m_class or "m")
         kernel = KernelSpec(
             a=spec.lattice.zero(),
@@ -186,8 +221,8 @@ def _builder_transform(args, name: str | None = None) -> CohTransform:
         )
         return from_kernel(kernel, labels=(("m", m),))
     variant = name.removeprefix("reflexive-")
-    if spec is not None:
-        rs = validate_reflexive(spec, h_name=args.h_name, l_name=args.l_name)
+    if args.surface is not None:
+        rs = _reflexive_surface(args)
     elif variant == "nondegenerate":
         rs = validate_reflexive(standard_spec())
     elif variant == "type-i":
@@ -197,36 +232,19 @@ def _builder_transform(args, name: str | None = None) -> CohTransform:
     return transform_for(rs, variant)
 
 
-def _kernel_from_exprs(spec: SurfaceSpec, args, extra_vanishing=()) -> KernelSpec:
-    classes = {}
-    for field in ("a", "b", "c", "d"):
-        expr = getattr(args, field)
-        classes[field] = parse_class_expr(spec, expr)
-    vanishing = list(spec.declared("no_cohomology"))
-    for expr in extra_vanishing:
-        vanishing.append(parse_class_expr(spec, expr))
-    return KernelSpec(
-        a=classes["a"],
-        b=classes["b"],
-        c=classes["c"],
-        d=classes["d"],
-        declared_vanishing=tuple(vanishing),
-        source=spec,
-        target=spec,
-    )
-
-
 # ---------------------------------------------------------------------------
 # command handlers: each returns (exit_status, payload)
 
 
 def _cmd_surface_validate(args):
-    spec = load_surface_spec(args.surface)
-    payload = {"ok": True, "surface": spec.to_dict()}
-    if args.reflexive:
-        rs = validate_reflexive(spec, h_name=args.h_name, l_name=args.l_name)
-        lhat, hhat = hat_classes(rs)
-        payload["reflexive"] = {
+    if not args.reflexive:
+        _reject_given(args, ("h_name", "l_name"), "is read only with --reflexive")
+        return 0, {"surface": load_surface_spec(args.surface).to_dict()}
+    rs = _reflexive_surface(args)
+    lhat, hhat = hat_classes(rs)
+    return 0, {
+        "surface": rs.spec.to_dict(),
+        "reflexive": {
             "h": list(rs.h.coords),
             "l": list(rs.l.coords),
             "degenerate": rs.degenerate,
@@ -236,15 +254,14 @@ def _cmd_surface_validate(args):
             "deg_l2h": degree(rs.l2h, rs.h),
             "lhat": list(lhat.coords),
             "hhat": list(hhat.coords),
-        }
-    return 0, payload
+        },
+    }
 
 
 def _cmd_chi(args):
     spec = load_surface_spec(args.surface)
     dc = parse_class_expr(spec, args.class_expr)
     return 0, {
-        "ok": True,
         "expr": args.class_expr,
         "class": list(dc.coords),
         "square": dc.square,
@@ -254,7 +271,14 @@ def _cmd_chi(args):
 
 def _cmd_kernel_check(args):
     spec = load_surface_spec(args.surface)
-    kernel = _kernel_from_exprs(spec, args, extra_vanishing=args.vanishing or ())
+    classes = [parse_class_expr(spec, expr) for expr in (args.a, args.b, args.c, args.d)]
+    vanishing = [parse_class_expr(spec, expr) for expr in args.vanishing]
+    kernel = KernelSpec(
+        *classes,
+        declared_vanishing=(*spec.declared("no_cohomology"), *vanishing),
+        source=spec,
+        target=spec,
+    )
     report = check_sufficient(kernel)
     normalized = normalize_twist(kernel)
     payload = {
@@ -264,23 +288,17 @@ def _cmd_kernel_check(args):
         "phi_o_identity": check_phiO_identity(normalized),
         "normalized": normalized.to_dict(),
     }
-    if report.verdict == "fails":
-        payload["ok"] = False
-        payload["error"] = {
-            "kind": "rejection",
-            "message": "kernel fails the existence conditions",
-        }
-        return 1, payload
-    payload["ok"] = True
-    return 0, payload
+    if report.verdict != "fails":
+        return 0, payload
+    payload["error"] = {"kind": "rejection", "message": "kernel fails the existence conditions"}
+    return 1, payload
 
 
 def _cmd_transform_apply(args):
     t = _builder_transform(args)
     ch_in = _parse_ch(t.source, args.ch)
     ch_out = t.apply(ch_in)
-    payload = {
-        "ok": True,
+    return 0, {
         "builder": args.builder,
         "input": _ch_dict(ch_in),
         "output": _ch_dict(ch_out),
@@ -288,18 +306,16 @@ def _cmd_transform_apply(args):
         "numerically_valid": t.numerically_valid,
         "isometry": is_mukai_isometry(t),
     }
-    return 0, payload
 
 
 def _cmd_transform_crosscheck(args):
     if args.max_entries < 0:
         raise ValueError(f"--max-entries must be non-negative, got {args.max_entries}")
     t = _builder_transform(args)
-    formula = args.formula or _BUILDER_FORMULA[args.builder]
+    formula = args.formula or _BUILDER_TABLE[args.builder].formula
     report = crosscheck_specialized(t, formula)
     shown = report.entries[: args.max_entries]
-    payload = {
-        "ok": True,
+    return 0, {
         "builder": args.builder,
         "formula": report.formula_id,
         "points": report.points,
@@ -317,16 +333,16 @@ def _cmd_transform_crosscheck(args):
             for e in shown
         ],
     }
-    return 0, payload
 
 
 def _cmd_pic1(args):
+    if not args.oracle:
+        _reject_given(args, ("bound",), "is read only with --oracle")
     n = _pic1_n(args.lsq)
     pair = solve_constraints(n)
     selected = select_physical(pair)
     witness = exclusion_witness(pair)
     payload = {
-        "ok": True,
         "lsq": args.lsq,
         "n": n,
         "z": selected.z,
@@ -351,10 +367,9 @@ def _cmd_pic1(args):
 
 
 def _cmd_reflexive_decompose(args):
-    spec = load_surface_spec(args.surface)
-    rs = validate_reflexive(spec, h_name=args.h_name, l_name=args.l_name)
+    rs = _reflexive_surface(args)
     dec = decompose_l2h(rs)
-    payload = {"ok": True, "d1": list(dec.d1.coords), "d2": list(dec.d2.coords)}
+    payload = {"d1": list(dec.d1.coords), "d2": list(dec.d2.coords)}
     if args.oracle:
         all_decs = decompose_brute_force(rs)
         key = tuple(sorted((dec.d1.coords, dec.d2.coords)))
@@ -369,10 +384,8 @@ def _cmd_reflexive_decompose(args):
 
 
 def _cmd_reflexive_classify(args):
-    spec = load_surface_spec(args.surface)
-    rs = validate_reflexive(spec, h_name=args.h_name, l_name=args.l_name)
-    report = classify_type(rs, decompose_l2h(rs))
-    return 0, {"ok": True, **report.to_dict()}
+    rs = _reflexive_surface(args)
+    return 0, classify_type(rs, decompose_l2h(rs)).to_dict()
 
 
 def _cmd_reflexive_kernel(args):
@@ -380,8 +393,7 @@ def _cmd_reflexive_kernel(args):
     kernel = t.kernel
     report = check_sufficient(kernel)
     unit = ChernCharacter(1, t.source.zero(), Fraction(0))
-    payload = {
-        "ok": True,
+    return 0, {
         "variant": args.variant,
         "kernel": kernel.to_dict(),
         "declared_vanishing": [list(v.coords) for v in kernel.declared_vanishing],
@@ -390,7 +402,6 @@ def _cmd_reflexive_kernel(args):
         "isometry": is_mukai_isometry(t),
         "structure_sheaf_image": _ch_dict(t.apply(unit)),
     }
-    return 0, payload
 
 
 def _cmd_hilb_moduli(args):
@@ -400,7 +411,6 @@ def _cmd_hilb_moduli(args):
         name = "reflexive-" + (args.variant or "nondegenerate")
     v = hilb_moduli_vector(_builder_transform(args, name), args.n, args.flavor)
     return 0, {
-        "ok": True,
         "n": args.n,
         "flavor": args.flavor,
         "vector": _mukai_dict(v),
@@ -420,7 +430,7 @@ def _cmd_strata(args):
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse --a value {args.a!r}: {exc}") from None
     report = strata_chain(l, m, h, args.z, surface=spec, a=a)
-    return 0, {"ok": True, **report.to_dict()}
+    return 0, report.to_dict()
 
 
 def _cmd_primitive_check(args):
@@ -429,8 +439,7 @@ def _cmd_primitive_check(args):
     l = parse_class_expr(spec, args.l) if args.l else args.n * h
     excluded = check_ample_primitive(l, args.n, h, surface=spec)
     lsq = l.square
-    payload = {
-        "ok": True,
+    return 0, {
         "n": args.n,
         "h": list(h.coords),
         "l": list(l.coords),
@@ -438,20 +447,29 @@ def _cmd_primitive_check(args):
         "z": es_relation(lsq) if lsq % 4 == 0 and lsq >= -8 else None,
         "excluded": excluded,
     }
-    return 0, payload
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser and dispatch
 
-
-def _add_format(sub):
-    sub.add_argument(
-        "--format",
-        choices=("json", "text"),
-        default=None,
-        help="output format (default: $K3FM_FORMAT or json)",
-    )
+# command name -> (help text, handler)
+_COMMANDS = {
+    "surface-validate": ("load and validate a surface file", _cmd_surface_validate),
+    "chi": ("Euler characteristic of a line bundle class", _cmd_chi),
+    "kernel-check": ("existence conditions for a kernel quadruple", _cmd_kernel_check),
+    "transform-apply": ("apply a built transform to a character", _cmd_transform_apply),
+    "transform-crosscheck": (
+        "compare a transform against its closed-form block",
+        _cmd_transform_crosscheck,
+    ),
+    "pic1": ("rank-1 existence test and constraint solver", _cmd_pic1),
+    "reflexive-decompose": ("split l+2h into two -2 classes", _cmd_reflexive_decompose),
+    "reflexive-classify": ("degree pattern of the decomposition", _cmd_reflexive_classify),
+    "reflexive-kernel": ("kernel and transform for a variant", _cmd_reflexive_kernel),
+    "hilb-moduli": ("Mukai vector of a transformed ideal sheaf", _cmd_hilb_moduli),
+    "strata": ("slope inequality chain report", _cmd_strata),
+    "primitive-check": ("exclusion test for l = n*h polarizations", _cmd_primitive_check),
+}
 
 
 def _add_surface(sub, required=True):
@@ -459,8 +477,8 @@ def _add_surface(sub, required=True):
 
 
 def _add_h_l_names(sub):
-    sub.add_argument("--h-name", default="h", help="declared name of the degree-2 class")
-    sub.add_argument("--l-name", default="l", help="declared name of the square -12 class")
+    sub.add_argument("--h-name", help="declared name of the degree-2 class")
+    sub.add_argument("--l-name", help="declared name of the square -12 class")
 
 
 def _add_builder(sub):
@@ -480,22 +498,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="k3fm",
         description="Exact computations with rank-2 kernel transforms on K3 lattices.",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    action = parser.add_subparsers(dest="command", required=True)
+    subs = {name: action.add_parser(name, help=text) for name, (text, _) in _COMMANDS.items()}
 
-    sub = subs.add_parser("surface-validate", help="load and validate a surface file")
+    sub = subs["surface-validate"]
     _add_surface(sub)
     sub.add_argument("--reflexive", action="store_true", help="also check the h, l relations")
     _add_h_l_names(sub)
-    _add_format(sub)
-    sub.set_defaults(handler=_cmd_surface_validate)
 
-    sub = subs.add_parser("chi", help="Euler characteristic of a line bundle class")
+    sub = subs["chi"]
     _add_surface(sub)
     sub.add_argument("--class", dest="class_expr", required=True, help="class expression")
-    _add_format(sub)
-    sub.set_defaults(handler=_cmd_chi)
 
-    sub = subs.add_parser("kernel-check", help="existence conditions for a kernel quadruple")
+    sub = subs["kernel-check"]
     _add_surface(sub)
     for field in ("a", "b", "c", "d"):
         sub.add_argument(f"--{field}", required=True, help=f"class expression for {field}")
@@ -505,79 +520,64 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         help="extra declared no-cohomology class (repeatable)",
     )
-    _add_format(sub)
-    sub.set_defaults(handler=_cmd_kernel_check)
 
-    sub = subs.add_parser("transform-apply", help="apply a built transform to a character")
+    sub = subs["transform-apply"]
     _add_builder(sub)
     sub.add_argument("--ch", required=True, help="input character: r,f...,t")
-    _add_format(sub)
-    sub.set_defaults(handler=_cmd_transform_apply)
 
-    sub = subs.add_parser(
-        "transform-crosscheck", help="compare a transform against its closed-form block"
-    )
+    sub = subs["transform-crosscheck"]
     _add_builder(sub)
     sub.add_argument("--formula", choices=sorted(CLOSED_FORMS), default=None)
     sub.add_argument("--max-entries", type=int, default=5, help="mismatch entries to show")
-    _add_format(sub)
-    sub.set_defaults(handler=_cmd_transform_crosscheck)
 
-    sub = subs.add_parser("pic1", help="rank-1 existence test and constraint solver")
+    sub = subs["pic1"]
     sub.add_argument("--lsq", type=int, required=True, help="square of the ample generator")
     sub.add_argument("--oracle", action="store_true", help="run the brute-force search")
     sub.add_argument("--bound", type=int, default=None, help="oracle scan bound")
-    _add_format(sub)
-    sub.set_defaults(handler=_cmd_pic1)
 
-    sub = subs.add_parser("reflexive-decompose", help="split l+2h into two -2 classes")
+    sub = subs["reflexive-decompose"]
     _add_surface(sub)
     _add_h_l_names(sub)
     sub.add_argument("--oracle", action="store_true", help="also run the exhaustive search")
-    _add_format(sub)
-    sub.set_defaults(handler=_cmd_reflexive_decompose)
 
-    sub = subs.add_parser("reflexive-classify", help="degree pattern of the decomposition")
+    sub = subs["reflexive-classify"]
     _add_surface(sub)
     _add_h_l_names(sub)
-    _add_format(sub)
-    sub.set_defaults(handler=_cmd_reflexive_classify)
 
-    sub = subs.add_parser("reflexive-kernel", help="kernel and transform for a variant")
+    sub = subs["reflexive-kernel"]
     sub.add_argument("--variant", choices=KERNEL_VARIANTS, required=True)
     _add_surface(sub, required=False)
     _add_h_l_names(sub)
-    _add_format(sub)
-    sub.set_defaults(handler=_cmd_reflexive_kernel)
 
-    sub = subs.add_parser("hilb-moduli", help="Mukai vector of a transformed ideal sheaf")
+    sub = subs["hilb-moduli"]
     sub.add_argument("--n", type=int, required=True, help="number of points")
     sub.add_argument("--flavor", choices=HILB_FLAVORS, required=True)
     _add_surface(sub, required=False)
     _add_h_l_names(sub)
     sub.add_argument("--variant", choices=KERNEL_VARIANTS, default=None)
     sub.add_argument("--m-class", default=None, help="no-cohomology class expression")
-    _add_format(sub)
-    sub.set_defaults(handler=_cmd_hilb_moduli)
 
-    sub = subs.add_parser("strata", help="slope inequality chain report")
+    sub = subs["strata"]
     _add_surface(sub)
     sub.add_argument("--l", required=True, help="class expression for l")
     sub.add_argument("--m", required=True, help="class expression for m")
     sub.add_argument("--h", required=True, help="class expression for the polarization")
     sub.add_argument("--z", type=int, required=True, help="stratum length")
     sub.add_argument("--a", default=None, help="window bound for the gap predicate")
-    _add_format(sub)
-    sub.set_defaults(handler=_cmd_strata)
 
-    sub = subs.add_parser("primitive-check", help="exclusion test for l = n*h polarizations")
+    sub = subs["primitive-check"]
     _add_surface(sub)
     sub.add_argument("--h", required=True, help="class expression for the ample generator")
     sub.add_argument("--n", type=int, required=True, help="multiplier, at least 2")
     sub.add_argument("--l", default=None, help="class expression for l (default n*h)")
-    _add_format(sub)
-    sub.set_defaults(handler=_cmd_primitive_check)
 
+    for sub in subs.values():
+        sub.add_argument(
+            "--format",
+            choices=("json", "text"),
+            default=None,
+            help="output format (default: $K3FM_FORMAT or json)",
+        )
     return parser
 
 
@@ -588,10 +588,6 @@ def _resolve_format(args) -> str:
     return fmt
 
 
-def _error_payload(kind: str, exc: Exception) -> dict:
-    return {"ok": False, "error": {"kind": kind, "message": str(exc)}}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -600,14 +596,15 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    _, handler = _COMMANDS[args.command]
     try:
-        status, payload = args.handler(args)
+        status, payload = handler(args)
     except RejectionError as exc:
-        status, payload = 1, _error_payload("rejection", exc)
+        status, payload = 1, {"error": {"kind": "rejection", "message": str(exc)}}
     except (ValueError, OSError) as exc:
-        status, payload = 2, _error_payload("input", exc)
+        status, payload = 2, {"error": {"kind": "input", "message": str(exc)}}
     try:
-        _emit({"command": args.command, **payload}, fmt)
+        _emit({"command": args.command, "ok": status == 0, **payload}, fmt)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader went away: point stdout at devnull so the interpreter's

@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import lcm
 from operator import add, mul
 
 from . import linalg
@@ -456,14 +455,13 @@ def crosscheck_specialized(t: CohTransform, formula_id: str, grid=None) -> DiffR
     """Compare the transform's action against a named closed-form block.
 
     The block's matrix C is built once from the classes the transform
-    labels, and the grid is scanned with the integer matrix
-    Delta = den * (C - M), den the common denominator of C.  A grid
-    point x is a disagreement exactly where Delta x is nonzero; it is
-    recorded with the engine value M x, the closed-form value, and their
-    componentwise difference.  For reflexive formulas the divisor part of
-    the difference is additionally expressed in the (hhat, lhat) basis
-    when the transform names it and the difference lies in its span.  An
-    empty entry list means exact agreement on the grid.
+    labels, and the grid is scanned with the integer matrix Delta = C - M.
+    A grid point x is a disagreement exactly where Delta x is nonzero; it
+    is recorded with the engine value M x, the closed-form value, and
+    their componentwise difference.  For reflexive formulas the divisor
+    part of the difference is additionally expressed in the (hhat, lhat)
+    basis when the transform names it and the difference lies in its
+    span.  An empty entry list means exact agreement on the grid.
     """
     if formula_id not in CLOSED_FORMS:
         raise ValueError(
@@ -474,10 +472,8 @@ def crosscheck_specialized(t: CohTransform, formula_id: str, grid=None) -> DiffR
     if any(len(point) != t.source.rank + 2 for point in grid):
         raise ValueError("coordinate vector has the wrong length for the source lattice")
     closed = closed_form_matrix(t, formula_id)
-    den = lcm(*(x.denominator for row in closed for x in row))
     delta_matrix = tuple(
-        tuple(int(x * den) - den * y for x, y in zip(crow, mrow))
-        for crow, mrow in zip(closed, t.matrix)
+        tuple(x - y for x, y in zip(crow, mrow)) for crow, mrow in zip(closed, t.matrix)
     )
     if not any(map(any, delta_matrix)):
         return DiffReport(formula_id=formula_id, points=len(grid), entries=())
@@ -492,7 +488,7 @@ def crosscheck_specialized(t: CohTransform, formula_id: str, grid=None) -> DiffR
         if not any(diff):
             continue
         engine = tuple(Fraction(sum(map(mul, row, nums)), vden) for row in t.matrix)
-        delta = tuple(Fraction(x, den * vden) for x in diff)
+        delta = tuple(Fraction(x, vden) for x in diff)
         entries.append(
             DiffEntry(
                 input=tuple(map(Fraction, point)),

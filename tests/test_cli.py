@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from k3fm.cli import main
+from k3fm.cli import _COMMANDS, _render_text, main
 
 ROOT = Path(__file__).resolve().parent.parent
 REFLEXIVE = str(ROOT / "surfaces" / "reflexive.json")
@@ -445,3 +445,68 @@ def test_closed_stdout_is_not_a_rejection(argv):
     assert result.returncode in (0, 2), result.stderr
     assert "Traceback" not in result.stderr
     assert "BrokenPipeError" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, option, reader",
+    [
+        (["transform-apply", "--builder", "pic1", "--lsq", "12", "--surface", "missing.json",
+          "--ch", "1,0,0"], "--surface", "builder pic1"),
+        (["hilb-moduli", "--n", "1", "--flavor", "reflexive", "--m-class", "nonsense-expr"],
+         "--m-class", "builder reflexive-nondegenerate"),
+        (["hilb-moduli", "--n", "1", "--flavor", "no-cohomology", "--variant", "type-i"],
+         "--variant", "builder no-cohomology"),
+        (["reflexive-kernel", "--variant", "type-i", "--h-name", "x"],
+         "--h-name", "builder reflexive-type-i only with --surface"),
+        (["pic1", "--lsq", "4", "--bound", "3"], "--bound", "only with --oracle"),
+        (["surface-validate", "--surface", REFLEXIVE, "--h-name", "nonexistent"],
+         "--h-name", "only with --reflexive"),
+    ],
+    ids=[
+        "pic1-surface",
+        "reflexive-m-class",
+        "no-cohomology-variant",
+        "reflexive-h-name-without-surface",
+        "pic1-bound-without-oracle",
+        "surface-validate-h-name-without-reflexive",
+    ],
+)
+def test_unread_option_is_input_error(capsys, argv, option, reader):
+    data = run_json(capsys, *argv, expect=2)
+    assert data["error"]["kind"] == "input"
+    message = data["error"]["message"]
+    assert message.startswith(f"{option} is ")
+    assert message.endswith(reader)
+
+
+# One minimal valid invocation of every subcommand.
+MINIMAL_ARGV = {
+    "surface-validate": ["--surface", REFLEXIVE],
+    "chi": ["--surface", REFLEXIVE, "--class", "l+2h"],
+    "kernel-check": ["--surface", REFLEXIVE, "--a=-h", "--b", "3l+7h", "--c", "l+h", "--d", "2l+5h"],
+    "transform-apply": ["--builder", "no-cohomology", "--ch", "1,0,0"],
+    "transform-crosscheck": ["--builder", "no-cohomology"],
+    "pic1": ["--lsq", "4"],
+    "reflexive-decompose": ["--surface", TYPE_I],
+    "reflexive-classify": ["--surface", TYPE_I],
+    "reflexive-kernel": ["--variant", "nondegenerate"],
+    "hilb-moduli": ["--n", "2", "--flavor", "no-cohomology"],
+    "strata": ["--surface", REFLEXIVE, "--l", "l", "--m", "h", "--h", "h", "--z", "5"],
+    "primitive-check": ["--surface", REFLEXIVE, "--h", "h", "--n", "2"],
+}
+
+
+def test_minimal_argv_covers_every_command():
+    assert set(MINIMAL_ARGV) == set(_COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(MINIMAL_ARGV))
+def test_text_renders_the_json_payload(capsys, monkeypatch, command):
+    monkeypatch.delenv("K3FM_FORMAT", raising=False)
+    argv = [command, *MINIMAL_ARGV[command]]
+    status = main([*argv, "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["command"] == command
+    assert payload["ok"] is True
+    assert main([*argv, "--format", "text"]) == status == 0
+    assert capsys.readouterr().out == _render_text(payload) + "\n"

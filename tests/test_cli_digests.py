@@ -104,7 +104,7 @@ DIGESTS = {
     ("hilb-moduli", "--n", "1", "--flavor", "no-cohomology"):
         (0, "f16b37306addeea4b0a04deb107972f58907ccb31d397bb77b668ddf738eaaa3"),
     ("hilb-moduli", "--n", "3", "--flavor", "no-cohomology", "--variant", "type-i"):
-        (0, "65e7dc86eb42909cced1b457162fdd8607efda918f8f898ffdded77b2ce6a1c0"),
+        (2, "d31754e6f08896759e74934a719a1072ae98492edc5bf87c6d04d53444bcbf90"),
     ("hilb-moduli", "--n", "2", "--flavor", "no-cohomology", "--surface", REFLEXIVE, "--m-class", "l+2h"):
         (0, "0efe4f1f08b851d49c98ee3d95c1b14b79e224a0d632c41b5f92bd64773d2ca1"),
     ("hilb-moduli", "--n", "2", "--flavor", "reflexive"):
