@@ -436,7 +436,7 @@ def _cmd_strata(args):
 def _cmd_primitive_check(args):
     spec = load_surface_spec(args.surface)
     h = parse_class_expr(spec, args.h)
-    l = parse_class_expr(spec, args.l) if args.l else args.n * h
+    l = parse_class_expr(spec, args.l) if args.l is not None else args.n * h
     excluded = check_ample_primitive(l, args.n, h, surface=spec)
     lsq = l.square
     return 0, {

@@ -16,6 +16,10 @@ difference is reported, never patched into either side.
 
 Transforms are stored as integer matrices (integral on an even lattice)
 acting on rational coordinate vectors (rank, NS-basis coefficients, ch2).
+A kernel transform M = B alpha^T + D gamma^T - T_e is a rank-two update of
+the twist T_e, so from_kernel keeps those factors and its determinant and
+inverse come from them in O(n^2) (matrix determinant lemma and Woodbury
+identity); every other transform uses the Bareiss elimination of linalg.
 The Euler pairing in these coordinates has Gram matrix
 
     [[2, 0, 1],
@@ -75,7 +79,10 @@ class CohTransform:
     numerically_valid is False when the originating kernel fails the
     lattice-level existence conditions (the action is still well defined).
     kernel and labels are provenance for reporting and closed-form lookups
-    and do not take part in equality.
+    and do not take part in equality.  _rank_two, set only by from_kernel
+    without phi, holds the factors of the matrix, from which determinant()
+    and inverse() are computed; no other transform carries it, and shifted()
+    keeps kernel but drops it.
     """
 
     source: NSLattice
@@ -85,6 +92,7 @@ class CohTransform:
     numerically_valid: bool = True
     kernel: KernelSpec | None = field(default=None, compare=False)
     labels: tuple[tuple[str, object], ...] = field(default=(), compare=False)
+    _rank_two: _RankTwoUpdate | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", integer_matrix(self.matrix))
@@ -100,14 +108,20 @@ class CohTransform:
     def determinant(self) -> int:
         if self.source != self.target:
             raise ValueError("determinant requires equal source and target lattices")
+        if self._rank_two is not None:
+            return self._rank_two.determinant()
         return linalg.det(self.matrix)
 
     def inverse(self) -> "CohTransform":
         """The inverse map; ValueError unless the determinant is +-1."""
+        if self._rank_two is not None:
+            matrix = self._rank_two.inverse()
+        else:
+            matrix = linalg.inverse(self.matrix)
         return CohTransform(
             source=self.target,
             target=self.source,
-            matrix=linalg.inverse(self.matrix),
+            matrix=matrix,
             shift_parity=self.shift_parity,
             numerically_valid=self.numerically_valid,
         )
@@ -208,6 +222,95 @@ def _half_square(x, gx) -> int:
     return sum(map(mul, x, gx)) // 2
 
 
+def _twist(x, gx, half_x2) -> Matrix:
+    """T_x, the twist by the class x: rows (1, 0, 0), (x_i, unit_i, 0) and
+    (x^2/2, (G x)^T, 1)."""
+    return (
+        (1, *(0,) * len(x), 0),
+        *((xi, *unit, 0) for xi, unit in zip(x, linalg.identity(len(x)))),
+        (half_x2, *gx, 1),
+    )
+
+
+@dataclass(frozen=True)
+class _RankTwoUpdate:
+    """The factors of a kernel transform M = U V^T - T_e.
+
+    u holds the columns B = (1, b, b^2/2) and D = (1, d, d^2/2), the
+    characters ch(B) and ch(D); v holds the linear forms
+    alpha = (2 + a^2/2, G a, 1) and gamma = (2 + c^2/2, G c, 1), which give
+    chi(F*A) and chi(F*C); T_e twists by e = c + d, with ge = G e and
+    half_e2 = e^2/2.  T_{-e} = T_e^{-1} acts on a vector in O(n), so with
+    the 2x2 matrix K = I - V^T T_{-e} U the matrix determinant lemma gives
+    det M = (-1)^n det K, and the Woodbury identity (Hager, SIAM Review 31,
+    1989) gives M^{-1} = -T_{-e} - (T_{-e} U K^{-1}) (V^T T_{-e}), all in
+    int and in O(n^2).
+    """
+
+    u: tuple[tuple[int, ...], tuple[int, ...]]
+    v: tuple[tuple[int, ...], tuple[int, ...]]
+    e: tuple[int, ...]
+    ge: tuple[int, ...]
+    half_e2: int
+
+    def matrix(self) -> Matrix:
+        (big_b, big_d), (alpha, gamma) = self.u, self.v
+        return tuple(
+            tuple(bi * x + di * y - z for x, y, z in zip(alpha, gamma, row))
+            for bi, di, row in zip(big_b, big_d, _twist(self.e, self.ge, self.half_e2))
+        )
+
+    def _untwist(self, x) -> tuple[int, ...]:
+        """T_{-e} x: r, f - r e, t - (G e).f + r e^2/2."""
+        r, *f, t = x
+        return (
+            r,
+            *(fi - r * ei for fi, ei in zip(f, self.e)),
+            t - sum(map(mul, self.ge, f)) + r * self.half_e2,
+        )
+
+    def _untwist_form(self, y) -> tuple[int, ...]:
+        """The linear form y^T T_{-e}, as a row."""
+        p, *q, s = y
+        return (
+            p - sum(map(mul, self.e, q)) + s * self.half_e2,
+            *(qi - s * gi for qi, gi in zip(q, self.ge)),
+            s,
+        )
+
+    def _k(self):
+        """T_{-e} U as two columns, K = I - V^T T_{-e} U, and det K."""
+        w = tuple(map(self._untwist, self.u))
+        (k00, k01), (k10, k11) = (
+            tuple(int(i == j) - sum(map(mul, form, col)) for j, col in enumerate(w))
+            for i, form in enumerate(self.v)
+        )
+        return w, ((k00, k01), (k10, k11)), k00 * k11 - k01 * k10
+
+    def determinant(self) -> int:
+        # n = rank + 2, so (-1)^n = (-1)^rank.
+        return (-1) ** len(self.e) * self._k()[2]
+
+    def inverse(self) -> Matrix:
+        """M^{-1}; ValueError, as linalg.inverse raises it, unless det M = +-1."""
+        (w0, w1), ((k00, k01), (k10, k11)), det_k = self._k()
+        if det_k not in (1, -1):
+            raise ValueError(
+                f"matrix has determinant {self.determinant()}; "
+                "only determinant +-1 has an integral inverse"
+            )
+        # The columns of T_{-e} U K^{-1}, with K^{-1} = det K * adj K because
+        # det K = +-1 is its own inverse, and the rows of V^T T_{-e}.
+        p0 = tuple(det_k * (k11 * x - k10 * y) for x, y in zip(w0, w1))
+        p1 = tuple(det_k * (k00 * y - k01 * x) for x, y in zip(w0, w1))
+        r0, r1 = map(self._untwist_form, self.v)
+        untwist = _twist(tuple(-x for x in self.e), tuple(-x for x in self.ge), self.half_e2)
+        return tuple(
+            tuple(-z - pi * x - qi * y for x, y, z in zip(r0, r1, row))
+            for pi, qi, row in zip(p0, p1, untwist)
+        )
+
+
 def from_kernel(
     kernel: KernelSpec,
     labels: tuple = (),
@@ -218,13 +321,11 @@ def from_kernel(
     """Build the transform matrix in closed form, in int.
 
     Read as matrices, the term-by-term evaluation of kernel_action_vector
-    is M = B alpha^T + D gamma^T - T_e: the linear forms
-    alpha = (2 + a^2/2, G a, 1) and gamma = (2 + c^2/2, G c, 1) give
-    chi(F*A) and chi(F*C), B = (1, b, b^2/2) and D = (1, d, d^2/2) are
-    ch(B) and ch(D), and T_e, with rows (1, 0, 0), (e_i, unit_i, 0) and
-    (e^2/2, (G e)^T, 1), twists by e = c + d.  Every x^2/2 is an integer
-    because the lattice is even.  kernel_action_vector stays the reference
-    the tests check this matrix against.
+    is M = B alpha^T + D gamma^T - T_e (see _RankTwoUpdate for the
+    factors).  Every x^2/2 is an integer because the lattice is even.
+    kernel_action_vector stays the reference the tests check this matrix
+    against.  Without phi the factors are kept on the transform, and its
+    determinant and inverse come from them.
 
     phi, when given, is an isometry matrix taking source NS coordinates to
     target NS coordinates (phi^T G_target phi = G_source) and is applied as
@@ -237,19 +338,14 @@ def from_kernel(
     e = tuple(map(add, c, d))
     ga, gb, gc, gd = transpose(mat_mul(lat.gram, transpose((a, b, c, d))))
     ge = tuple(map(add, gc, gd))
-    alpha = (2 + _half_square(a, ga), *ga, 1)
-    gamma = (2 + _half_square(c, gc), *gc, 1)
-    big_b = (1, *b, _half_square(b, gb))
-    big_d = (1, *d, _half_square(d, gd))
-    twist = (
-        (1, *(0,) * lat.rank, 0),
-        *((ei, *unit, 0) for ei, unit in zip(e, linalg.identity(lat.rank))),
-        (_half_square(e, ge), *ge, 1),
+    update = _RankTwoUpdate(
+        u=((1, *b, _half_square(b, gb)), (1, *d, _half_square(d, gd))),
+        v=((2 + _half_square(a, ga), *ga, 1), (2 + _half_square(c, gc), *gc, 1)),
+        e=e,
+        ge=ge,
+        half_e2=_half_square(e, ge),
     )
-    matrix = tuple(
-        tuple(bi * x + di * y - z for x, y, z in zip(alpha, gamma, row))
-        for bi, di, row in zip(big_b, big_d, twist)
-    )
+    matrix = update.matrix()
 
     tgt = lat
     if phi is not None:
@@ -263,6 +359,7 @@ def from_kernel(
             raise ValueError("phi is not an isometry of the divisor lattices")
         # The block-diagonal extension fixes the rank and ch2 rows.
         matrix = (matrix[0], *mat_mul(phi, matrix[1:-1]), matrix[-1])
+        update = None
     elif target is not None:
         if target != lat:
             raise ValueError("target lattice differs from the kernel lattice; supply phi")
@@ -282,6 +379,7 @@ def from_kernel(
         numerically_valid=valid,
         kernel=kernel,
         labels=auto + tuple(labels),
+        _rank_two=update,
     )
 
 
@@ -303,10 +401,24 @@ def is_mukai_isometry(t: CohTransform) -> bool:
     """Whether the transform preserves the Euler pairing exactly.
 
     Checked as M^T E_target M = E_source, which is equivalent to agreement
-    of euler_chi on all pairs by bilinearity.
+    of euler_chi on all pairs by bilinearity.  E_target M is formed from the
+    block shape of E: row 0 is 2 M_0 + M_last, the divisor rows are
+    -G M_mid and the last row is M_0.  Both sides are symmetric, so only
+    the upper triangle is compared.
     """
-    m = t.matrix
-    return mat_mul(mat_mul(transpose(m), euler_gram(t.target)), m) == euler_gram(t.source)
+    first, *mid, last = t.matrix
+    em = (
+        tuple(2 * x + y for x, y in zip(first, last)),
+        *(tuple(-x for x in row) for row in mat_mul(t.target.gram, mid)),
+        first,
+    )
+    cols, em_cols = transpose(t.matrix), transpose(em)
+    gram = euler_gram(t.source)
+    return all(
+        sum(map(mul, col, em_cols[j])) == gram[i][j]
+        for i, col in enumerate(cols)
+        for j in range(i, len(cols))
+    )
 
 
 # Closed-form blocks.  Each takes the lattice and the classes CLOSED_FORMS

@@ -374,6 +374,14 @@ def test_primitive_check_off_grid_length(capsys):
     assert data["z"] is None
 
 
+def test_primitive_check_rejects_empty_l(capsys):
+    data = run_json(
+        capsys, "primitive-check", "--surface", REFLEXIVE, "--h", "h", "--n", "2", "--l", "",
+        expect=2,
+    )
+    assert data["error"] == {"kind": "input", "message": "empty class expression"}
+
+
 def test_text_format(capsys):
     out = run(
         capsys, "pic1", "--lsq", "4", "--format", "text"

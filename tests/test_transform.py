@@ -30,7 +30,7 @@ from k3fm import (
     validate_reflexive,
 )
 from k3fm.cli import BUILDERS, _builder_transform, build_parser
-from k3fm.linalg import inverse, mat_mul, mat_vec, solve, transpose
+from k3fm.linalg import det, identity, inverse, mat_mul, mat_vec, solve, transpose
 from k3fm.surface import Assumption, SurfaceSpec
 from k3fm.transform import (
     CLOSED_FORMS,
@@ -43,7 +43,7 @@ from k3fm.transform import (
     vector_to_ch,
 )
 
-from helpers import SQUARE_MINUS_4, characters_on, class_on, grid_vectors, kernels
+from helpers import SQUARE_MINUS_4, characters_on, class_on, grid_vectors, kernels, lattices
 
 REFLEXIVE = NSLattice(((2, 0), (0, -12)))
 H = DivisorClass(REFLEXIVE, (1, 0))
@@ -327,6 +327,145 @@ def test_phi_identification_requires_isometry():
         )
     with pytest.raises(ValueError, match="target"):
         from_kernel(k, phi=neg)
+
+
+@st.composite
+def valid_kernels(draw, max_rank=5):
+    """(a, b, a - m, b + m) with m the last basis class, given square -4."""
+    gram = [list(row) for row in draw(lattices(max_rank=max_rank)).gram]
+    gram[-1][-1] = -4
+    lattice = NSLattice(tuple(map(tuple, gram)))
+    m = lattice.basis(lattice.rank - 1)
+    a, b = draw(class_on(lattice)), draw(class_on(lattice))
+    return KernelSpec(a=a, b=b, c=a - m, d=b + m)
+
+
+any_kernels = st.one_of(kernels(max_rank=5), valid_kernels())
+
+
+def outcome(compute):
+    """The result of compute(), or the text of the ValueError it raises."""
+    try:
+        return compute()
+    except ValueError as error:
+        return str(error)
+
+
+def assert_factored_matches_bareiss(t):
+    assert t._rank_two is not None
+    assert t.determinant() == det(t.matrix)
+    assert outcome(lambda: t.inverse().matrix) == outcome(lambda: inverse(t.matrix))
+
+
+@settings(max_examples=200)
+@given(any_kernels)
+def test_factored_determinant_and_inverse_match_bareiss(k):
+    t = from_kernel(k)
+    assert_factored_matches_bareiss(t)
+    rank = k.lattice.rank
+    if t.numerically_valid:
+        # With a + b = c + d, K = -[[1, s], [s, 1]] for s = 2 + (b - d)^2/2,
+        # and (b - d)^2 = (a - c)^2 = -4 gives s = 0.
+        assert t.determinant() == (-1) ** rank
+    # Transforms derived from t carry no factors and keep agreeing with Bareiss.
+    shifted = t.shifted()
+    assert shifted.kernel is k
+    assert shifted.determinant() == det(shifted.matrix)
+    assert outcome(lambda: shifted.inverse().matrix) == outcome(lambda: inverse(shifted.matrix))
+    both = compose(t, t)
+    assert both.determinant() == det(both.matrix) == t.determinant() ** 2
+    negation = tuple(tuple(-x for x in row) for row in identity(rank))
+    phi_t = from_kernel(k, target=k.lattice, phi=negation)
+    assert phi_t.determinant() == det(phi_t.matrix) == (-1) ** rank * t.determinant()
+    assert outcome(lambda: phi_t.inverse().matrix) == outcome(lambda: inverse(phi_t.matrix))
+
+
+def ladder_kernel(rank):
+    """A seeded valid kernel on an even lattice of the given rank."""
+    rng = random.Random(rank)
+    gram = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        gram[i][i] = 2 * rng.randint(-2, 1)
+        for j in range(i):
+            gram[i][j] = gram[j][i] = rng.randint(-1, 1)
+    gram[-1][-1] = -4
+    lattice = NSLattice(tuple(map(tuple, gram)))
+    m = lattice.basis(rank - 1)
+    a, b = (lattice.cls([rng.randint(-1, 1) for _ in range(rank)]) for _ in range(2))
+    return KernelSpec(a=a, b=b, c=a - m, d=b + m)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 4, 8, 12, 20])
+def test_factored_path_matches_bareiss_on_rank_ladder(rank):
+    valid = ladder_kernel(rank)
+    t = from_kernel(valid)
+    assert t.determinant() == (-1) ** rank
+    assert_factored_matches_bareiss(t)
+    assert mat_mul(t.matrix, t.inverse().matrix) == identity(rank + 2)
+    # (a - c)^2 = -16 instead of -4: s = -6 and det K = -35.
+    m = valid.a - valid.c
+    broken = from_kernel(KernelSpec(a=valid.a, b=valid.b, c=valid.a - 2 * m, d=valid.b + 2 * m))
+    assert not broken.numerically_valid
+    assert broken.determinant() == -35 * (-1) ** rank
+    assert_factored_matches_bareiss(broken)
+
+
+def dense_isometry(t):
+    m = t.matrix
+    return mat_mul(mat_mul(transpose(m), euler_gram(t.target)), m) == euler_gram(t.source)
+
+
+def sheared(lattice):
+    """phi = I + E_01 and the lattice it carries the source onto isometrically."""
+    rank = lattice.rank
+    phi = tuple(tuple(int(i == j or (i, j) == (0, 1)) for j in range(rank)) for i in range(rank))
+    back = inverse(phi)
+    return phi, NSLattice(mat_mul(mat_mul(transpose(back), lattice.gram), back))
+
+
+@given(any_kernels, st.data())
+def test_isometry_check_matches_dense_product(k, data):
+    t = from_kernel(k)
+    kernel_transforms = [t]
+    if k.lattice.rank > 1:
+        phi, target = sheared(k.lattice)
+        kernel_transforms.append(from_kernel(k, target=target, phi=phi))
+    if t.numerically_valid:
+        assert all(map(is_mukai_isometry, kernel_transforms))
+    size = len(t.matrix)
+    entries = st.lists(st.integers(-2, 2), min_size=size, max_size=size)
+    candidates = [
+        *kernel_transforms,
+        CohTransform(t.source, t.target, data.draw(st.lists(entries, min_size=size, max_size=size))),
+    ]
+    for kernel_transform in kernel_transforms:
+        i, j = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+        rows = [list(row) for row in kernel_transform.matrix]
+        rows[i][j] += data.draw(st.sampled_from((-2, -1, 1, 2)))
+        candidates.append(CohTransform(kernel_transform.source, kernel_transform.target, rows))
+    for candidate in candidates:
+        assert is_mukai_isometry(candidate) == dense_isometry(candidate)
+
+
+def test_isometry_check_on_relattice_transform():
+    m = 2 * H + L
+    k = KernelSpec(a=REFLEXIVE.zero(), b=REFLEXIVE.zero(), c=m, d=-m)
+    phi, target = sheared(REFLEXIVE)
+    assert target.gram == ((2, -2), (-2, -10))
+    t = from_kernel(k, target=target, phi=phi)
+    assert is_mukai_isometry(t) and dense_isometry(t)
+    rows = [list(row) for row in t.matrix]
+    rows[1][0] += 1
+    bent = CohTransform(t.source, t.target, rows)
+    assert not is_mukai_isometry(bent) and not dense_isometry(bent)
+
+
+@pytest.mark.parametrize("scale, isometry", [(1, True), (-1, True), (2, False)])
+def test_isometry_check_reads_the_diagonal(scale, isometry):
+    # Scaling f by 2 changes only the diagonal entry -G = 4 of M^T E M, to 4 * 2^2.
+    lattice = NSLattice(((-4,),))
+    t = CohTransform(lattice, lattice, ((1, 0, 0), (0, scale, 0), (0, 0, 1)))
+    assert is_mukai_isometry(t) == dense_isometry(t) == isometry
 
 
 def crosscheck_by_points(t, formula_id, grid=None):
