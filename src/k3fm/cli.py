@@ -1,8 +1,10 @@
 """Command-line interface: surface ingestion, dispatch, machine-readable reports.
 
-Every command emits a single report, JSON by default (keys sorted,
-rationals serialized as "p/q" in lowest terms with positive denominator)
-or aligned text via --format / the K3FM_FORMAT environment variable.
+Every command emits a single report, JSON by default (keys sorted) or
+aligned text via --format / the K3FM_FORMAT environment variable.
+Handlers return raw library values; _json is the one place that turns
+them into JSON values: a divisor class becomes its coordinate list and a
+rational becomes "p/q" in lowest terms with positive denominator.
 Exit status: 0 on success, 1 on mathematical rejection, 2 on input error.
 
 _BUILDER_TABLE is the one place that says which closed-form formula each
@@ -13,6 +15,7 @@ option that the command or its builder does not read is an input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -35,7 +38,7 @@ from .moduli import (
     hilb_moduli_vector,
     strata_chain,
 )
-from .mukai import ChernCharacter, ch_to_mukai, frac_str, mukai_pairing
+from .mukai import ChernCharacter, ch_to_mukai, mukai_pairing
 from .pic1 import (
     brute_force_oracle,
     exclusion_witness,
@@ -93,19 +96,26 @@ _BUILDER_OPTIONS = sorted(frozenset().union(*(b.reads for b in _BUILDER_TABLE.va
 
 
 # ---------------------------------------------------------------------------
-# serialization helpers
+# serialization
 
 
-def _ch_dict(c: ChernCharacter) -> dict:
-    return {"r": c.r, "f": list(c.f.coords), "t": frac_str(c.t)}
+def _json(value):
+    """The JSON value of a report value.
 
-
-def _mukai_dict(v) -> dict:
-    return {"r": v.r, "f": list(v.f.coords), "s": frac_str(v.s)}
-
-
-def _vec_strs(vec) -> list[str]:
-    return [frac_str(x) for x in vec]
+    DivisorClass is tested before the dataclass rule because it is a
+    dataclass itself; any other dataclass becomes the object of its fields.
+    """
+    if isinstance(value, DivisorClass):
+        return list(value.coords)
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, dict):
+        return {key: _json(item) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_json(item) for item in value]
+    if dataclasses.is_dataclass(value):
+        return {f.name: _json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return value
 
 
 def _render_text(payload) -> str:
@@ -209,7 +219,7 @@ def _builder_transform(args, name: str | None = None) -> CohTransform:
             spec = _default_no_cohomology_spec()
         else:
             spec = load_surface_spec(args.surface)
-        m = parse_class_expr(spec, args.m_class or "m")
+        m = parse_class_expr(spec, "m" if args.m_class is None else args.m_class)
         kernel = KernelSpec(
             a=spec.lattice.zero(),
             b=spec.lattice.zero(),
@@ -245,15 +255,15 @@ def _cmd_surface_validate(args):
     return 0, {
         "surface": rs.spec.to_dict(),
         "reflexive": {
-            "h": list(rs.h.coords),
-            "l": list(rs.l.coords),
+            "h": rs.h,
+            "l": rs.l,
             "degenerate": rs.degenerate,
-            "curves": [list(c.coords) for c in rs.curves],
-            "l2h": list(rs.l2h.coords),
+            "curves": rs.curves,
+            "l2h": rs.l2h,
             "chi_l2h": chi_line(rs.l2h),
             "deg_l2h": degree(rs.l2h, rs.h),
-            "lhat": list(lhat.coords),
-            "hhat": list(hhat.coords),
+            "lhat": lhat,
+            "hhat": hhat,
         },
     }
 
@@ -263,7 +273,7 @@ def _cmd_chi(args):
     dc = parse_class_expr(spec, args.class_expr)
     return 0, {
         "expr": args.class_expr,
-        "class": list(dc.coords),
+        "class": dc,
         "square": dc.square,
         "chi": chi_line(dc),
     }
@@ -300,9 +310,9 @@ def _cmd_transform_apply(args):
     ch_out = t.apply(ch_in)
     return 0, {
         "builder": args.builder,
-        "input": _ch_dict(ch_in),
-        "output": _ch_dict(ch_out),
-        "mukai": _mukai_dict(ch_to_mukai(ch_out)),
+        "input": ch_in,
+        "output": ch_out,
+        "mukai": ch_to_mukai(ch_out),
         "numerically_valid": t.numerically_valid,
         "isometry": is_mukai_isometry(t),
     }
@@ -322,16 +332,7 @@ def _cmd_transform_crosscheck(args):
         "agree": report.agree,
         "mismatches": len(report.entries),
         "truncated": len(shown) < len(report.entries),
-        "entries": [
-            {
-                "input": _vec_strs(e.input),
-                "engine": _vec_strs(e.engine),
-                "closed_form": _vec_strs(e.closed_form),
-                "delta": _vec_strs(e.delta),
-                "delta_hat": None if e.delta_hat is None else _vec_strs(e.delta_hat),
-            }
-            for e in shown
-        ],
+        "entries": shown,
     }
 
 
@@ -346,12 +347,12 @@ def _cmd_pic1(args):
         "lsq": args.lsq,
         "n": n,
         "z": selected.z,
-        "solutions": [sol.to_dict() for sol in pair],
-        "selected": selected.to_dict(),
-        "matrix": [list(row) for row in selected.matrix],
+        "solutions": pair,
+        "selected": selected,
+        "matrix": selected.matrix,
         "det": selected.det,
         "isometry": is_mukai_isometry(transform_from_solution(selected)),
-        "exclusion": witness.to_dict(),
+        "exclusion": witness,
     }
     if args.oracle:
         bound = args.bound if args.bound is not None else 4 * n + 20
@@ -360,7 +361,7 @@ def _cmd_pic1(args):
         scanned = {(s.c, s.x, s.alpha, s.y) for s in found}
         payload["oracle"] = {
             "bound": bound,
-            "solutions": [s.to_dict() for s in found],
+            "solutions": found,
             "agrees": closed == scanned,
         }
     return 0, payload
@@ -369,7 +370,7 @@ def _cmd_pic1(args):
 def _cmd_reflexive_decompose(args):
     rs = _reflexive_surface(args)
     dec = decompose_l2h(rs)
-    payload = {"d1": list(dec.d1.coords), "d2": list(dec.d2.coords)}
+    payload = {"d1": dec.d1, "d2": dec.d2}
     if args.oracle:
         all_decs = decompose_brute_force(rs)
         key = tuple(sorted((dec.d1.coords, dec.d2.coords)))
@@ -377,7 +378,7 @@ def _cmd_reflexive_decompose(args):
             tuple(sorted((d.d1.coords, d.d2.coords))) == key for d in all_decs
         )
         payload["oracle"] = {
-            "decompositions": [d.to_dict() for d in all_decs],
+            "decompositions": all_decs,
             "contains_result": contained,
         }
     return 0, payload
@@ -396,11 +397,11 @@ def _cmd_reflexive_kernel(args):
     return 0, {
         "variant": args.variant,
         "kernel": kernel.to_dict(),
-        "declared_vanishing": [list(v.coords) for v in kernel.declared_vanishing],
+        "declared_vanishing": kernel.declared_vanishing,
         "report": report.to_dict(),
-        "matrix": [list(row) for row in t.matrix],
+        "matrix": t.matrix,
         "isometry": is_mukai_isometry(t),
-        "structure_sheaf_image": _ch_dict(t.apply(unit)),
+        "structure_sheaf_image": t.apply(unit),
     }
 
 
@@ -413,8 +414,8 @@ def _cmd_hilb_moduli(args):
     return 0, {
         "n": args.n,
         "flavor": args.flavor,
-        "vector": _mukai_dict(v),
-        "self_pairing": frac_str(mukai_pairing(v, v)),
+        "vector": v,
+        "self_pairing": mukai_pairing(v, v),
     }
 
 
@@ -441,8 +442,8 @@ def _cmd_primitive_check(args):
     lsq = l.square
     return 0, {
         "n": args.n,
-        "h": list(h.coords),
-        "l": list(l.coords),
+        "h": h,
+        "l": l,
         "lsq": lsq,
         "z": es_relation(lsq) if lsq % 4 == 0 and lsq >= -8 else None,
         "excluded": excluded,
@@ -604,7 +605,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         status, payload = 2, {"error": {"kind": "input", "message": str(exc)}}
     try:
-        _emit({"command": args.command, "ok": status == 0, **payload}, fmt)
+        _emit(_json({"command": args.command, "ok": status == 0, **payload}), fmt)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader went away: point stdout at devnull so the interpreter's

@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+__all__ = ["RejectionError"]
+
 
 class RejectionError(Exception):
     """A mathematically meaningful rejection: a violated invariant or criterion.

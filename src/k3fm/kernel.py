@@ -67,12 +67,8 @@ class KernelSpec:
         return self.a.lattice
 
     def to_dict(self) -> dict:
-        return {
-            "a": list(self.a.coords),
-            "b": list(self.b.coords),
-            "c": list(self.c.coords),
-            "d": list(self.d.coords),
-        }
+        """The four classes by name, raw; cli._json encodes them."""
+        return {"a": self.a, "b": self.b, "c": self.c, "d": self.d}
 
 
 @dataclass(frozen=True)
@@ -93,21 +89,22 @@ class ValidityReport:
     verdict: str
 
     def to_dict(self) -> dict:
+        """The JSON shape of the report, in raw values that cli._json encodes."""
         return {
             "sum_condition": {
                 "holds": self.ab_equals_cd,
-                "a_plus_b": list(self.ab),
-                "c_plus_d": list(self.cd),
+                "a_plus_b": self.ab,
+                "c_plus_d": self.cd,
             },
             "difference_condition": {
                 "holds": self.ac_square_ok,
-                "a_minus_c": list(self.ac),
+                "a_minus_c": self.ac,
                 "square": self.ac_square,
                 "chi": self.chi_ac,
             },
             "vanishing_declared": self.vanishing_declared,
             "dual_difference": {
-                "b_minus_d": list(self.bd),
+                "b_minus_d": self.bd,
                 "square": self.bd_square,
                 "chi": self.chi_bd,
             },

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .errors import RejectionError
 from .lattice import DivisorClass, degree, intersect
 from .linalg import rank
-from .mukai import MukaiVector, ch_to_mukai, frac_str, ideal_sheaf_ch, sign_normalized
+from .mukai import MukaiVector, ch_to_mukai, ideal_sheaf_ch, sign_normalized
 from .surface import SurfaceSpec
 from .transform import CohTransform
 
@@ -57,15 +57,6 @@ class LemmaReport:
     gap_holds: bool
     predicate_ok: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "a": frac_str(self.a),
-            "in_window": self.in_window,
-            "gap": self.gap,
-            "gap_holds": self.gap_holds,
-            "predicate_ok": self.predicate_ok,
-        }
-
 
 @dataclass(frozen=True)
 class StrataReport:
@@ -85,6 +76,7 @@ class StrataReport:
         return all(self.verdicts)
 
     def to_dict(self) -> dict:
+        """The JSON shape of the report, in raw values that cli._json encodes."""
         names = ("mu_m", "half_mu_l", "mu_l_minus_m", "mu_l", "h_square")
         comparisons = (
             "0 < mu(m)",
@@ -94,19 +86,19 @@ class StrataReport:
             "mu(l) <= h^2",
         )
         data = {
-            "l": list(self.l.coords),
-            "m": list(self.m.coords),
-            "h": list(self.h.coords),
+            "l": self.l,
+            "m": self.m,
+            "h": self.h,
             "z": self.z,
             "l_square": self.l.square,
             "m_square": self.m.square,
-            "slopes": {name: frac_str(value) for name, value in zip(names, self.slopes)},
+            "slopes": dict(zip(names, self.slopes)),
             "verdicts": dict(zip(comparisons, self.verdicts)),
             "chain_holds": self.chain_holds,
             "independent": self.independent,
         }
         if self.lemma is not None:
-            data["lemma"] = self.lemma.to_dict()
+            data["lemma"] = self.lemma
         return data
 
 

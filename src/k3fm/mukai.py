@@ -27,7 +27,6 @@ __all__ = [
     "euler_chi",
     "chi_sheaf",
     "twist",
-    "frac_str",
     "sign_normalized",
     "line_bundle_ch",
     "point_ch",
@@ -35,6 +34,11 @@ __all__ = [
     "twisted_ideal_ch",
     "extension_ch",
 ]
+
+
+def _is_int(value) -> bool:
+    # bool is an int subclass, but True is not a rank or a number of points.
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _half_rational(value, what: str) -> Fraction:
@@ -53,7 +57,7 @@ class ChernCharacter:
     t: Fraction
 
     def __post_init__(self):
-        if not isinstance(self.r, int):
+        if not _is_int(self.r):
             raise ValueError(f"rank must be an integer, got {self.r!r}")
         object.__setattr__(self, "t", _half_rational(self.t, "ch_2"))
 
@@ -74,7 +78,7 @@ class MukaiVector:
     s: Fraction
 
     def __post_init__(self):
-        if not isinstance(self.r, int):
+        if not _is_int(self.r):
             raise ValueError(f"rank must be an integer, got {self.r!r}")
         object.__setattr__(self, "s", _half_rational(self.s, "Mukai degree-four part"))
 
@@ -121,12 +125,6 @@ def twist(c: ChernCharacter, x: DivisorClass) -> ChernCharacter:
     return ChernCharacter(c.r, c.f + c.r * x, new_t)
 
 
-def frac_str(value) -> str:
-    """Serialize an exact rational as "p/q" with q > 0 in lowest terms."""
-    q = Fraction(value)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def sign_normalized(v: MukaiVector) -> MukaiVector:
     """v or -v, whichever has its first nonzero entry of (r, f, s) positive."""
     for entry in (v.r, *v.f.coords, v.s):
@@ -153,21 +151,21 @@ def point_ch(lattice: NSLattice) -> ChernCharacter:
 
 def ideal_sheaf_ch(lattice: NSLattice, n: int) -> ChernCharacter:
     """ch of the ideal sheaf of n points: (1, 0, -n)."""
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise ValueError(f"number of points must be a non-negative integer, got {n!r}")
     return ChernCharacter(1, lattice.zero(), Fraction(-n))
 
 
 def twisted_ideal_ch(l: DivisorClass, n: int) -> ChernCharacter:
     """ch of O(l) tensor I_Z for a length-n subscheme Z: (1, l, l.l/2 - n)."""
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise ValueError(f"subscheme length must be a non-negative integer, got {n!r}")
     return ChernCharacter(1, l, Fraction(l.square, 2) - n)
 
 
 def extension_ch(m: DivisorClass, l: DivisorClass, n: int) -> ChernCharacter:
     """ch of a rank-2 extension of O(l) I_Z by O(m): (2, m + l, m.m/2 + l.l/2 - n)."""
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise ValueError(f"subscheme length must be a non-negative integer, got {n!r}")
     t = Fraction(m.square, 2) + Fraction(l.square, 2) - n
     ch = ChernCharacter(2, m + l, t)

@@ -24,7 +24,6 @@ from fractions import Fraction
 
 from .lattice import NSLattice
 from .linalg import det
-from .mukai import frac_str
 from .transform import CohTransform
 
 __all__ = [
@@ -90,19 +89,6 @@ class Pic1Solution:
         if image != (0, 0, 1):
             raise ValueError(f"matrix maps (2, 1, z-4) to {image}, expected (0, 0, 1)")
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "lsq": self.lsq,
-            "z": self.z,
-            "c": self.c,
-            "x": self.x,
-            "alpha": self.alpha,
-            "y": self.y,
-            "matrix": [list(row) for row in self.matrix],
-            "det": self.det,
-        }
-
 
 @dataclass(frozen=True)
 class ExclusionWitness:
@@ -116,13 +102,6 @@ class ExclusionWitness:
     slope: Fraction
     threshold: Fraction
     excluded: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "slope": frac_str(self.slope),
-            "threshold": frac_str(self.threshold),
-            "excluded": self.excluded,
-        }
 
 
 def existence_test(lsq: int) -> int | None:

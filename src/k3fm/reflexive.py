@@ -80,9 +80,6 @@ class Decomposition:
     d1: DivisorClass
     d2: DivisorClass
 
-    def to_dict(self) -> dict:
-        return {"d1": list(self.d1.coords), "d2": list(self.d2.coords)}
-
 
 @dataclass(frozen=True)
 class TypeReport:
@@ -100,15 +97,16 @@ class TypeReport:
     e: DivisorClass | None = None
 
     def to_dict(self) -> dict:
+        """The JSON shape of the report, in raw values that cli._json encodes."""
         data = {
             "type": self.surface_type,
-            "d1": list(self.d1.coords),
-            "d2": list(self.d2.coords),
+            "d1": self.d1,
+            "d2": self.d2,
             "deg_d1": self.deg_d1,
             "deg_d2": self.deg_d2,
         }
         if self.e is not None:
-            data["e"] = list(self.e.coords)
+            data["e"] = self.e
         return data
 
 

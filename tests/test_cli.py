@@ -382,6 +382,21 @@ def test_primitive_check_rejects_empty_l(capsys):
     assert data["error"] == {"kind": "input", "message": "empty class expression"}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transform-apply", "--builder", "no-cohomology", "--m-class", "", "--ch", "1,0,0"],
+        ["hilb-moduli", "--n", "1", "--flavor", "no-cohomology", "--m-class", ""],
+        ["transform-apply", "--builder", "no-cohomology", "--surface", REFLEXIVE,
+         "--m-class", "", "--ch", "1,0,0,0"],
+    ],
+    ids=["default-surface", "hilb-moduli", "surface-file"],
+)
+def test_empty_m_class_is_input_error(capsys, argv):
+    data = run_json(capsys, *argv, expect=2)
+    assert data["error"] == {"kind": "input", "message": "empty class expression"}
+
+
 def test_text_format(capsys):
     out = run(
         capsys, "pic1", "--lsq", "4", "--format", "text"

@@ -4,10 +4,12 @@ Each argv below maps to the exit status and the sha256 of the stdout it
 produced when the table was recorded.  The cases cover every builder under
 transform-apply and transform-crosscheck, every builder crosschecked against
 every closed-form formula, every reflexive-kernel variant, both hilb-moduli
-flavours with every variant, and the pic1 existence rejection through both
-commands that reach it.  The commands run in-process through cli.main from
-the repository root, with K3FM_FORMAT unset, so a changed byte or status in
-any of them fails here.
+flavours with every variant, the pic1 existence rejection through both
+commands that reach it, and the report shapes of strata with its lemma,
+the type I classification, a failing and a no-cohomology kernel-check, the
+type II reflexive validation and the pic1 oracle.  The commands run
+in-process through cli.main from the repository root, with K3FM_FORMAT
+unset, so a changed byte or status in any of them fails here.
 """
 
 from hashlib import sha256
@@ -208,6 +210,32 @@ DIGESTS = {
         (2, "c290e4bba7674e9ea69c93078da54e64703eb1dce0347b0a69a0cd36ca052afb"),
     ("transform-crosscheck", "--builder", "pic1", "--lsq", "12", "--formula", "picard_rank_one", "--max-entries", "100000"):
         (0, "e4078f36d0769b73ff9b49c496e4dc096d9a93796178740ba2482fa4da5f388d"),
+    # report shapes: strata lemma, type I classification (no e key), a
+    # failing and a no-cohomology kernel-check, type II validation, pic1 oracle
+    ("strata", "--surface", REFLEXIVE, "--l", "l", "--m", "l+2h", "--h", "h", "--z", "3", "--a", "1"):
+        (0, "aed96628c0574a29b7e358dfcf51ee03074294fc4c0b5eb3ceff3a705611c8b6"),
+    ("strata", "--surface", REFLEXIVE, "--l", "l", "--m", "l+2h", "--h", "h", "--z", "3", "--a", "1", "--format", "text"):
+        (0, "8a444c63506e4595907709fe3b469adf40a501323109a260028faa1655a15272"),
+    ("reflexive-classify", "--surface", TYPE_I):
+        (0, "5ea72f283b26e31b48a340c1648ccc238c38aafaff7b77c275498dcbc3706254"),
+    ("reflexive-classify", "--surface", TYPE_I, "--format", "text"):
+        (0, "78c180290a1e8a421c452759eef6b479d9c692e5a30649e5e928621895cbe604"),
+    ("kernel-check", "--surface", REFLEXIVE, "--a", "h", "--b", "h", "--c", "l", "--d", "l"):
+        (1, "3580d85af417d5138783f780c00f63e045229d01ad9956d34accaa7117409dd1"),
+    ("kernel-check", "--surface", REFLEXIVE, "--a", "h", "--b", "h", "--c", "l", "--d", "l", "--format", "text"):
+        (1, "8d4bb9a8b594745a53ff16dfb09264feaf4096f12690128ce6db70ac663e7453"),
+    ("kernel-check", "--surface", REFLEXIVE, "--a", "0,0", "--b", "0,0", "--c", "l+2h", "--d=-l-2h"):
+        (0, "8523ca76474c88d59765581b34ae03eb81f92e1f6103fa8065623eff16d4d657"),
+    ("kernel-check", "--surface", REFLEXIVE, "--a", "0,0", "--b", "0,0", "--c", "l+2h", "--d=-l-2h", "--format", "text"):
+        (0, "d5e6458006d696c1f056a5e88416753db220dfec030064f32e343c83ddfda457"),
+    ("surface-validate", "--surface", TYPE_II, "--reflexive"):
+        (0, "1482a14243a5465a114d13df402233f2e761c3836af752958e9939d5408c3d48"),
+    ("surface-validate", "--surface", TYPE_II, "--reflexive", "--format", "text"):
+        (0, "aae643e2331295569edf5bb098c7326104f58f95df23699817ceaef745ba468b"),
+    ("pic1", "--lsq", "28", "--oracle", "--bound", "40"):
+        (0, "2edec67b071528cdfbee06310b01d2bc4f7a2b5ab22f3da169445d77bee77f73"),
+    ("pic1", "--lsq", "28", "--oracle", "--bound", "40", "--format", "text"):
+        (0, "d1cc3a5808a1b7a69a6164c5dcfce7a3358bff0e1b29bf44d4c3e00dd63e0a48"),
 }
 
 

@@ -14,6 +14,8 @@ from k3fm import (
     vanishing_covers,
 )
 
+from k3fm.cli import _json
+
 from helpers import SQUARE_MINUS_4, kernels, lattices
 
 REFLEXIVE = NSLattice(((2, 0), (0, -12)))
@@ -75,7 +77,7 @@ def test_vanishing_covers_both_signs():
 
 
 def test_report_serialization_shape():
-    data = check_sufficient(nondegenerate_kernel()).to_dict()
+    data = _json(check_sufficient(nondegenerate_kernel()).to_dict())
     assert data["verdict"] == "sufficient"
     assert data["sum_condition"]["holds"] is True
     assert data["difference_condition"]["square"] == -4

@@ -26,6 +26,7 @@ from k3fm import (
     transform_for,
     validate_reflexive,
 )
+from k3fm.cli import _json
 
 WITNESS = NSLattice(((2, 1), (1, -2)))
 W_SPEC = SurfaceSpec(
@@ -148,7 +149,7 @@ def test_chain_does_not_imply_independence():
 def test_chain_report_dict_shape():
     m = DivisorClass(WITNESS, (0, 1))
     l = DivisorClass(WITNESS, (2, -1))
-    data = strata_chain(l, m, W_H, 5, surface=W_SPEC, a=1).to_dict()
+    data = _json(strata_chain(l, m, W_H, 5, surface=W_SPEC, a=1).to_dict())
     assert data["slopes"] == {
         "mu_m": "2/1",
         "half_mu_l": "3/1",

@@ -14,7 +14,6 @@ from k3fm import (
     chi_sheaf,
     euler_chi,
     extension_ch,
-    frac_str,
     ideal_sheaf_ch,
     line_bundle_ch,
     mukai_pairing,
@@ -24,6 +23,8 @@ from k3fm import (
     twist,
     twisted_ideal_ch,
 )
+
+from k3fm.cli import _json
 
 from helpers import characters_on, class_on, lattices
 
@@ -98,10 +99,26 @@ def test_standard_class_constructors():
 
 
 def test_frac_str_canonical():
-    assert frac_str(Fraction(3, 2)) == "3/2"
-    assert frac_str(Fraction(-10, 4)) == "-5/2"
-    assert frac_str(0) == "0/1"
-    assert frac_str(Fraction(4, -2)) == "-2/1"
+    assert _json(Fraction(3, 2)) == "3/2"
+    assert _json(Fraction(-10, 4)) == "-5/2"
+    assert _json(Fraction(0)) == "0/1"
+    assert _json(Fraction(4, -2)) == "-2/1"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ChernCharacter(True, REFLEXIVE.zero(), Fraction(0)),
+        lambda: MukaiVector(False, REFLEXIVE.zero(), Fraction(0)),
+        lambda: ideal_sheaf_ch(REFLEXIVE, True),
+        lambda: twisted_ideal_ch(L, True),
+        lambda: extension_ch(L, L, False),
+    ],
+    ids=["ChernCharacter", "MukaiVector", "ideal_sheaf_ch", "twisted_ideal_ch", "extension_ch"],
+)
+def test_booleans_are_not_integers(build):
+    with pytest.raises(ValueError, match="integer"):
+        build()
 
 
 def test_sign_normalized():

@@ -14,6 +14,7 @@ from k3fm import (
     solve_constraints,
     transform_from_solution,
 )
+from k3fm.cli import _json
 from k3fm.linalg import det
 from k3fm.pic1 import Pic1Solution, _matrix_for, residuals
 
@@ -115,7 +116,7 @@ def test_exclusion_witness_always_excludes():
         assert w.threshold == Fraction(8 * n + 4, 2)
         assert w.excluded
     w0 = exclusion_witness(solve_constraints(0))
-    assert w0.to_dict() == {"slope": "8/3", "threshold": "2/1", "excluded": True}
+    assert _json(w0) == {"slope": "8/3", "threshold": "2/1", "excluded": True}
 
 
 def test_transforms_are_isometries_with_unit_determinant():
@@ -154,7 +155,7 @@ def test_displayed_block_differs_by_sign_conjugation():
 
 def test_to_dict_shape():
     sol = select_physical(solve_constraints(2))
-    d = sol.to_dict()
+    d = _json(sol)
     assert d["n"] == 2 and d["lsq"] == 20 and d["z"] == 7
     assert d["matrix"][0] == [7, -20, 2]
     assert d["det"] == 1

@@ -27,6 +27,7 @@ from k3fm import (
     transform_for,
     validate_reflexive,
 )
+from k3fm.cli import _json
 
 SURFACES = Path(__file__).resolve().parent.parent / "surfaces"
 
@@ -154,7 +155,7 @@ def test_decompose_two_disjoint_components():
     rs = component_surface(("c1", "c2"), {"c1": 2, "c2": 2})
     dec = decompose_l2h(rs)
     assert dec.d1.coords == (0, 1, 0) and dec.d2.coords == (0, 0, 1)
-    assert dec.to_dict() == {"d1": [0, 1, 0], "d2": [0, 0, 1]}
+    assert _json(dec) == {"d1": [0, 1, 0], "d2": [0, 0, 1]}
     report = classify_type(rs, dec)
     assert report.surface_type == "I"
     assert (report.deg_d1, report.deg_d2) == (2, 2)
