@@ -31,8 +31,10 @@ class LatticeMismatchError(ValueError):
 
 
 def _check_int(value, what: str) -> int:
-    # bool is an int subclass; accept it silently, reject floats and strings.
-    if not isinstance(value, int):
+    if type(value) is int:
+        return value
+    # bool is an int subclass, but True is not a coordinate or a Gram entry.
+    if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
 

@@ -27,6 +27,7 @@ __all__ = [
     "rank",
     "inverse",
     "solve",
+    "solve_columns",
 ]
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -146,17 +147,47 @@ def inverse(m) -> Matrix:
     return tuple(tuple(p * x for x in row[n:]) for row in rows)
 
 
+def solve_columns(a, b) -> tuple[Matrix, Matrix, int] | None:
+    """Solve a x = b for every column of b with one elimination of [a | b].
+
+    a is an integer matrix and b a rational matrix with as many rows.
+    Returns None when the columns of a are dependent.  Otherwise returns
+    (x, r, d): integer matrices x and r with b's columns, and a nonzero
+    int d, the last pivot times the common denominator of b.  Column j of
+    b lies in the span of a's columns exactly when column j of r is zero,
+    and its solution is then column j of x over d.  Both are linear in
+    the columns: for a rational vector v, b v lies in the span exactly
+    when r v = 0, and the solution is x v / d.  Empty or ragged input
+    raises ValueError.
+    """
+    a, b = integer_matrix(a), tuple(map(tuple, b))
+    ncols, width = len(a[0]) if a else 0, len(b[0]) if b else 0
+    if (
+        not ncols
+        or not width
+        or len(b) != len(a)
+        or any(len(row) != ncols for row in a)
+        or any(len(row) != width for row in b)
+    ):
+        raise ValueError("solve needs a non-empty rectangular matrix and right-hand side")
+    nums, den = scaled([x for row in b for x in row])
+    rows = [[*row, *nums[i * width : (i + 1) * width]] for i, row in enumerate(a)]
+    if len(_eliminate(rows, ncols)[0]) < ncols:
+        return None
+    x, r = (tuple(tuple(row[ncols:]) for row in part) for part in (rows[:ncols], rows[ncols:]))
+    return x, r, rows[ncols - 1][ncols - 1] * den
+
+
 def solve(a, b) -> tuple[Fraction, ...] | None:
     """The rational x with a x = b, for an integer matrix a and rational b.
 
-    Returns None when the columns of a are dependent or b is not in their
-    span.
+    The one-column case of solve_columns.  Returns None when the columns
+    of a are dependent or b is not in their span.
     """
-    nums, den = scaled(b)
-    ncols = len(a[0])
-    rows = [list(row) + [x] for row, x in zip(integer_matrix(a), nums)]
-    pivots, _ = _eliminate(rows, ncols)
-    if len(pivots) < ncols or any(row[ncols] for row in rows[ncols:]):
+    found = solve_columns(a, [(x,) for x in b])
+    if found is None:
         return None
-    p = rows[ncols - 1][ncols - 1]
-    return tuple(Fraction(row[ncols], p * den) for row in rows[:ncols])
+    x, r, d = found
+    if any(row[0] for row in r):
+        return None
+    return tuple(Fraction(row[0], d) for row in x)

@@ -12,7 +12,11 @@ matrix.  Every specialized closed-form block for a particular kernel
 family is written separately, as the matrix of its displayed formula in
 the classes CLOSED_FORMS names for it, and crosscheck_specialized compares
 it with this engine as a matrix identity; where a block disagrees, the
-difference is reported, never patched into either side.
+difference is reported, never patched into either side.  The difference
+is linear in the grid point, and so are its (hhat, lhat) coordinates
+delta_hat: one elimination of [H | Delta_mid] per crosscheck
+(linalg.solve_columns) gives them at every point, each entry is built
+from integer numerators, and no point runs a solve of its own.
 
 Transforms are stored as integer matrices (integral on an even lattice)
 acting on rational coordinate vectors (rank, NS-basis coefficients, ch2).
@@ -563,17 +567,29 @@ def default_grid(lattice: NSLattice) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _over(nums, den) -> tuple[Fraction, ...]:
+    """The Fractions n/den, each built once; den 1 skips the gcd."""
+    if den == 1:
+        return tuple(map(Fraction, nums))
+    return tuple(Fraction(n, den) for n in nums)
+
+
 def crosscheck_specialized(t: CohTransform, formula_id: str, grid=None) -> DiffReport:
     """Compare the transform's action against a named closed-form block.
 
     The block's matrix C is built once from the classes the transform
     labels, and the grid is scanned with the integer matrix Delta = C - M.
-    A grid point x is a disagreement exactly where Delta x is nonzero; it
-    is recorded with the engine value M x, the closed-form value, and
-    their componentwise difference.  For reflexive formulas the divisor
-    part of the difference is additionally expressed in the (hhat, lhat)
-    basis when the transform names it and the difference lies in its
-    span.  An empty entry list means exact agreement on the grid.
+    A grid point x, with integer numerators n over a denominator v, is a
+    disagreement exactly where Delta n is nonzero; it is recorded with the
+    engine value M n / v, the closed-form value (M n + Delta n) / v and
+    their difference Delta n / v, each Fraction built once from ints.
+    For reflexive formulas, when the transform names hhat and lhat, the
+    divisor part of the difference is also expressed in their basis H.
+    That map is linear in x, so [H | Delta_mid] is eliminated once per
+    crosscheck (linalg.solve_columns) into solution rows X, residual rows R
+    and a denominator d: delta_hat is X n / (d v) where R n = 0, and None
+    where the difference leaves the span of H or H is degenerate.  An
+    empty entry list means exact agreement on the grid.
     """
     if formula_id not in CLOSED_FORMS:
         raise ValueError(
@@ -590,24 +606,32 @@ def crosscheck_specialized(t: CohTransform, formula_id: str, grid=None) -> DiffR
     if not any(map(any, delta_matrix)):
         return DiffReport(formula_id=formula_id, points=len(grid), entries=())
     labels = t.label_map
-    hats = None
+    hat_map = None
     if "hhat" in labels and "lhat" in labels:
         hats = transpose((labels["hhat"].coords, labels["lhat"].coords))
+        hat_map = linalg.solve_columns(hats, delta_matrix[1:-1])
     entries = []
     for point in grid:
-        nums, vden = linalg.scaled(point)
+        if all(type(x) is int for x in point):
+            nums, vden = point, 1
+        else:
+            nums, vden = linalg.scaled(point)
         diff = tuple(sum(map(mul, row, nums)) for row in delta_matrix)
         if not any(diff):
             continue
-        engine = tuple(Fraction(sum(map(mul, row, nums)), vden) for row in t.matrix)
-        delta = tuple(Fraction(x, vden) for x in diff)
+        engine = tuple(sum(map(mul, row, nums)) for row in t.matrix)
+        delta_hat = None
+        if hat_map is not None:
+            x_rows, r_rows, d = hat_map
+            if not any(sum(map(mul, row, nums)) for row in r_rows):
+                delta_hat = tuple(Fraction(sum(map(mul, row, nums)), d * vden) for row in x_rows)
         entries.append(
             DiffEntry(
                 input=tuple(map(Fraction, point)),
-                engine=engine,
-                closed_form=tuple(map(add, engine, delta)),
-                delta=delta,
-                delta_hat=linalg.solve(hats, delta[1:-1]) if hats else None,
+                engine=_over(engine, vden),
+                closed_form=_over(map(add, engine, diff), vden),
+                delta=_over(diff, vden),
+                delta_hat=delta_hat,
             )
         )
     return DiffReport(formula_id=formula_id, points=len(grid), entries=tuple(entries))

@@ -41,6 +41,13 @@ def test_rejects_non_integer_entries():
         NSLattice(((2.0, 0), (0, -2)))
 
 
+def test_rejects_booleans_as_integers():
+    with pytest.raises(ValueError, match="gram entry .* must be an integer, got False"):
+        NSLattice(((2, False), (False, -2)))
+    with pytest.raises(ValueError, match="divisor coordinate must be an integer, got True"):
+        DivisorClass(NSLattice(((2,),)), (True,))
+
+
 def test_class_length_must_match_rank():
     with pytest.raises(LatticeMismatchError):
         DivisorClass(REFLEXIVE, (1, 0, 0))

@@ -118,6 +118,102 @@ def test_solve_none_outside_span_or_dependent():
     assert linalg.solve(((1, 0), (0, 1), (0, 0)), (1, 2, 0)) == (1, 2)
 
 
+def fraction_solve(a, b):
+    """Reference: Gauss-Jordan over Fraction on [a | b] for one column b.
+
+    "dependent" when the columns of a are, None when b is outside their
+    span, else the solution.
+    """
+    m = len(a[0])
+    rows = [[*map(Fraction, row), Fraction(x)] for row, x in zip(a, b)]
+    for j in range(m):
+        k = next((i for i in range(j, len(rows)) if rows[i][j]), None)
+        if k is None:
+            return "dependent"
+        rows[j], rows[k] = rows[k], rows[j]
+        rows[j] = [x / rows[j][j] for x in rows[j]]
+        for i, row in enumerate(rows):
+            if i != j and row[j]:
+                rows[i] = [x - row[j] * y for x, y in zip(row, rows[j])]
+    if any(row[m] for row in rows[m:]):
+        return None
+    return tuple(row[m] for row in rows[:m])
+
+
+RATIONALS = st.builds(Fraction, ENTRIES, st.integers(1, 4))
+
+
+@st.composite
+def systems(draw):
+    """An integer a, possibly rank-deficient, and rational right-hand sides,
+    some in the span of its columns and some drawn freely."""
+    k = draw(st.integers(1, 5))
+    m = draw(st.integers(1, k + 1))
+    columns = [draw(st.lists(ENTRIES, min_size=k, max_size=k)) for _ in range(m)]
+    if m > 1 and draw(st.booleans()):
+        # Make the last column a combination of the others.
+        coeffs = draw(st.lists(ENTRIES, min_size=m - 1, max_size=m - 1))
+        columns[-1] = [sum(c * col[i] for c, col in zip(coeffs, columns)) for i in range(k)]
+    a = linalg.transpose(columns)
+    rhs = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            x = draw(st.lists(RATIONALS, min_size=m, max_size=m))
+            rhs.append([sum(ai * xi for ai, xi in zip(row, x)) for row in a])
+        else:
+            rhs.append(draw(st.lists(RATIONALS, min_size=k, max_size=k)))
+    return a, linalg.transpose(rhs)
+
+
+@given(systems(), st.lists(RATIONALS, min_size=4, max_size=4))
+def test_solve_columns_matches_column_by_column(system, v):
+    """One elimination of [a | b] answers every column, and every combination b v."""
+    a, b = system
+    found = linalg.solve_columns(a, b)
+    width = len(b[0])
+    bv = [sum(x * y for x, y in zip(row, v)) for row in b]
+    references = [fraction_solve(a, col) for col in (*linalg.transpose(b), bv)]
+    if references[0] == "dependent":
+        assert found is None
+        assert linalg.rank(a) < len(a[0])
+        return
+    x, r, d = found
+    assert type(d) is int and d != 0
+    assert all(type(e) is int for part in (x, r) for row in part for e in row)
+    assert all(len(row) == width for part in (x, r) for row in part)
+    assert len(x) == len(a[0]) and len(r) == len(a) - len(a[0])
+    for j, ref in enumerate(references[:width]):
+        column = [Fraction(row[j], d) for row in x]
+        assert ref == (None if any(row[j] for row in r) else tuple(column))
+    # Linear in the columns: b v is in the span exactly where r v = 0.
+    rv = [sum(e * y for e, y in zip(row, v)) for row in r]
+    xv = tuple(sum(e * y for e, y in zip(row, v)) / d for row in x)
+    assert references[-1] == (None if any(rv) else xv)
+    assert linalg.solve(a, bv) == references[-1]
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([], []),
+        ([[]], [[1]]),
+        ([[1]], [[]]),
+        ([[1], [2]], [[1]]),
+        ([[1, 2], [3]], [[1], [2]]),
+        ([[1], [2]], [[1], [2, 3]]),
+    ],
+)
+def test_solve_columns_rejects_empty_or_ragged_input(a, b):
+    with pytest.raises(ValueError, match="non-empty rectangular"):
+        linalg.solve_columns(a, b)
+
+
+@pytest.mark.parametrize("a, b", [([], []), ([[1, 2], [3]], [1, 2]), ([[1], [2]], [1])])
+def test_solve_rejects_empty_or_ragged_input(a, b):
+    with pytest.raises(ValueError, match="non-empty rectangular"):
+        linalg.solve(a, b)
+
+
 @given(st.integers(1, 4).flatmap(lambda k: st.tuples(
     st.lists(ENTRIES, min_size=k, max_size=k), st.lists(ENTRIES, min_size=k, max_size=k)
 )))

@@ -5,7 +5,7 @@ from hashlib import sha256
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from k3fm import (
@@ -23,6 +23,7 @@ from k3fm import (
     intersect,
     is_mukai_isometry,
     kernel_action_vector,
+    linalg,
     load_surface_spec,
     mukai_pairing,
     standard_spec,
@@ -30,7 +31,7 @@ from k3fm import (
     validate_reflexive,
 )
 from k3fm.cli import BUILDERS, _builder_transform, build_parser
-from k3fm.linalg import det, identity, inverse, mat_mul, mat_vec, solve, transpose
+from k3fm.linalg import det, identity, inverse, mat_mul, mat_vec, rank, solve, transpose
 from k3fm.surface import Assumption, SurfaceSpec
 from k3fm.transform import (
     CLOSED_FORMS,
@@ -522,7 +523,14 @@ def test_crosscheck_matches_point_scan_on_builders(builder, formula_id):
     t = builder_transform(builder)
     report = crosscheck_specialized(t, formula_id)
     assert report == crosscheck_by_points(t, formula_id)
-    assert all(type(x) is Fraction for e in report.entries for x in e.closed_form)
+    assert_fraction_fields(report)
+
+
+def assert_fraction_fields(report):
+    """Every coordinate of every entry is a Fraction, never an int the CLI would print bare."""
+    for e in report.entries:
+        for field in (e.input, e.engine, e.closed_form, e.delta, e.delta_hat or ()):
+            assert all(type(x) is Fraction for x in field)
 
 
 def half_integral_grid(data, lattice, size=12):
@@ -543,6 +551,7 @@ def test_crosscheck_matches_point_scan_on_random_grids(formula_id, data):
     report = crosscheck_specialized(t, formula_id, grid)
     assert report == crosscheck_by_points(t, formula_id, grid)
     assert report.points == len(grid)
+    assert_fraction_fields(report)
 
 
 @given(kernels(), st.data())
@@ -555,6 +564,79 @@ def test_general_crosscheck_of_mislabelled_kernel_matches_point_scan(k, data):
     assert crosscheck_specialized(t, "general", grid) == crosscheck_by_points(
         t, "general", grid
     )
+
+
+# The least lattice rank each kind of (hhat, lhat) pair needs: two independent
+# classes need rank 2, a class outside their span needs rank 3.
+HAT_PAIR_RANKS = {"independent": 2, "dependent": 1, "partly_outside": 3}
+
+
+@pytest.mark.parametrize("kind", sorted(HAT_PAIR_RANKS))
+@settings(max_examples=40)
+@given(st.data())
+def test_delta_hat_matches_point_scan(kind, data):
+    """delta_hat from the one elimination equals a solve at every point.
+
+    A kernel transform is labelled with other classes a, b, c, d, so the
+    general block disagrees with it, and with a (hhat, lhat) pair of the
+    given kind.  For partly_outside, hhat is a nonzero column of Delta_mid
+    and another column lies outside span(hhat, lhat); the grid holds both
+    unit vectors, so one report has entries with and without delta_hat.
+    """
+    k = data.draw(kernels(max_rank=4).filter(lambda k: k.lattice.rank >= HAT_PAIR_RANKS[kind]))
+    lat = k.lattice
+    labels = tuple((name, data.draw(class_on(lat))) for name in "abcd")
+    t = CohTransform(lat, lat, from_kernel(k).matrix, labels=labels)
+    grid = half_integral_grid(data, lat)
+    if kind == "independent":
+        hhat, lhat = data.draw(class_on(lat)), data.draw(class_on(lat))
+        assume(rank((hhat.coords, lhat.coords)) == 2)
+    elif kind == "dependent":
+        u, q, zero = data.draw(class_on(lat)), data.draw(st.integers(-2, 2)), lat.zero()
+        hhat, lhat = data.draw(st.sampled_from(((u, q * u), (zero, u), (u, zero), (zero, zero))))
+    else:
+        block = closed_form_matrix(t, "general")
+        columns = transpose(tuple(
+            tuple(x - y for x, y in zip(crow, mrow)) for crow, mrow in zip(block[1:-1], t.matrix[1:-1])
+        ))
+        j = next((j for j, col in enumerate(columns) if any(col)), None)
+        assume(j is not None)
+        i = next((i for i, col in enumerate(columns) if rank((columns[j], col)) == 2), None)
+        assume(i is not None)
+        hhat = DivisorClass(lat, columns[j])
+        lhat = next(
+            e for e in map(lat.basis, range(lat.rank))
+            if rank((columns[j], e.coords, columns[i])) == 3
+        )
+        units = identity(lat.rank + 2)
+        grid = [units[j], units[i], *grid]
+    t = CohTransform(lat, lat, t.matrix, labels=labels + (("hhat", hhat), ("lhat", lhat)))
+    report = crosscheck_specialized(t, "general", grid)
+    assert report == crosscheck_by_points(t, "general", grid)
+    assert_fraction_fields(report)
+    hats = [e.delta_hat for e in report.entries]
+    if kind == "dependent":
+        assert hats == [None] * len(hats)
+    elif kind == "partly_outside":
+        assert hats[:2] == [(1, 0), None]
+
+
+@pytest.mark.parametrize("variant", ["type-i", "type-ii"])
+def test_crosscheck_eliminates_once_whatever_the_grid(monkeypatch, variant):
+    """At most one elimination per crosscheck: a doubled grid runs no more."""
+    _, t = degenerate_transform(variant)
+    formula_id = "reflexive_" + variant.replace("-", "_")
+    rng = random.Random(64)
+    grid = [tuple(rng.randint(-2, 2) for _ in range(t.source.rank + 2)) for _ in range(128)]
+    calls = []
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda *args: calls.append(args) or eliminate(*args))
+    assert not crosscheck_specialized(t, formula_id, grid[:64]).agree
+    once = len(calls)
+    assert once <= 1
+    calls.clear()
+    crosscheck_specialized(t, formula_id, grid)
+    assert len(calls) == once
 
 
 @pytest.mark.parametrize("formula_id", sorted(CLOSED_FORMS))
