@@ -21,9 +21,10 @@ from integer numerators, and no point runs a solve of its own.
 Transforms are stored as integer matrices (integral on an even lattice)
 acting on rational coordinate vectors (rank, NS-basis coefficients, ch2).
 A kernel transform M = B alpha^T + D gamma^T - T_e is a rank-two update of
-the twist T_e, so from_kernel keeps those factors and its determinant and
-inverse come from them in O(n^2) (matrix determinant lemma and Woodbury
-identity); every other transform uses the Bareiss elimination of linalg.
+the twist T_e, so from_kernel keeps those factors, and they serve its
+determinant and inverse in O(n^2) (matrix determinant lemma and Woodbury
+identity) and its isometry test in O(n); every other transform uses the
+Bareiss elimination of linalg and the dense product M^T E M.
 The Euler pairing in these coordinates has Gram matrix
 
     [[2, 0, 1],
@@ -31,7 +32,8 @@ The Euler pairing in these coordinates has Gram matrix
      [1, 0, 0]]
 
 and a transform is an equivalence-induced map only if it preserves it;
-is_mukai_isometry checks this exactly.
+is_mukai_isometry checks this exactly, and its docstring proves the
+factored test for both ranks of the form pair (alpha, gamma).
 """
 
 from __future__ import annotations
@@ -84,9 +86,9 @@ class CohTransform:
     lattice-level existence conditions (the action is still well defined).
     kernel and labels are provenance for reporting and closed-form lookups
     and do not take part in equality.  _rank_two, set only by from_kernel
-    without phi, holds the factors of the matrix, from which determinant()
-    and inverse() are computed; no other transform carries it, and shifted()
-    keeps kernel but drops it.
+    without phi, holds the factors of the matrix, from which determinant(),
+    inverse() and is_mukai_isometry are computed without an n x n product;
+    no other transform carries it, and shifted() keeps kernel but drops it.
     """
 
     source: NSLattice
@@ -241,17 +243,20 @@ class _RankTwoUpdate:
     """The factors of a kernel transform M = U V^T - T_e.
 
     u holds the columns B = (1, b, b^2/2) and D = (1, d, d^2/2), the
-    characters ch(B) and ch(D); v holds the linear forms
+    characters ch(B) and ch(D), and eu their images E B = (2 + b^2/2, -G b, 1)
+    and E D under the Euler form; v holds the linear forms
     alpha = (2 + a^2/2, G a, 1) and gamma = (2 + c^2/2, G c, 1), which give
     chi(F*A) and chi(F*C); T_e twists by e = c + d, with ge = G e and
     half_e2 = e^2/2.  T_{-e} = T_e^{-1} acts on a vector in O(n), so with
     the 2x2 matrix K = I - V^T T_{-e} U the matrix determinant lemma gives
     det M = (-1)^n det K, and the Woodbury identity (Hager, SIAM Review 31,
     1989) gives M^{-1} = -T_{-e} - (T_{-e} U K^{-1}) (V^T T_{-e}), all in
-    int and in O(n^2).
+    int and in O(n^2).  is_isometry tests M^T E M = E in O(n); the proof is
+    in is_mukai_isometry.
     """
 
     u: tuple[tuple[int, ...], tuple[int, ...]]
+    eu: tuple[tuple[int, ...], tuple[int, ...]]
     v: tuple[tuple[int, ...], tuple[int, ...]]
     e: tuple[int, ...]
     ge: tuple[int, ...]
@@ -273,12 +278,13 @@ class _RankTwoUpdate:
             t - sum(map(mul, self.ge, f)) + r * self.half_e2,
         )
 
-    def _untwist_form(self, y) -> tuple[int, ...]:
-        """The linear form y^T T_{-e}, as a row."""
+    def _twist_form(self, y, sign: int) -> tuple[int, ...]:
+        """The linear form y^T T_{sign e}, as a row: y^T T_{-e} for sign -1,
+        (T_e^T y)^T for sign 1."""
         p, *q, s = y
         return (
-            p - sum(map(mul, self.e, q)) + s * self.half_e2,
-            *(qi - s * gi for qi, gi in zip(q, self.ge)),
+            p + sign * sum(map(mul, self.e, q)) + s * self.half_e2,
+            *(qi + sign * s * gi for qi, gi in zip(q, self.ge)),
             s,
         )
 
@@ -307,11 +313,41 @@ class _RankTwoUpdate:
         # det K = +-1 is its own inverse, and the rows of V^T T_{-e}.
         p0 = tuple(det_k * (k11 * x - k10 * y) for x, y in zip(w0, w1))
         p1 = tuple(det_k * (k00 * y - k01 * x) for x, y in zip(w0, w1))
-        r0, r1 = map(self._untwist_form, self.v)
+        r0, r1 = (self._twist_form(y, -1) for y in self.v)
         untwist = _twist(tuple(-x for x in self.e), tuple(-x for x in self.ge), self.half_e2)
         return tuple(
             tuple(-z - pi * x - qi * y for x, y, z in zip(r0, r1, row))
             for pi, qi, row in zip(p0, p1, untwist)
+        )
+
+    def euler_defect(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The columns of R = V S - 2 P, with S = U^T E U and P = T_e^T E U,
+        so that 2 (M^T E M - E) = V R^T + R V^T; O(n)."""
+        (big_b, big_d), (eb, ed), (alpha, gamma) = self.u, self.eu, self.v
+        s00, s01, s11 = (sum(map(mul, x, y)) for x, y in ((big_b, eb), (big_b, ed), (big_d, ed)))
+        p0, p1 = (self._twist_form(y, 1) for y in self.eu)
+        return (
+            tuple(x * s00 + y * s01 - 2 * z for x, y, z in zip(alpha, gamma, p0)),
+            tuple(x * s01 + y * s11 - 2 * z for x, y, z in zip(alpha, gamma, p1)),
+        )
+
+    def is_isometry(self) -> bool:
+        """M^T E M = E, in O(n) from the factors; the proof is in
+        is_mukai_isometry."""
+        alpha, gamma = self.v
+        r0, r1 = self.euler_defect()
+        i = next((i for i, (x, y) in enumerate(zip(alpha, gamma)) if x != y), None)
+        if i is None:
+            return not any(map(add, r0, r1))
+        # A = adj(V_2) R_2 for the rows i and last, where V_2 = [[alpha_i, gamma_i], [1, 1]].
+        a00, a01 = r0[i] - gamma[i] * r0[-1], r1[i] - gamma[i] * r1[-1]
+        a10, a11 = alpha[i] * r0[-1] - r0[i], alpha[i] * r1[-1] - r1[i]
+        if a00 or a11 or a01 + a10:
+            return False
+        delta = alpha[i] - gamma[i]
+        return all(
+            delta * q0 == y * a10 and delta * q1 == x * a01
+            for x, y, q0, q1 in zip(alpha, gamma, r0, r1)
         )
 
 
@@ -342,8 +378,10 @@ def from_kernel(
     e = tuple(map(add, c, d))
     ga, gb, gc, gd = transpose(mat_mul(lat.gram, transpose((a, b, c, d))))
     ge = tuple(map(add, gc, gd))
+    hb, hd = _half_square(b, gb), _half_square(d, gd)
     update = _RankTwoUpdate(
-        u=((1, *b, _half_square(b, gb)), (1, *d, _half_square(d, gd))),
+        u=((1, *b, hb), (1, *d, hd)),
+        eu=((2 + hb, *(-x for x in gb), 1), (2 + hd, *(-x for x in gd), 1)),
         v=((2 + _half_square(a, ga), *ga, 1), (2 + _half_square(c, gc), *gc, 1)),
         e=e,
         ge=ge,
@@ -405,11 +443,39 @@ def is_mukai_isometry(t: CohTransform) -> bool:
     """Whether the transform preserves the Euler pairing exactly.
 
     Checked as M^T E_target M = E_source, which is equivalent to agreement
-    of euler_chi on all pairs by bilinearity.  E_target M is formed from the
-    block shape of E: row 0 is 2 M_0 + M_last, the divisor rows are
+    of euler_chi on all pairs by bilinearity.
+
+    A kernel transform with its factors, M = U V^T - T_e (see
+    _RankTwoUpdate), is tested in O(n) integer operations and forms no
+    n x n product.  A twist preserves the Euler form, T_e^T E T_e = E, so
+    with the 2x2 symmetric S = U^T E U and the n x 2 P = T_e^T E U,
+
+        M^T E M - E = V S V^T - V P^T - P V^T = (V R^T + R V^T) / 2,
+
+    where R = V S - 2 P has integer columns, each O(n) from E B, E D and
+    T_e^T y.  Both forms in V end in 1, so V has rank 1 or 2:
+
+    - alpha = gamma (rank 1, e.g. a = c): V R^T + R V^T = alpha q^T + q alpha^T
+      with q = R_0 + R_1.  Its last column is alpha q_last + q, whose last
+      entry is 2 q_last; so it vanishes iff q_last = 0 and then q = 0, that
+      is iff R_0 + R_1 = 0.
+    - alpha_i != gamma_i for some row i (rank 2): the rows i and last of V
+      form V_2 with det V_2 = delta = alpha_i - gamma_i != 0, so
+      L = adj(V_2) / delta applied to those rows is a left inverse of V,
+      L V = I.  If R = V A with A antisymmetric, V R^T + R V^T =
+      V (A^T + A) V^T = 0.  Conversely, if X = V R^T + R V^T = 0, then
+      L X L^T = A^T + A for A = L R, so A is antisymmetric, and
+      X L^T = V A^T + R, so R = V A.  In integers: adj(V_2) R_2 = delta A
+      is antisymmetric and delta R = V (delta A) row by row.
+
+    Every other transform (phi, compose, shifted, inverse results, pic1,
+    hand-built matrices) takes the dense path: E_target M is formed from
+    the block shape of E: row 0 is 2 M_0 + M_last, the divisor rows are
     -G M_mid and the last row is M_0.  Both sides are symmetric, so only
-    the upper triangle is compared.
+    the upper triangle of M^T (E M) is compared.
     """
+    if t._rank_two is not None:
+        return t._rank_two.is_isometry()
     first, *mid, last = t.matrix
     em = (
         tuple(2 * x + y for x, y in zip(first, last)),
@@ -589,12 +655,16 @@ def crosscheck_specialized(t: CohTransform, formula_id: str, grid=None) -> DiffR
     crosscheck (linalg.solve_columns) into solution rows X, residual rows R
     and a denominator d: delta_hat is X n / (d v) where R n = 0, and None
     where the difference leaves the span of H or H is degenerate.  An
-    empty entry list means exact agreement on the grid.
+    empty entry list means exact agreement on the grid.  The block is
+    square on the source lattice, so a transform onto another lattice
+    raises ValueError.
     """
     if formula_id not in CLOSED_FORMS:
         raise ValueError(
             f"unknown formula id {formula_id!r}; known: {sorted(CLOSED_FORMS)}"
         )
+    if t.source != t.target:
+        raise ValueError("crosscheck requires equal source and target lattices")
     if grid is None:
         grid = default_grid(t.source)
     if any(len(point) != t.source.rank + 2 for point in grid):

@@ -30,6 +30,7 @@ from k3fm import (
     transform_for,
     validate_reflexive,
 )
+from k3fm import transform
 from k3fm.cli import BUILDERS, _builder_transform, build_parser
 from k3fm.linalg import det, identity, inverse, mat_mul, mat_vec, rank, solve, transpose
 from k3fm.surface import Assumption, SurfaceSpec
@@ -397,7 +398,9 @@ def ladder_kernel(rank):
 
 
 @pytest.mark.parametrize("rank", [1, 2, 4, 8, 12, 20])
-def test_factored_path_matches_bareiss_on_rank_ladder(rank):
+def test_factored_path_matches_oracles_on_rank_ladder(rank):
+    """Determinant and inverse against Bareiss, the isometry test against
+    the dense product, on both branches of the latter."""
     valid = ladder_kernel(rank)
     t = from_kernel(valid)
     assert t.determinant() == (-1) ** rank
@@ -409,6 +412,12 @@ def test_factored_path_matches_bareiss_on_rank_ladder(rank):
     assert not broken.numerically_valid
     assert broken.determinant() == -35 * (-1) ** rank
     assert_factored_matches_bareiss(broken)
+    # a = c makes alpha = gamma: the rank-1 branch of the factored isometry test.
+    same = from_kernel(KernelSpec(a=valid.a, b=valid.b, c=valid.a, d=valid.b))
+    for u, isometry in ((t, True), (broken, False), (same, False)):
+        alpha, gamma = u._rank_two.v
+        assert (alpha == gamma) == (u is same)
+        assert is_mukai_isometry(u) == dense_isometry(u) == isometry
 
 
 def dense_isometry(t):
@@ -467,6 +476,94 @@ def test_isometry_check_reads_the_diagonal(scale, isometry):
     lattice = NSLattice(((-4,),))
     t = CohTransform(lattice, lattice, ((1, 0, 0), (0, scale, 0), (0, 0, 1)))
     assert is_mukai_isometry(t) == dense_isometry(t) == isometry
+
+
+LEMMA_SHAPES = ("isometry", "isometry", "near", "same alpha", "free")
+
+
+@st.composite
+def lemma_kernels(draw):
+    """Kernels on even lattices of rank 1-5, biased toward the edges of the
+    isometry lemma: (a, b, a - m, b + m) with m^2 = -4, the same with d off
+    by a basis class, c = a or a plus a radical class (alpha = gamma), and
+    free draws.  A degenerate Gram copies row and column 0 into row and
+    column 1, so e_0 - e_1 spans a radical."""
+    gram = [list(row) for row in draw(lattices(max_rank=5)).gram]
+    rank = len(gram)
+    shape = draw(st.sampled_from(LEMMA_SHAPES))
+    with_m = shape in ("isometry", "near")
+    if with_m:
+        gram[-1][-1] = -4
+    degenerate = rank - with_m > 1 and draw(st.booleans())
+    if degenerate:
+        for row in gram:
+            row[1] = row[0]
+        gram[1] = list(gram[0])
+    lattice = NSLattice(tuple(map(tuple, gram)))
+    a, b = draw(class_on(lattice)), draw(class_on(lattice))
+    if with_m:
+        m = lattice.basis(rank - 1)
+        extra = lattice.basis(0) if shape == "near" else lattice.zero()
+        return KernelSpec(a=a, b=b, c=a - m, d=b + m + extra)
+    if shape == "same alpha":
+        c = a
+        if degenerate:
+            c += draw(st.integers(-1, 1)) * (lattice.basis(0) - lattice.basis(1))
+        return KernelSpec(a=a, b=b, c=c, d=draw(class_on(lattice)))
+    return KernelSpec(a=a, b=b, c=draw(class_on(lattice)), d=draw(class_on(lattice)))
+
+
+@settings(max_examples=300)
+@given(lemma_kernels())
+def test_kernel_transform_isometry_lemma(k):
+    """from_kernel(k) is an isometry iff (a - c)^2 = -4 and a + b - c - d is
+    numerically trivial, G (a + b - c - d) = 0.  On a nondegenerate Gram
+    that is a + b = c + d, so there the verdict is numerically_valid; a
+    degenerate Gram also admits a + b - c - d in its radical."""
+    t = from_kernel(k)
+    assert t._rank_two is not None
+    excess = k.a + k.b - k.c - k.d
+    lemma = (k.a - k.c).square == -4 and not any(mat_vec(k.lattice.gram, excess.coords))
+    assert is_mukai_isometry(t) == dense_isometry(t) == lemma
+    if det(k.lattice.gram) != 0:
+        assert t.numerically_valid == lemma
+
+
+@given(lemma_kernels())
+def test_euler_defect_factors_the_dense_difference(k):
+    """2 (M^T E M - E) = V R^T + R V^T, the identity the factored test reads."""
+    t = from_kernel(k)
+    v, r = (transpose(pair) for pair in (t._rank_two.v, t._rank_two.euler_defect()))
+    vr, rv = mat_mul(v, transpose(r)), mat_mul(r, transpose(v))
+    m, e = t.matrix, euler_gram(t.source)
+    dense = mat_mul(mat_mul(transpose(m), e), m)
+    assert all(
+        2 * (x - y) == p + q
+        for drow, erow, prow, qrow in zip(dense, e, vr, rv)
+        for x, y, p, q in zip(drow, erow, prow, qrow)
+    )
+
+
+def test_factored_isometry_forms_no_dense_product(monkeypatch):
+    """A kernel transform with its factors is tested without mat_mul or
+    euler_gram; transforms without factors still take the dense path."""
+    k = ladder_kernel(8)
+    t = from_kernel(k)
+    phi, target = sheared(k.lattice)
+    others = [t.shifted(), compose(t, t), from_kernel(k, target=target, phi=phi), t.inverse()]
+    calls = []
+    for name in ("mat_mul", "euler_gram"):
+        real = getattr(transform, name)
+        monkeypatch.setattr(
+            transform, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
+        )
+    assert is_mukai_isometry(t)
+    assert calls == []
+    for other in others:
+        assert other._rank_two is None
+        calls.clear()
+        assert is_mukai_isometry(other)
+        assert set(calls) == {"mat_mul", "euler_gram"}
 
 
 def crosscheck_by_points(t, formula_id, grid=None):
@@ -651,6 +748,19 @@ def test_crosscheck_rejects_wrong_length_points():
     t = nondeg_transform()
     with pytest.raises(ValueError, match="wrong length"):
         crosscheck_specialized(t, "reflexive_nondegenerate", [(0, 0, 0, 0), (1, 0, 0)])
+
+
+def test_crosscheck_rejects_transform_onto_another_lattice():
+    # The block is square on the source; the engine matrix has target-sized rows.
+    src, tgt = NSLattice(((0, 0), (0, 0))), NSLattice(((0,),))
+    k = KernelSpec(a=src.basis(0), b=src.zero(), c=src.zero(), d=src.basis(1))
+    labels = (("a", k.a), ("b", k.b), ("c", k.c), ("d", k.d))
+    t = from_kernel(k, labels, target=tgt, phi=((1, 0),))
+    with pytest.raises(ValueError, match="equal source and target"):
+        crosscheck_specialized(t, "general", [(1, 0, 0, 0)])
+    with_hats = from_kernel(k, labels + (("hhat", k.a), ("lhat", k.d)), target=tgt, phi=((1, 0),))
+    with pytest.raises(ValueError, match="equal source and target"):
+        crosscheck_specialized(with_hats, "general")
 
 
 def test_crosscheck_unknown_formula():
