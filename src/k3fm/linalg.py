@@ -43,12 +43,21 @@ def _integer(x) -> int:
 
 
 def integer_matrix(rows) -> Matrix:
-    """The rows as int tuples; integral Fractions convert, others raise ValueError."""
-    return tuple(tuple(_integer(x) for x in row) for row in rows)
+    """The rows as int tuples; integral Fractions convert, others raise ValueError.
+
+    A row that is already a tuple of exact ints (no bool, no subclass) is
+    kept as it is, without a pass over its entries; every other row is
+    converted entry by entry.
+    """
+    return tuple(
+        row if type(row) is tuple and set(map(type, row)) <= {int} else tuple(map(_integer, row))
+        for row in rows
+    )
 
 
 def identity(n: int) -> Matrix:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    """The n x n identity, each row joined from two runs of zeros around a one."""
+    return tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n))
 
 
 def transpose(m) -> Matrix:

@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from operator import add, mul
+from operator import add, mul, sub
 
 from . import linalg
 from .kernel import KernelSpec
@@ -84,6 +84,9 @@ class CohTransform:
     homological shift; the matrix already contains any resulting signs.
     numerically_valid is False when the originating kernel fails the
     lattice-level existence conditions (the action is still well defined).
+    For a kernel transform it is the paper's exact condition, a + b = c + d
+    and (a - c)^2 = -4, which differs from is_mukai_isometry only on a
+    degenerate Gram: there a + b - c - d may also lie in the radical.
     kernel and labels are provenance for reporting and closed-form lookups
     and do not take part in equality.  _rank_two, set only by from_kernel
     without phi, holds the factors of the matrix, from which determinant(),
@@ -365,7 +368,13 @@ def from_kernel(
     factors).  Every x^2/2 is an integer because the lattice is even.
     kernel_action_vector stays the reference the tests check this matrix
     against.  Without phi the factors are kept on the transform, and its
-    determinant and inverse come from them.
+    determinant and inverse come from them.  G a, G b, G c and G d are
+    row dot products with the Gram, and numerically_valid (a + b = c + d
+    and (a - c)^2 / 2 = -2) is read from them and the coordinates, so
+    without phi no matrix product is formed and no DivisorClass is built.
+    numerically_valid agrees with is_mukai_isometry except on a degenerate
+    Gram, where the isometry also admits a + b - c - d in the radical;
+    numerically_valid keeps the paper's equality.
 
     phi, when given, is an isometry matrix taking source NS coordinates to
     target NS coordinates (phi^T G_target phi = G_source) and is applied as
@@ -376,7 +385,7 @@ def from_kernel(
     lat = kernel.lattice
     a, b, c, d = (x.coords for x in (kernel.a, kernel.b, kernel.c, kernel.d))
     e = tuple(map(add, c, d))
-    ga, gb, gc, gd = transpose(mat_mul(lat.gram, transpose((a, b, c, d))))
+    ga, gb, gc, gd = (tuple(sum(map(mul, row, x)) for row in lat.gram) for x in (a, b, c, d))
     ge = tuple(map(add, gc, gd))
     hb, hd = _half_square(b, gb), _half_square(d, gd)
     update = _RankTwoUpdate(
@@ -410,10 +419,7 @@ def from_kernel(
     auto = ()
     if phi is None:
         auto = (("a", kernel.a), ("b", kernel.b), ("c", kernel.c), ("d", kernel.d))
-    valid = (
-        kernel.a + kernel.b == kernel.c + kernel.d
-        and (kernel.a - kernel.c).square == -4
-    )
+    valid = tuple(map(add, a, b)) == e and _half_square(map(sub, a, c), map(sub, ga, gc)) == -2
     return CohTransform(
         source=lat,
         target=tgt,
@@ -633,10 +639,18 @@ def default_grid(lattice: NSLattice) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _over(nums, den) -> tuple[Fraction, ...]:
-    """The Fractions n/den, each built once; den 1 skips the gcd."""
+class _Integers(dict):
+    """Fraction(n) for each int n, built the first time n is looked up."""
+
+    def __missing__(self, n) -> Fraction:
+        q = self[n] = Fraction(n)
+        return q
+
+
+def _over(nums, den, integers: _Integers) -> tuple[Fraction, ...]:
+    """The Fractions n/den; den 1 takes them from integers, with no gcd."""
     if den == 1:
-        return tuple(map(Fraction, nums))
+        return tuple(map(integers.__getitem__, nums))
     return tuple(Fraction(n, den) for n in nums)
 
 
@@ -648,7 +662,8 @@ def crosscheck_specialized(t: CohTransform, formula_id: str, grid=None) -> DiffR
     A grid point x, with integer numerators n over a denominator v, is a
     disagreement exactly where Delta n is nonzero; it is recorded with the
     engine value M n / v, the closed-form value (M n + Delta n) / v and
-    their difference Delta n / v, each Fraction built once from ints.
+    their difference Delta n / v, each Fraction built from ints; where
+    v = 1, the call builds one Fraction per integer value and shares it.
     For reflexive formulas, when the transform names hhat and lhat, the
     divisor part of the difference is also expressed in their basis H.
     That map is linear in x, so [H | Delta_mid] is eliminated once per
@@ -680,6 +695,7 @@ def crosscheck_specialized(t: CohTransform, formula_id: str, grid=None) -> DiffR
     if "hhat" in labels and "lhat" in labels:
         hats = transpose((labels["hhat"].coords, labels["lhat"].coords))
         hat_map = linalg.solve_columns(hats, delta_matrix[1:-1])
+    integers = _Integers()
     entries = []
     for point in grid:
         if all(type(x) is int for x in point):
@@ -697,10 +713,10 @@ def crosscheck_specialized(t: CohTransform, formula_id: str, grid=None) -> DiffR
                 delta_hat = tuple(Fraction(sum(map(mul, row, nums)), d * vden) for row in x_rows)
         entries.append(
             DiffEntry(
-                input=tuple(map(Fraction, point)),
-                engine=_over(engine, vden),
-                closed_form=_over(map(add, engine, diff), vden),
-                delta=_over(diff, vden),
+                input=_over(nums, vden, integers),
+                engine=_over(engine, vden, integers),
+                closed_form=_over(map(add, engine, diff), vden, integers),
+                delta=_over(diff, vden, integers),
                 delta_hat=delta_hat,
             )
         )

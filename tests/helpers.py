@@ -68,3 +68,30 @@ def grid_vectors(lattice, r_bound=3, f_bound=3, t_bound=5):
     for _ in range(lattice.rank):
         fs = [prefix + (v,) for prefix in fs for v in range(-f_bound, f_bound + 1)]
     return [(r, *f, t) for r in rs for f in fs for t in ts]
+
+
+@st.composite
+def unimodular_pairs(draw, n, max_steps=8):
+    """An n x n integer matrix P of determinant +-1 and its inverse Q.
+
+    P is a product of elementary matrices, each a shear I + s E_ij (i != j)
+    or the negation of one coordinate; Q multiplies their inverses in the
+    reverse order, so Q P = I holds by construction, with no elimination.
+    """
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    q = [row[:] for row in p]
+    for _ in range(draw(st.integers(0, max_steps))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            # P <- P N and Q <- N Q, with N = N^-1 negating coordinate i.
+            for row in p:
+                row[i] = -row[i]
+            q[i] = [-x for x in q[i]]
+            continue
+        s = draw(st.sampled_from((-2, -1, 1, 2)))
+        # P <- P (I + s E_ij) adds s times column i to column j;
+        # Q <- (I - s E_ij) Q subtracts s times row j from row i.
+        for row in p:
+            row[j] += s * row[i]
+        q[i] = [x - s * y for x, y in zip(q[i], q[j])]
+    return tuple(map(tuple, p)), tuple(map(tuple, q))

@@ -226,3 +226,47 @@ def test_mat_vec_is_exact():
     got = linalg.mat_vec(((1, 2), (3, -4)), (Fraction(1, 2), Fraction(1, 3)))
     assert got == (Fraction(7, 6), Fraction(1, 6))
     assert all(type(x) is Fraction for x in got)
+
+
+def integer_matrix_by_entries(rows):
+    """Reference: every entry through _integer, or the ValueError's text."""
+    try:
+        return tuple(tuple(linalg._integer(x) for x in row) for row in rows)
+    except ValueError as error:
+        return str(error)
+
+
+MIXED_ENTRIES = st.one_of(
+    ENTRIES,
+    st.booleans(),
+    ENTRIES.map(Fraction),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+MIXED_ROWS = st.lists(MIXED_ENTRIES, max_size=5).flatmap(
+    lambda row: st.sampled_from((tuple(row), list(row)))
+)
+
+
+@given(st.lists(st.one_of(MIXED_ROWS, st.lists(ENTRIES, max_size=5).map(tuple)), max_size=5))
+def test_integer_matrix_matches_per_entry_conversion(rows):
+    """Rows of int, bool, integral and non-integral Fraction, as tuples and
+    lists: the same matrix as entry-by-entry conversion, or the same error.
+    A tuple of exact ints is returned as the same object."""
+    expected = integer_matrix_by_entries(rows)
+    try:
+        got = linalg.integer_matrix(rows)
+    except ValueError as error:
+        assert str(error) == expected
+        return
+    assert got == expected
+    assert all(type(row) is tuple and all(type(x) is int for x in row) for row in got)
+    for row, out in zip(rows, got):
+        if type(row) is tuple and all(type(x) is int for x in row):
+            assert out is row
+
+
+def test_identity_matches_its_definition():
+    for n in range(26):
+        got = linalg.identity(n)
+        assert got == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        assert all(type(x) is int for row in got for x in row)

@@ -1,4 +1,5 @@
 import functools
+import operator
 import random
 from fractions import Fraction
 from hashlib import sha256
@@ -30,6 +31,7 @@ from k3fm import (
     transform_for,
     validate_reflexive,
 )
+from k3fm import lattice as lattice_module
 from k3fm import transform
 from k3fm.cli import BUILDERS, _builder_transform, build_parser
 from k3fm.linalg import det, identity, inverse, mat_mul, mat_vec, rank, solve, transpose
@@ -45,7 +47,15 @@ from k3fm.transform import (
     vector_to_ch,
 )
 
-from helpers import SQUARE_MINUS_4, characters_on, class_on, grid_vectors, kernels, lattices
+from helpers import (
+    SQUARE_MINUS_4,
+    characters_on,
+    class_on,
+    grid_vectors,
+    kernels,
+    lattices,
+    unimodular_pairs,
+)
 
 REFLEXIVE = NSLattice(((2, 0), (0, -12)))
 H = DivisorClass(REFLEXIVE, (1, 0))
@@ -564,6 +574,91 @@ def test_factored_isometry_forms_no_dense_product(monkeypatch):
         calls.clear()
         assert is_mukai_isometry(other)
         assert set(calls) == {"mat_mul", "euler_gram"}
+
+
+def test_numerically_valid_keeps_the_paper_condition_on_a_degenerate_gram():
+    """a + b - c - d = -e_0 lies in the radical of G, so the transform is an
+    isometry, yet a + b != c + d: the two verdicts differ, as only a
+    degenerate Gram allows."""
+    lattice = NSLattice(((0, 0), (0, -4)))
+    a, b, c, d = map(lattice.cls, ((1, -3), (-1, 3), (1, -4), (0, 4)))
+    t = from_kernel(KernelSpec(a=a, b=b, c=c, d=d))
+    assert is_mukai_isometry(t) and dense_isometry(t)
+    assert not t.numerically_valid
+
+
+@settings(max_examples=300)
+@given(lemma_kernels())
+def test_numerically_valid_matches_class_arithmetic(k):
+    """from_kernel reads numerically_valid from coordinates and G x; it is
+    the class-level condition, degenerate Grams included."""
+    expected = k.a + k.b == k.c + k.d and (k.a - k.c).square == -4
+    assert from_kernel(k).numerically_valid == expected
+
+
+def test_from_kernel_forms_no_product_and_no_class(monkeypatch):
+    """Without phi, from_kernel calls no mat_mul and no intersect and builds
+    no DivisorClass; the counters do see the phi path and class arithmetic."""
+    k = ladder_kernel(8)
+    phi, target = sheared(k.lattice)
+    calls = []
+    patched = (
+        (transform, "mat_mul"),
+        (linalg, "mat_mul"),
+        (transform, "intersect"),
+        (lattice_module, "intersect"),
+    )
+    for module, name in patched:
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
+        )
+    real_init = DivisorClass.__post_init__
+    monkeypatch.setattr(
+        DivisorClass, "__post_init__", lambda self: calls.append("DivisorClass") or real_init(self)
+    )
+    t = from_kernel(k)
+    assert calls == []
+    assert t.numerically_valid
+    from_kernel(k, target=target, phi=phi)
+    assert "mat_mul" in calls
+    calls.clear()
+    assert (k.a - k.c).square == -4
+    assert calls == ["DivisorClass", "intersect"]
+
+
+def conjugated(q, m, p):
+    """diag(1, q, 1) m diag(1, p, 1), for the coordinates (r, f, ch2)."""
+
+    def extended(x):
+        n = len(x)
+        return ((1, *(0,) * n, 0), *((0, *row, 0) for row in x), (0, *(0,) * n, 1))
+
+    return mat_mul(mat_mul(extended(q), m), extended(p))
+
+
+@given(st.one_of(lemma_kernels(), any_kernels), st.data())
+def test_kernel_transform_under_change_of_basis(k, data):
+    """A unimodular P with x_old = P x_new and G' = P^T G P: the matrix and
+    the inverse are conjugated by diag(1, P, 1), and numerical validity,
+    the isometry verdict and the determinant do not change."""
+    p, q = data.draw(unimodular_pairs(k.lattice.rank))
+    moved_lattice = NSLattice(mat_mul(mat_mul(transpose(p), k.lattice.gram), p))
+
+    def moved(x):
+        return moved_lattice.cls(sum(map(operator.mul, row, x.coords)) for row in q)
+
+    t = from_kernel(k)
+    u = from_kernel(KernelSpec(a=moved(k.a), b=moved(k.b), c=moved(k.c), d=moved(k.d)))
+    assert u.matrix == conjugated(q, t.matrix, p)
+    assert u.numerically_valid == t.numerically_valid
+    assert is_mukai_isometry(u) == is_mukai_isometry(t)
+    assert u.determinant() == t.determinant()
+    inverse_t = outcome(lambda: t.inverse().matrix)
+    if isinstance(inverse_t, str):
+        assert outcome(lambda: u.inverse().matrix) == inverse_t
+    else:
+        assert u.inverse().matrix == conjugated(q, inverse_t, p)
 
 
 def crosscheck_by_points(t, formula_id, grid=None):
