@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .linalg import exact_int
+
 __all__ = [
     "LatticeMismatchError",
     "NSLattice",
@@ -30,15 +32,6 @@ class LatticeMismatchError(ValueError):
     """Raised when an operation mixes classes from incompatible lattices."""
 
 
-def _check_int(value, what: str) -> int:
-    if type(value) is int:
-        return value
-    # bool is an int subclass, but True is not a coordinate or a Gram entry.
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class NSLattice:
     """A free Z-module with an even symmetric bilinear form, given by its Gram matrix.
@@ -51,7 +44,7 @@ class NSLattice:
 
     def __post_init__(self):
         rows = tuple(
-            tuple(_check_int(e, f"gram entry ({i},{j})") for j, e in enumerate(row))
+            tuple(exact_int(e, f"gram entry ({i},{j})") for j, e in enumerate(row))
             for i, row in enumerate(self.gram)
         )
         object.__setattr__(self, "gram", rows)
@@ -97,7 +90,7 @@ class DivisorClass:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        coords = tuple(_check_int(c, "divisor coordinate") for c in self.coords)
+        coords = tuple(exact_int(c, "divisor coordinate") for c in self.coords)
         object.__setattr__(self, "coords", coords)
         if len(coords) != self.lattice.rank:
             raise LatticeMismatchError(
@@ -120,7 +113,8 @@ class DivisorClass:
         return DivisorClass(self.lattice, tuple(-a for a in self.coords))
 
     def __mul__(self, scalar: int) -> DivisorClass:
-        if not isinstance(scalar, int):
+        # bool is an int subclass, but True is not a scalar.
+        if type(scalar) is bool or not isinstance(scalar, int):
             return NotImplemented
         return DivisorClass(self.lattice, tuple(scalar * a for a in self.coords))
 

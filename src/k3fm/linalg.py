@@ -7,6 +7,10 @@ up to sign, a minor of the input (Sylvester's identity below the pivots,
 Cramer's rule in the pivot rows), so each division by the previous pivot
 is exact and the entries stay integers.  Quotients are taken with //,
 never /, which would turn two ints into a float.
+
+Every number a caller passes into the package goes through exact_int (an
+int or an integral Fraction) or exact_rational (an int or a Fraction); both
+reject bool, float, str and anything else with a ValueError.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from operator import mul
 
 __all__ = [
     "Matrix",
+    "exact_int",
+    "exact_rational",
     "integer_matrix",
     "identity",
     "transpose",
@@ -33,24 +39,41 @@ __all__ = [
 Matrix = tuple[tuple[int, ...], ...]
 
 
-def _integer(x) -> int:
-    if type(x) is int:
-        return x
-    q = Fraction(x)
-    if q.denominator != 1:
-        raise ValueError(f"matrix entry {q} is not an integer")
-    return q.numerator
+def exact_int(value, what: str, low: int | None = None) -> int:
+    """value as an int, if it is an int or an integral Fraction of at least low."""
+    if type(value) is int and (low is None or value >= low):
+        return value
+    if (
+        type(value) is not bool
+        and isinstance(value, (int, Fraction))
+        and value.denominator == 1
+        and (low is None or value >= low)
+    ):
+        return int(value)
+    expected = {None: "an integer", 0: "a non-negative integer"}.get(low, f"an integer >= {low}")
+    raise ValueError(f"{what} must be {expected}, got {value!r}")
+
+
+def exact_rational(value, what: str) -> Fraction:
+    """value as a Fraction, if it is an int or a Fraction."""
+    if type(value) is Fraction:
+        return value
+    if type(value) is not bool and isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise ValueError(f"{what} must be an integer or a Fraction, got {value!r}")
 
 
 def integer_matrix(rows) -> Matrix:
-    """The rows as int tuples; integral Fractions convert, others raise ValueError.
+    """The rows as int tuples, each entry through exact_int.
 
     A row that is already a tuple of exact ints (no bool, no subclass) is
     kept as it is, without a pass over its entries; every other row is
     converted entry by entry.
     """
     return tuple(
-        row if type(row) is tuple and set(map(type, row)) <= {int} else tuple(map(_integer, row))
+        row
+        if type(row) is tuple and set(map(type, row)) <= {int}
+        else tuple(exact_int(x, "matrix entry") for x in row)
         for row in rows
     )
 
@@ -71,7 +94,7 @@ def mat_mul(a, b) -> Matrix:
 
 def scaled(v) -> tuple[list[int], int]:
     """Integer numerators of a rational vector over its common denominator."""
-    v = [Fraction(x) for x in v]
+    v = [exact_rational(x, "vector entry") for x in v]
     den = lcm(*(x.denominator for x in v))
     return [x.numerator * (den // x.denominator) for x in v], den
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .errors import RejectionError
 from .lattice import DivisorClass, degree, intersect
-from .linalg import rank
+from .linalg import exact_int, exact_rational, rank
 from .mukai import MukaiVector, ch_to_mukai, ideal_sheaf_ch, sign_normalized
 from .surface import SurfaceSpec
 from .transform import CohTransform
@@ -108,8 +108,7 @@ def es_relation(lsq: int) -> int:
     Defined only for lsq divisible by 4 and at least -8; outside that
     range no section configuration is compatible.
     """
-    if not isinstance(lsq, int) or isinstance(lsq, bool):
-        raise ValueError(f"class square must be an integer, got {lsq!r}")
+    lsq = exact_int(lsq, "class square")
     if lsq % 4 != 0:
         raise ValueError(f"class square {lsq} is not divisible by 4; no zero-locus length fits")
     if lsq < -8:
@@ -127,8 +126,7 @@ def strata_chain(
     a=None,
 ) -> StrataReport:
     """Evaluate the slope chain, independence, and the optional gap predicate."""
-    if not isinstance(z, int) or isinstance(z, bool):
-        raise ValueError(f"stratum length z must be an integer, got {z!r}")
+    z = exact_int(z, "stratum length z")
     if not surface.declares("ample", h):
         raise RejectionError(
             "h is not declared ample on this surface; slopes need a polarization"
@@ -148,7 +146,7 @@ def strata_chain(
     )
     lemma = None
     if a is not None:
-        bound = Fraction(a)
+        bound = exact_rational(a, "window bound a")
         in_window = bound < mu_m < mu_l - bound
         gap = intersect(l, m) - m.square
         gap_holds = gap > z
@@ -172,8 +170,7 @@ def check_ample_primitive(l: DivisorClass, n: int, h: DivisorClass, *, surface: 
     forced zero-locus length for l^2.  Returns True when the system is
     inconsistent, i.e. the configuration is excluded.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ValueError(f"multiplier n must be an integer >= 2, got {n!r}")
+    n = exact_int(n, "multiplier n", low=2)
     if l != n * h:
         raise ValueError("l is not the stated multiple of h")
     if not surface.declares("ample", h):
@@ -200,8 +197,7 @@ def hilb_moduli_vector(T: CohTransform, n: int, flavor: str) -> MukaiVector:
     """
     if flavor not in HILB_FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}; expected one of {HILB_FLAVORS}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"number of points must be a non-negative integer, got {n!r}")
+    n = exact_int(n, "number of points", low=0)
     if T.kernel is None:
         raise ValueError("transform carries no kernel data; the flavor check needs b and d")
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import DivisorClass, NSLattice, intersect
+from .linalg import exact_int, exact_rational
 
 __all__ = [
     "ChernCharacter",
@@ -36,13 +37,8 @@ __all__ = [
 ]
 
 
-def _is_int(value) -> bool:
-    # bool is an int subclass, but True is not a rank or a number of points.
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _half_rational(value, what: str) -> Fraction:
-    q = Fraction(value)
+    q = exact_rational(value, what)
     if q.denominator not in (1, 2):
         raise ValueError(f"{what} must have denominator 1 or 2, got {q}")
     return q
@@ -57,8 +53,7 @@ class ChernCharacter:
     t: Fraction
 
     def __post_init__(self):
-        if not _is_int(self.r):
-            raise ValueError(f"rank must be an integer, got {self.r!r}")
+        object.__setattr__(self, "r", exact_int(self.r, "rank"))
         object.__setattr__(self, "t", _half_rational(self.t, "ch_2"))
 
     @property
@@ -78,8 +73,7 @@ class MukaiVector:
     s: Fraction
 
     def __post_init__(self):
-        if not _is_int(self.r):
-            raise ValueError(f"rank must be an integer, got {self.r!r}")
+        object.__setattr__(self, "r", exact_int(self.r, "rank"))
         object.__setattr__(self, "s", _half_rational(self.s, "Mukai degree-four part"))
 
     @property
@@ -104,8 +98,6 @@ def mukai_to_ch(v: MukaiVector) -> ChernCharacter:
 
 def mukai_pairing(v: MukaiVector, w: MukaiVector) -> Fraction:
     """The Mukai pairing <v, w> = f_v.f_w - r_v s_w - r_w s_v."""
-    if v.lattice != w.lattice:
-        raise ValueError("Mukai vectors live on different lattices")
     return Fraction(intersect(v.f, w.f)) - v.r * w.s - w.r * v.s
 
 
@@ -151,22 +143,19 @@ def point_ch(lattice: NSLattice) -> ChernCharacter:
 
 def ideal_sheaf_ch(lattice: NSLattice, n: int) -> ChernCharacter:
     """ch of the ideal sheaf of n points: (1, 0, -n)."""
-    if not _is_int(n) or n < 0:
-        raise ValueError(f"number of points must be a non-negative integer, got {n!r}")
+    n = exact_int(n, "number of points", low=0)
     return ChernCharacter(1, lattice.zero(), Fraction(-n))
 
 
 def twisted_ideal_ch(l: DivisorClass, n: int) -> ChernCharacter:
     """ch of O(l) tensor I_Z for a length-n subscheme Z: (1, l, l.l/2 - n)."""
-    if not _is_int(n) or n < 0:
-        raise ValueError(f"subscheme length must be a non-negative integer, got {n!r}")
+    n = exact_int(n, "subscheme length", low=0)
     return ChernCharacter(1, l, Fraction(l.square, 2) - n)
 
 
 def extension_ch(m: DivisorClass, l: DivisorClass, n: int) -> ChernCharacter:
     """ch of a rank-2 extension of O(l) I_Z by O(m): (2, m + l, m.m/2 + l.l/2 - n)."""
-    if not _is_int(n) or n < 0:
-        raise ValueError(f"subscheme length must be a non-negative integer, got {n!r}")
+    n = exact_int(n, "subscheme length", low=0)
     t = Fraction(m.square, 2) + Fraction(l.square, 2) - n
     ch = ChernCharacter(2, m + l, t)
     assert ch.t.denominator == 1, "sheaf classes have integral ch_2"

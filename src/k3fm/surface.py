@@ -160,7 +160,7 @@ def surface_spec_from_dict(data: dict) -> SurfaceSpec:
     except ValueError as exc:
         raise SurfaceSpecError(str(exc)) from None
     rank = data.get("rank", lattice.rank)
-    if isinstance(rank, bool) or not isinstance(rank, int):
+    if type(rank) is not int:
         raise SurfaceSpecError(f'"rank" must be an integer, got {rank!r}')
     if rank != lattice.rank:
         raise SurfaceSpecError(f'"rank" is {rank} but the gram matrix has rank {lattice.rank}')
@@ -196,11 +196,15 @@ def load_surface_spec(path) -> SurfaceSpec:
     """Read a surface description from a JSON file.
 
     Parse errors (bad JSON) surface as json.JSONDecodeError with line and
-    column; a key repeated within one object and semantic violations
-    surface as SurfaceSpecError.
+    column; nesting too deep to parse, a key repeated within one object and
+    semantic violations surface as SurfaceSpecError.
     """
     text = Path(path).read_text()
-    return surface_spec_from_dict(json.loads(text, object_pairs_hook=_unique_keys))
+    try:
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise SurfaceSpecError("surface JSON is nested too deeply to parse") from None
+    return surface_spec_from_dict(data)
 
 
 _COORDS_RE = re.compile(r"^[+-]?\d+(,[+-]?\d+)*$")

@@ -166,8 +166,7 @@ def ch_vector(c: ChernCharacter) -> tuple[Fraction, ...]:
     return (Fraction(c.r), *(Fraction(x) for x in c.f.coords), c.t)
 
 
-def vector_to_ch(lattice: NSLattice, vec) -> ChernCharacter:
-    vec = tuple(Fraction(x) for x in vec)
+def vector_to_ch(lattice: NSLattice, vec: tuple[Fraction, ...]) -> ChernCharacter:
     r = vec[0]
     if r.denominator != 1:
         raise ValueError(f"rank component {r} is not an integer")
@@ -203,7 +202,7 @@ def kernel_action_vector(kernel: KernelSpec, vec) -> tuple[Fraction, ...]:
     """
     lat = kernel.lattice
     k = lat.rank
-    vec = tuple(Fraction(x) for x in vec)
+    vec = tuple(linalg.exact_rational(x, "vector entry") for x in vec)
     if len(vec) != k + 2:
         raise ValueError("coordinate vector has the wrong length for the kernel lattice")
     r, t = vec[0], vec[-1]

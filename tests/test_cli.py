@@ -77,6 +77,14 @@ def test_surface_validate_rejects_duplicate_keys(tmp_path, capsys):
     assert "'h' appears twice" in message
 
 
+def test_surface_validate_rejects_deep_nesting(tmp_path, capsys):
+    # Deep enough to exhaust any stack depth the test runner leaves free.
+    depth = 100_000
+    text = '{"gram": ' + "[" * depth + "]" * depth + "}"
+    message = surface_input_error(tmp_path, capsys, text)
+    assert "nested too deeply" in message
+
+
 @pytest.mark.parametrize(
     "surface, what",
     [

@@ -85,7 +85,7 @@ def test_inverse_rejects_non_unimodular(m, d):
 
 
 def test_non_integral_entry_is_rejected():
-    with pytest.raises(ValueError, match="not an integer"):
+    with pytest.raises(ValueError, match=r"must be an integer, got Fraction\(1, 2\)"):
         linalg.det([[Fraction(1, 2)]])
     assert linalg.integer_matrix([[Fraction(-4, 2)]]) == ((-2,),)
 
@@ -229,9 +229,9 @@ def test_mat_vec_is_exact():
 
 
 def integer_matrix_by_entries(rows):
-    """Reference: every entry through _integer, or the ValueError's text."""
+    """Reference: every entry through exact_int, or the ValueError's text."""
     try:
-        return tuple(tuple(linalg._integer(x) for x in row) for row in rows)
+        return tuple(tuple(linalg.exact_int(x, "matrix entry") for x in row) for row in rows)
     except ValueError as error:
         return str(error)
 

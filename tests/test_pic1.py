@@ -77,7 +77,7 @@ def test_solution_constructor_validates():
             n=1, lsq=8, z=5, c=good.c, x=good.x, alpha=good.alpha, y=good.y,
             matrix=good.matrix, det=good.det,
         )
-    with pytest.raises(ValueError, match="x does not satisfy"):
+    with pytest.raises(ValueError, match="constraint residuals do not vanish"):
         Pic1Solution(
             n=1, lsq=12, z=5, c=good.c, x=good.x + 2, alpha=good.alpha, y=good.y,
             matrix=good.matrix, det=good.det,
@@ -87,6 +87,20 @@ def test_solution_constructor_validates():
             n=1, lsq=12, z=5, c=good.c, x=good.x, alpha=good.alpha, y=good.y,
             matrix=good.matrix, det=-good.det,
         )
+
+
+@given(st.integers(min_value=0, max_value=10**6))
+def test_solutions_satisfy_closed_forms(n):
+    """What Pic1Solution no longer checks, since its residuals imply it."""
+    z = 2 * n + 3
+    for sol in solve_constraints(n):
+        c = sol.c
+        assert sol.x == z - 4 - 2 * c
+        assert sol.alpha == 2 * c * (2 + c)
+        assert sol.y == c + 2
+        assert (z + 2 * c) ** 2 == 1
+        image = tuple(2 * row[0] + row[1] + (z - 4) * row[2] for row in sol.matrix)
+        assert image == (0, 0, 1)
 
 
 @given(st.integers(min_value=0, max_value=40))

@@ -1,6 +1,9 @@
+from operator import mul
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3fm import (
     Assumption,
@@ -8,6 +11,7 @@ from k3fm import (
     DecompositionError,
     DivisorClass,
     NSLattice,
+    RejectionError,
     ReflexiveViolation,
     SurfaceSpec,
     build_kernel,
@@ -20,14 +24,20 @@ from k3fm import (
     degree,
     from_kernel,
     hat_classes,
+    hilb_moduli_vector,
     intersect,
     is_mukai_isometry,
     load_surface_spec,
+    mukai_pairing,
     standard_spec,
     transform_for,
     validate_reflexive,
 )
 from k3fm.cli import _json
+from k3fm.linalg import mat_mul, transpose
+from k3fm.reflexive import KERNEL_VARIANTS
+
+from helpers import unimodular_pairs
 
 SURFACES = Path(__file__).resolve().parent.parent / "surfaces"
 
@@ -310,15 +320,93 @@ def test_case_analysis_contained_in_brute_force(rs):
     assert pair_key(dec) in keys
 
 
+REJECTED = [
+    component_surface(("c1", "c2"), {"c1": 2, "c2": 2}, {("c1", "c2"): 1}),
+    component_surface(("a", "a", "b"), {"a": 1, "b": 2}),
+    component_surface(("u", "u", "u", "v"), {"u": 1, "v": 1}),
+    component_surface(("a", "b", "c", "d"), {"a": 1, "b": 1, "c": 1, "d": 1}),
+]
+
+
 def test_brute_force_empty_on_rejected_configurations():
-    rejected = [
-        component_surface(("c1", "c2"), {"c1": 2, "c2": 2}, {("c1", "c2"): 1}),
-        component_surface(("a", "a", "b"), {"a": 1, "b": 2}),
-        component_surface(("u", "u", "u", "v"), {"u": 1, "v": 1}),
-        component_surface(("a", "b", "c", "d"), {"a": 1, "b": 1, "c": 1, "d": 1}),
-    ]
-    for rs in rejected:
+    for rs in REJECTED:
         assert decompose_brute_force(rs) == []
+
+
+def moved_spec(spec, p, q):
+    """spec in the basis with x_old = P x_new: Gram P^T G P and each class Q x."""
+    lattice = NSLattice(mat_mul(mat_mul(transpose(p), spec.lattice.gram), p))
+    named = tuple(
+        (name, lattice.cls(sum(map(mul, row, dc.coords)) for row in q)) for name, dc in spec.named
+    )
+    return SurfaceSpec(lattice, named, spec.assumptions)
+
+
+def reflexive_verdicts(spec, old):
+    """Every reflexive verdict on spec, each class given as old(coords), its
+    coordinates in the original basis, and each rejection by type and text."""
+
+    def outcome(compute):
+        try:
+            return compute()
+        except RejectionError as error:
+            return type(error).__name__, str(error)
+
+    def pair(dec):
+        return frozenset((old(dec.d1.coords), old(dec.d2.coords)))
+
+    rs = outcome(lambda: validate_reflexive(spec))
+    if isinstance(rs, tuple):
+        return rs
+    verdicts = {"degenerate": rs.degenerate}
+    if rs.curves:
+        dec = outcome(lambda: decompose_l2h(rs))
+        verdicts["brute_force"] = {pair(found) for found in decompose_brute_force(rs)}
+        verdicts["decomposition"] = dec if isinstance(dec, tuple) else pair(dec)
+        if not isinstance(dec, tuple):
+            report = outcome(lambda: classify_type(rs, dec))
+            verdicts["type"] = report if isinstance(report, tuple) else (
+                report.surface_type, report.deg_d1, report.deg_d2
+            )
+    for variant in KERNEL_VARIANTS:
+        t = outcome(lambda: transform_for(rs, variant))
+        if isinstance(t, tuple):
+            verdicts[variant] = t
+            continue
+        vectors = [hilb_moduli_vector(t, n, "reflexive") for n in range(4)]
+        verdicts[variant] = check_sufficient(t.kernel).verdict, [
+            (v.r, v.s, old(v.f.coords), mukai_pairing(v, v)) for v in vectors
+        ]
+    return verdicts
+
+
+BASIS_CASES = [
+    standard_spec(),
+    *(load_surface_spec(path) for path in sorted(SURFACES.glob("*.json"))),
+    *(rs.spec for rs in ADMITTED + REJECTED),
+    component_surface(
+        ("a", "b", "c"),
+        {"a": 1, "b": 1, "c": 2},
+        {("a", "b"): -1, ("a", "c"): 1, ("b", "c"): 1},
+    ).spec,
+    component_surface(
+        ("a", "b", "c", "d"), {"a": 1, "b": 1, "c": 1, "d": 1}, {("a", "b"): 2}
+    ).spec,
+]
+
+
+@pytest.mark.parametrize("spec", BASIS_CASES)
+@settings(max_examples=20)
+@given(data=st.data())
+def test_reflexive_pipeline_under_change_of_basis(spec, data):
+    """A unimodular P with x_old = P x_new and G' = P^T G P changes no
+    verdict, type, degree, rank, degree-four part or self-pairing, and maps
+    every decomposition and every Hilbert-scheme class f by P."""
+    p, q = data.draw(unimodular_pairs(spec.lattice.rank))
+    moved = moved_spec(spec, p, q)
+    assert reflexive_verdicts(moved, lambda x: tuple(sum(map(mul, row, x)) for row in p)) == (
+        reflexive_verdicts(spec, tuple)
+    )
 
 
 def test_brute_force_exact_for_two_components():
