@@ -357,12 +357,10 @@ def _cmd_pic1(args):
     if args.oracle:
         bound = args.bound if args.bound is not None else 4 * n + 20
         found = brute_force_oracle(n, bound)
-        closed = {(s.c, s.x, s.alpha, s.y) for s in pair}
-        scanned = {(s.c, s.x, s.alpha, s.y) for s in found}
         payload["oracle"] = {
             "bound": bound,
             "solutions": found,
-            "agrees": closed == scanned,
+            "agrees": set(pair) == set(found),
         }
     return 0, payload
 
@@ -592,13 +590,10 @@ def _resolve_format(args) -> str:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _, handler = _COMMANDS[args.command]
+    fmt = "json"  # the report of an unsupported format is itself JSON
     try:
         fmt = _resolve_format(args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    _, handler = _COMMANDS[args.command]
-    try:
         status, payload = handler(args)
     except RejectionError as exc:
         status, payload = 1, {"error": {"kind": "rejection", "message": str(exc)}}

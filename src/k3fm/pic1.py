@@ -11,8 +11,10 @@ Existence requires the generator's square to be 4 mod 8; writing it as
 subject to four integer constraints: the matrix sends (2, 1, z-4) to
 (0, 0, 1) (rows two and three; row one is an identity), the self-pairing
 of the image of the trivial class is preserved (eq_oo below), and the
-rank of the round trip of the trivial class is 1.  A Pic1Solution is
-checked by these four residuals alone.  solve_constraints derives both
+rank of the round trip of the trivial class is 1.  Exactly two integral
+solutions exist.  A Pic1Solution is its five unknowns n, c, x, alpha and
+y, checked by these four residuals alone; lsq, z, the matrix and its
+determinant are derived from them.  solve_constraints derives both
 closed-form solutions; brute_force_oracle re-finds them by scanning c and
 solving the remaining unknowns exactly, then checking every constraint,
 so the oracle shares no closed-form algebra with the solver.
@@ -20,7 +22,7 @@ so the oracle shares no closed-form algebra with the solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .lattice import NSLattice
@@ -40,44 +42,38 @@ __all__ = [
 ]
 
 
-def _matrix_for(lsq: int, z: int, c: int, x: int, alpha: int, y: int):
-    return (
-        (z, -lsq, 2),
-        (c, x, -1),
-        (alpha, y * lsq, z - 4),
-    )
-
-
 @dataclass(frozen=True)
 class Pic1Solution:
-    """One integer solution of the rank-1 constraint system.
+    """One integer solution of the rank-1 constraint system: its five unknowns.
 
-    Checked on construction by its residuals: lsq and z match n, the four
-    constraint residuals vanish, and the matrix and its determinant match
-    the coordinates.  The closed forms follow, as z = 2n+3 is never 2: row2
-    gives x, then oo and rank_rt give (z-2)((z+2c)^2 - 1) = 0, fixing alpha
-    and y; rows two and three of the residuals are the image of (2, 1, z-4).
+    Pic1Solution(n, c, x, alpha, y) takes each unknown as an exact integer
+    and is checked by the four constraint residuals alone; lsq, z, the
+    matrix and its determinant are derived from the unknowns, once, and are
+    fields only so that reports show them.  The closed forms follow, as
+    z = 2n+3 is never 2: row2 gives x, then oo and rank_rt give
+    (z-2)((z+2c)^2 - 1) = 0, fixing alpha and y; rows two and three of the
+    residuals are the image of (2, 1, z-4).
     """
 
     n: int
-    lsq: int
-    z: int
+    lsq: int = field(init=False)
+    z: int = field(init=False)
     c: int
     x: int
     alpha: int
     y: int
-    matrix: tuple[tuple[int, ...], ...]
-    det: int
+    matrix: tuple[tuple[int, ...], ...] = field(init=False)
+    det: int = field(init=False)
 
     def __post_init__(self):
-        if self.lsq != 4 * (2 * self.n + 1) or self.z != 2 * self.n + 3:
-            raise ValueError("lsq and z do not match n")
-        if any(r != 0 for r in residuals(self.n, self.c, self.x, self.alpha, self.y)):
+        n, c, x, alpha, y = (exact_int(getattr(self, k), k) for k in ("n", "c", "x", "alpha", "y"))
+        if any(residuals(n, c, x, alpha, y)):
             raise ValueError("constraint residuals do not vanish")
-        if self.matrix != _matrix_for(self.lsq, self.z, self.c, self.x, self.alpha, self.y):
-            raise ValueError("matrix entries do not match the scalar coordinates")
-        if self.det != det(self.matrix):
-            raise ValueError("stored determinant is wrong")
+        lsq, z = 4 * (2 * n + 1), 2 * n + 3
+        matrix = ((z, -lsq, 2), (c, x, -1), (alpha, y * lsq, z - 4))
+        values = dict(n=n, lsq=lsq, z=z, c=c, x=x, alpha=alpha, y=y, matrix=matrix, det=det(matrix))
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -108,32 +104,20 @@ def existence_test(lsq: int) -> int | None:
     return (lsq - 4) // 8
 
 
-def residuals(n: int, c: int, x: int, alpha: int, y: int, oo_rhs: int = 2):
-    """The four constraint residuals; all zero exactly at a solution.
-
-    oo_rhs parametrizes the right-hand side of the pairing constraint so
-    that tests can verify the perturbed system is inconsistent.
-    """
+def residuals(n: int, c: int, x: int, alpha: int, y: int):
+    """The four constraint residuals; all zero exactly at a solution."""
     lsq = 4 * (2 * n + 1)
     z = 2 * n + 3
     row2 = 2 * c + x - (z - 4)
     row3 = 2 * alpha + y * lsq + (z - 4) ** 2 - 1
-    oo = 2 * z * alpha - 4 * c * c * (z - 2) + 2 * z * z - oo_rhs
+    oo = 2 * z * alpha - 4 * c * c * (z - 2) + 2 * z * z - 2
     rank_rt = 2 * alpha + 4 * c * (z - 2) + z * (z - 4) + 4 * z - 1
     return (row2, row3, oo, rank_rt)
 
 
-def _solution(n: int, c: int, x: int, alpha: int, y: int) -> Pic1Solution:
-    lsq, z = 4 * (2 * n + 1), 2 * n + 3
-    matrix = _matrix_for(lsq, z, c, x, alpha, y)
-    return Pic1Solution(
-        n=n, lsq=lsq, z=z, c=c, x=x, alpha=alpha, y=y, matrix=matrix, det=det(matrix)
-    )
-
-
 def _closed_form(n: int, c: int) -> Pic1Solution:
     """x = z-4-2c, alpha = 2c(2+c) and y = c+2, with z = 2n+3."""
-    return _solution(n, c, 2 * n - 1 - 2 * c, 2 * c * (2 + c), c + 2)
+    return Pic1Solution(n, c, 2 * n - 1 - 2 * c, 2 * c * (2 + c), c + 2)
 
 
 def solve_constraints(n: int) -> tuple[Pic1Solution, Pic1Solution]:
@@ -159,7 +143,7 @@ def exclusion_witness(pair: tuple[Pic1Solution, Pic1Solution]) -> ExclusionWitne
     return ExclusionWitness(slope=slope, threshold=threshold, excluded=slope > threshold)
 
 
-def brute_force_oracle(n: int, bound: int, oo_rhs: int = 2) -> list[Pic1Solution]:
+def brute_force_oracle(n: int, bound: int) -> list[Pic1Solution]:
     """Independent search for all constraint solutions.
 
     Scans c over [-bound, bound] (descending, matching solve_constraints
@@ -185,7 +169,7 @@ def brute_force_oracle(n: int, bound: int, oo_rhs: int = 2) -> list[Pic1Solution
         x = z - 4 - 2 * c
         if abs(x) > bound:
             continue
-        num_alpha = oo_rhs - 2 * z * z + 4 * c * c * (z - 2)
+        num_alpha = 2 - 2 * z * z + 4 * c * c * (z - 2)
         if num_alpha % (2 * z) != 0:
             continue
         alpha = num_alpha // (2 * z)
@@ -193,9 +177,9 @@ def brute_force_oracle(n: int, bound: int, oo_rhs: int = 2) -> list[Pic1Solution
         if num_y % lsq != 0:
             continue
         y = num_y // lsq
-        if any(r != 0 for r in residuals(n, c, x, alpha, y, oo_rhs)):
+        if any(residuals(n, c, x, alpha, y)):
             continue
-        found.append(_solution(n, c, x, alpha, y))
+        found.append(Pic1Solution(n, c, x, alpha, y))
     return found
 
 

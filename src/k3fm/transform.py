@@ -4,8 +4,9 @@ The normative computation is the pushforward formula
 
     ch(Phi F) = chi(F*A) ch(B) + chi(F*C) ch(D) - ch(F*C*D),
 
-kernel_action_vector evaluates it term by term with exact twist formulas;
-it is the reference that the tests compare from_kernel's matrix against.
+kernel_action_vector evaluates it term by term with mukai's twist,
+chi_sheaf and line_bundle_ch; it is the reference that the tests compare
+from_kernel's matrix against, and from_kernel shares no code with it.
 from_kernel builds the same map in closed form, as a matrix in int:
 chi(F*A) and chi(F*C) are linear forms and the twist by c+d is a fixed
 matrix.  Every specialized closed-form block for a particular kernel
@@ -24,7 +25,9 @@ A kernel transform M = B alpha^T + D gamma^T - T_e is a rank-two update of
 the twist T_e, so from_kernel keeps those factors, and they serve its
 determinant and inverse in O(n^2) (matrix determinant lemma and Woodbury
 identity) and its isometry test in O(n); every other transform uses the
-Bareiss elimination of linalg and the dense product M^T E M.
+Bareiss elimination of linalg, and its isometry test is the product
+M^T E M = E itself (Huybrechts, Fourier-Mukai Transforms in Algebraic
+Geometry, 2006, ch. 5).
 The Euler pairing in these coordinates has Gram matrix
 
     [[2, 0, 1],
@@ -47,7 +50,7 @@ from . import linalg
 from .kernel import KernelSpec
 from .lattice import DivisorClass, NSLattice, intersect
 from .linalg import Matrix, integer_matrix, mat_mul, transpose
-from .mukai import ChernCharacter
+from .mukai import ChernCharacter, chi_sheaf, line_bundle_ch, twist
 
 __all__ = [
     "Matrix",
@@ -182,47 +185,30 @@ def identity_transform(lattice: NSLattice) -> CohTransform:
     return CohTransform(lattice, lattice, linalg.identity(lattice.rank + 2))
 
 
-def _frac_dot(lattice: NSLattice, fcoords, dc: DivisorClass) -> Fraction:
-    """f . x for f given by (possibly fractional) coordinates."""
-    k = lattice.rank
-    total = Fraction(0)
-    for i in range(k):
-        if fcoords[i] == 0:
-            continue
-        total += fcoords[i] * sum(lattice.gram[i][j] * dc.coords[j] for j in range(k))
-    return total
-
-
 def kernel_action_vector(kernel: KernelSpec, vec) -> tuple[Fraction, ...]:
     """Image of the coordinate vector (r, f, t) under the kernel's map.
 
-    Direct evaluation of chi(F*A) ch(B) + chi(F*C) ch(D) - ch(F*C*D): the
-    Euler characteristics come from chi = 2r + t after twisting, the last
-    term is the twist of F by c+d.  No intermediate rounding occurs.
+    The pushforward formula chi(F*A) ch(B) + chi(F*C) ch(D) - ch(F*C*D),
+    read term by term off mukai's twist, chi_sheaf and line_bundle_ch.
+    The vector is scaled to integer numerators over one denominator first,
+    so that F is a character with integral rank and class; both sides are
+    linear in F, so dividing the image by that denominator is exact.  It
+    shares no code with from_kernel, which it is the reference for.
     """
     lat = kernel.lattice
-    k = lat.rank
-    vec = tuple(linalg.exact_rational(x, "vector entry") for x in vec)
-    if len(vec) != k + 2:
+    nums, den = linalg.scaled(vec)
+    if len(nums) != lat.rank + 2:
         raise ValueError("coordinate vector has the wrong length for the kernel lattice")
-    r, t = vec[0], vec[-1]
-    f = vec[1:-1]
-    a, b, c, d = kernel.a, kernel.b, kernel.c, kernel.d
-
-    chi_fa = 2 * r + t + _frac_dot(lat, f, a) + r * Fraction(a.square, 2)
-    chi_fc = 2 * r + t + _frac_dot(lat, f, c) + r * Fraction(c.square, 2)
-    e = c + d
-    ch0 = chi_fa + chi_fc - r
-    ch1 = tuple(
-        chi_fa * b.coords[i] + chi_fc * d.coords[i] - (f[i] + r * e.coords[i])
-        for i in range(k)
+    r, *f, t = nums
+    sheaf = ChernCharacter(r, DivisorClass(lat, f), Fraction(t))
+    chi_a = chi_sheaf(twist(sheaf, kernel.a))
+    chi_c = chi_sheaf(twist(sheaf, kernel.c))
+    terms = zip(
+        ch_vector(line_bundle_ch(kernel.b)),
+        ch_vector(line_bundle_ch(kernel.d)),
+        ch_vector(twist(sheaf, kernel.c + kernel.d)),
     )
-    ch2 = (
-        chi_fa * Fraction(b.square, 2)
-        + chi_fc * Fraction(d.square, 2)
-        - (t + _frac_dot(lat, f, e) + r * Fraction(e.square, 2))
-    )
-    return (ch0, *ch1, ch2)
+    return tuple((chi_a * x + chi_c * y - z) / den for x, y, z in terms)
 
 
 def _half_square(x, gx) -> int:
@@ -447,8 +433,9 @@ def compose(outer: CohTransform, inner: CohTransform) -> CohTransform:
 def is_mukai_isometry(t: CohTransform) -> bool:
     """Whether the transform preserves the Euler pairing exactly.
 
-    Checked as M^T E_target M = E_source, which is equivalent to agreement
-    of euler_chi on all pairs by bilinearity.
+    The defining identity is M^T E_target M = E_source (Huybrechts 2006,
+    ch. 5), equivalent by bilinearity to agreement of euler_chi on all
+    pairs; a transform without factors is tested by exactly that product.
 
     A kernel transform with its factors, M = U V^T - T_e (see
     _RankTwoUpdate), is tested in O(n) integer operations and forms no
@@ -474,26 +461,12 @@ def is_mukai_isometry(t: CohTransform) -> bool:
       is antisymmetric and delta R = V (delta A) row by row.
 
     Every other transform (phi, compose, shifted, inverse results, pic1,
-    hand-built matrices) takes the dense path: E_target M is formed from
-    the block shape of E: row 0 is 2 M_0 + M_last, the divisor rows are
-    -G M_mid and the last row is M_0.  Both sides are symmetric, so only
-    the upper triangle of M^T (E M) is compared.
+    hand-built matrices) takes the product.
     """
     if t._rank_two is not None:
         return t._rank_two.is_isometry()
-    first, *mid, last = t.matrix
-    em = (
-        tuple(2 * x + y for x, y in zip(first, last)),
-        *(tuple(-x for x in row) for row in mat_mul(t.target.gram, mid)),
-        first,
-    )
-    cols, em_cols = transpose(t.matrix), transpose(em)
-    gram = euler_gram(t.source)
-    return all(
-        sum(map(mul, col, em_cols[j])) == gram[i][j]
-        for i, col in enumerate(cols)
-        for j in range(i, len(cols))
-    )
+    m = t.matrix
+    return mat_mul(transpose(m), mat_mul(euler_gram(t.target), m)) == euler_gram(t.source)
 
 
 # Closed-form blocks.  Each takes the lattice and the classes CLOSED_FORMS

@@ -430,7 +430,15 @@ def test_invalid_format_env(capsys, monkeypatch):
     code = main(["pic1", "--lsq", "4"])
     captured = capsys.readouterr()
     assert code == 2
-    assert "unsupported output format" in captured.err
+    assert json.loads(captured.out) == {
+        "command": "pic1",
+        "ok": False,
+        "error": {
+            "kind": "input",
+            "message": "unsupported output format 'yaml'; expected json or text",
+        },
+    }
+    assert captured.err == ""
 
 
 def test_unknown_command_exits_two(capsys):

@@ -17,6 +17,7 @@ from k3fm import (
     LatticeMismatchError,
     MukaiVector,
     NSLattice,
+    Pic1Solution,
     brute_force_oracle,
     check_ample_primitive,
     es_relation,
@@ -67,6 +68,7 @@ BOUNDARIES = [
     ("solve_constraints", solve_constraints, 1, False),
     ("brute_force_oracle n", lambda v: brute_force_oracle(v, 30), 1, False),
     ("brute_force_oracle bound", lambda v: brute_force_oracle(0, v), 8, False),
+    ("Pic1Solution c", lambda v: Pic1Solution(0, v, 1, -2, 1), -1, False),
 ]
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,7 @@ from k3fm import (
 )
 from k3fm.cli import _json
 from k3fm.linalg import det
-from k3fm.pic1 import Pic1Solution, _matrix_for, residuals
+from k3fm.pic1 import Pic1Solution, residuals
 
 
 def key(sol):
@@ -72,21 +74,25 @@ def test_rank_constraint_rejects_three_equation_solution():
 
 def test_solution_constructor_validates():
     good = select_physical(solve_constraints(1))
-    with pytest.raises(ValueError, match="lsq and z"):
-        Pic1Solution(
-            n=1, lsq=8, z=5, c=good.c, x=good.x, alpha=good.alpha, y=good.y,
-            matrix=good.matrix, det=good.det,
-        )
+    assert Pic1Solution(1, good.c, good.x, good.alpha, good.y) == good
     with pytest.raises(ValueError, match="constraint residuals do not vanish"):
-        Pic1Solution(
-            n=1, lsq=12, z=5, c=good.c, x=good.x + 2, alpha=good.alpha, y=good.y,
-            matrix=good.matrix, det=good.det,
-        )
-    with pytest.raises(ValueError, match="determinant"):
-        Pic1Solution(
-            n=1, lsq=12, z=5, c=good.c, x=good.x, alpha=good.alpha, y=good.y,
-            matrix=good.matrix, det=-good.det,
-        )
+        Pic1Solution(1, good.c, good.x + 2, good.alpha, good.y)
+    with pytest.raises(TypeError):
+        Pic1Solution(1, good.c, good.x, good.alpha, good.y, lsq=8)
+    with pytest.raises(TypeError):
+        Pic1Solution(1, good.c, good.x, good.alpha, good.y, det=-good.det)
+
+
+def test_solution_is_its_five_unknowns():
+    """The constructor takes n, c, x, alpha and y; lsq, z, matrix and det
+    stay fields, so reports keep showing them."""
+    assert list(inspect.signature(Pic1Solution).parameters) == ["n", "c", "x", "alpha", "y"]
+    assert [f.name for f in dataclasses.fields(Pic1Solution)] == [
+        "n", "lsq", "z", "c", "x", "alpha", "y", "matrix", "det",
+    ]
+    sol = Pic1Solution(1, -2, 5, 0, 0)
+    assert (sol.lsq, sol.z, sol.det) == (12, 5, 1)
+    assert sol.matrix == ((5, -12, 2), (-2, 5, -1), (0, 0, 1))
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -117,10 +123,40 @@ def test_oracle_rejects_inconclusive_bound():
     assert len(brute_force_oracle(3, 4 * 3 + 8)) == 2
 
 
+def forced_unknowns(n, c):
+    """The x, alpha and y that row2, rank_rt and row3 force at c, exactly."""
+    lsq, z = 4 * (2 * n + 1), 2 * n + 3
+    alpha = Fraction(1 - 4 * c * (z - 2) - z * (z - 4) - 4 * z, 2)
+    return z - 4 - 2 * c, alpha, (1 - (z - 4) ** 2 - 2 * alpha) / lsq
+
+
+def perturbed_solutions(n, rhs):
+    """The c in [-(4n+20), 4n+20] at which the system whose pairing
+    constraint has right-hand side rhs, in place of 2, has an integral
+    solution; the perturbation shifts the oo residual by 2 - rhs."""
+    bound = 4 * n + 20
+    found = set()
+    for c in range(-bound, bound + 1):
+        x, alpha, y = forced_unknowns(n, c)
+        row2, row3, oo, rank_rt = residuals(n, c, x, alpha, y)
+        assert row2 == row3 == rank_rt == 0
+        if alpha.denominator == y.denominator == 1 and oo + 2 - rhs == 0:
+            found.add(c)
+    return found
+
+
 def test_perturbed_pairing_constraint_is_inconsistent():
     for n in range(0, 6):
+        assert perturbed_solutions(n, 2) == {-n - 1, -n - 2}
         for rhs in (0, 1, 3, 4, 6):
-            assert brute_force_oracle(n, 4 * n + 20, oo_rhs=rhs) == []
+            assert perturbed_solutions(n, rhs) == set()
+
+
+def test_perturbed_pairing_constraint_solutions():
+    """At n = 0 (z = 3) the right-hand sides 2 - (z-2)((z+2c)^2 - 1) are
+    consistent: -6 at c = 0 and -3, -22 at c = 1 and -4."""
+    assert perturbed_solutions(0, -6) == {0, -3}
+    assert perturbed_solutions(0, -22) == {1, -4}
 
 
 def test_exclusion_witness_always_excludes():
@@ -176,5 +212,5 @@ def test_to_dict_shape():
 
 
 def test_matrix_helper_consistency():
-    m = _matrix_for(4, 3, -1, 1, -2, 1)
+    m = Pic1Solution(0, -1, 1, -2, 1).matrix
     assert det(m) == 1

@@ -333,6 +333,26 @@ def test_brute_force_empty_on_rejected_configurations():
         assert decompose_brute_force(rs) == []
 
 
+def test_classify_type_orders_halves_by_degree():
+    rs = component_surface(("c1", "c2"), {"c1": 1, "c2": 3})
+    dec = decompose_l2h(rs)
+    ordered = classify_type(rs, dec)
+    assert ordered.surface_type == "II"
+    assert (ordered.deg_d1, ordered.deg_d2) == (1, 3)
+    assert classify_type(rs, Decomposition(dec.d2, dec.d1)) == ordered
+
+
+def test_four_distinct_components_meeting_negatively_are_rejected():
+    rs = component_surface(
+        ("a", "b", "c", "d"),
+        {"a": 1, "b": 1, "c": 1, "d": 1},
+        {("a", "b"): -1, ("a", "c"): 1, ("a", "d"): 1, ("b", "c"): 1},
+    )
+    assert (rs.l + 2 * rs.h).square == -4
+    with pytest.raises(DecompositionError, match=r"^distinct components 1 and 2 meet in -1 < 0$"):
+        decompose_l2h(rs)
+
+
 def moved_spec(spec, p, q):
     """spec in the basis with x_old = P x_new: Gram P^T G P and each class Q x."""
     lattice = NSLattice(mat_mul(mat_mul(transpose(p), spec.lattice.gram), p))

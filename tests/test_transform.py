@@ -113,6 +113,15 @@ def test_matrix_reproduces_kernel_action(k):
         assert t.apply_vector(vec) == kernel_action_vector(k, vec)
 
 
+@given(kernels(), st.data())
+def test_matrix_reproduces_kernel_action_on_rational_vectors(k, data):
+    """kernel_action_vector scales a rational vector to integers and divides
+    the image back: it agrees with the matrix on any denominators."""
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    vec = tuple(data.draw(entry) for _ in range(k.lattice.rank + 2))
+    assert from_kernel(k).apply_vector(vec) == kernel_action_vector(k, vec)
+
+
 @given(kernels())
 def test_action_is_additive(k):
     grid = grid_vectors(k.lattice, r_bound=1, f_bound=1, t_bound=1)
