@@ -15,6 +15,7 @@ declarations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .linalg import exact_int
 
@@ -84,14 +85,20 @@ class NSLattice:
 
 @dataclass(frozen=True)
 class DivisorClass:
-    """An integral divisor class: integer coordinates in a fixed NSLattice basis."""
+    """An integral divisor class: integer coordinates in a fixed NSLattice basis.
+
+    Coordinates that are already a tuple of plain ints are kept as they
+    are; anything else is converted entry by entry through exact_int.
+    """
 
     lattice: NSLattice
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        coords = tuple(exact_int(c, "divisor coordinate") for c in self.coords)
-        object.__setattr__(self, "coords", coords)
+        coords = self.coords
+        if type(coords) is not tuple or not set(map(type, coords)) <= {int}:
+            coords = tuple(exact_int(c, "divisor coordinate") for c in coords)
+            object.__setattr__(self, "coords", coords)
         if len(coords) != self.lattice.rank:
             raise LatticeMismatchError(
                 f"coordinate vector has length {len(coords)}, lattice rank is {self.lattice.rank}"
@@ -135,14 +142,8 @@ class DivisorClass:
 def intersect(x: DivisorClass, y: DivisorClass) -> int:
     """Intersection number x.y computed from the Gram matrix."""
     x._require_same_lattice(y)
-    gram = x.lattice.gram
-    total = 0
-    for i, xi in enumerate(x.coords):
-        if xi == 0:
-            continue
-        row = gram[i]
-        total += xi * sum(g * yj for g, yj in zip(row, y.coords))
-    return total
+    coords = y.coords
+    return sum(xi * sum(map(mul, row, coords)) for xi, row in zip(x.coords, x.lattice.gram) if xi)
 
 
 def degree(x: DivisorClass, h: DivisorClass) -> int:

@@ -16,6 +16,8 @@ reject bool, float, str and anything else with a ValueError.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import repeat
 from math import lcm
 from operator import mul
 
@@ -23,6 +25,8 @@ __all__ = [
     "Matrix",
     "exact_int",
     "exact_rational",
+    "fraction",
+    "fraction_vector",
     "integer_matrix",
     "identity",
     "transpose",
@@ -61,6 +65,34 @@ def exact_rational(value, what: str) -> Fraction:
     if type(value) is not bool and isinstance(value, (int, Fraction)):
         return Fraction(value)
     raise ValueError(f"{what} must be an integer or a Fraction, got {value!r}")
+
+
+# Fractions are immutable, so one Fraction(n) serves every caller.  The
+# cache is bounded, and holds integral values only: fractional values are
+# rarely reused.
+_integral = lru_cache(maxsize=2048)(Fraction)
+
+
+def fraction(n: int, den: int = 1) -> Fraction:
+    """n/den as a Fraction, for an int n and a nonzero int den.
+
+    An integral value is taken from a shared cache of Fraction(n) and
+    built only on its first use there; any other value is built fresh.
+    Pass only int numerators, as exact_int and scaled give them: the cache
+    does not tell types apart, so True would be served the Fraction of 1.
+    """
+    if den == 1:
+        return _integral(n)
+    if n % den:
+        return Fraction(n, den)
+    return _integral(n // den)
+
+
+def fraction_vector(nums, den: int = 1) -> tuple[Fraction, ...]:
+    """The Fractions n/den for the ints n in nums, each as fraction builds it."""
+    if den == 1:
+        return tuple(map(_integral, nums))
+    return tuple(map(fraction, nums, repeat(den)))
 
 
 def integer_matrix(rows) -> Matrix:
@@ -102,7 +134,7 @@ def scaled(v) -> tuple[list[int], int]:
 def mat_vec(m, v) -> tuple[Fraction, ...]:
     """Exact product of an integer matrix and a rational vector."""
     nums, den = scaled(v)
-    return tuple(Fraction(sum(map(mul, row, nums)), den) for row in m)
+    return fraction_vector((sum(map(mul, row, nums)) for row in m), den)
 
 
 def _square_rows(m) -> list[list[int]]:
@@ -222,4 +254,4 @@ def solve(a, b) -> tuple[Fraction, ...] | None:
     x, r, d = found
     if any(row[0] for row in r):
         return None
-    return tuple(Fraction(row[0], d) for row in x)
+    return fraction_vector((row[0] for row in x), d)

@@ -46,10 +46,11 @@ __all__ = [
 class Pic1Solution:
     """One integer solution of the rank-1 constraint system: its five unknowns.
 
-    Pic1Solution(n, c, x, alpha, y) takes each unknown as an exact integer
-    and is checked by the four constraint residuals alone; lsq, z, the
-    matrix and its determinant are derived from the unknowns, once, and are
-    fields only so that reports show them.  The closed forms follow, as
+    Pic1Solution(n, c, x, alpha, y) takes each unknown as an exact integer,
+    n non-negative so that lsq = 4(2n+1) is positive, and is checked by the
+    four constraint residuals alone; lsq, z, the matrix and its determinant
+    are derived from the unknowns, once, and are fields only so that
+    reports show them.  The closed forms follow, as
     z = 2n+3 is never 2: row2 gives x, then oo and rank_rt give
     (z-2)((z+2c)^2 - 1) = 0, fixing alpha and y; rows two and three of the
     residuals are the image of (2, 1, z-4).
@@ -66,7 +67,8 @@ class Pic1Solution:
     det: int = field(init=False)
 
     def __post_init__(self):
-        n, c, x, alpha, y = (exact_int(getattr(self, k), k) for k in ("n", "c", "x", "alpha", "y"))
+        n = exact_int(self.n, "n", low=0)
+        c, x, alpha, y = (exact_int(getattr(self, k), k) for k in ("c", "x", "alpha", "y"))
         if any(residuals(n, c, x, alpha, y)):
             raise ValueError("constraint residuals do not vanish")
         lsq, z = 4 * (2 * n + 1), 2 * n + 3

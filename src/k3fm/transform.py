@@ -16,8 +16,11 @@ it with this engine as a matrix identity; where a block disagrees, the
 difference is reported, never patched into either side.  The difference
 is linear in the grid point, and so are its (hhat, lhat) coordinates
 delta_hat: one elimination of [H | Delta_mid] per crosscheck
-(linalg.solve_columns) gives them at every point, each entry is built
-from integer numerators, and no point runs a solve of its own.
+(linalg.solve_columns) gives them at every point.  The engine, the
+difference and the hat coordinates of every grid point come from one
+integer pass over the whole grid, so no point runs a product or a solve
+of its own; each entry is then built from integer numerators, with the
+integral Fractions shared through linalg.fraction.
 
 Transforms are stored as integer matrices (integral on an even lattice)
 acting on rational coordinate vectors (rank, NS-basis coefficients, ch2).
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from operator import add, mul, sub
 
 from . import linalg
@@ -611,19 +614,14 @@ def default_grid(lattice: NSLattice) -> tuple[tuple[int, ...], ...]:
     )
 
 
-class _Integers(dict):
-    """Fraction(n) for each int n, built the first time n is looked up."""
-
-    def __missing__(self, n) -> Fraction:
-        q = self[n] = Fraction(n)
-        return q
-
-
-def _over(nums, den, integers: _Integers) -> tuple[Fraction, ...]:
-    """The Fractions n/den; den 1 takes them from integers, with no gcd."""
-    if den == 1:
-        return tuple(map(integers.__getitem__, nums))
-    return tuple(Fraction(n, den) for n in nums)
+def _times(row, matrix) -> list[int]:
+    """row times matrix: the sum, over the nonzero entries a of the row,
+    of a times the matching row of the matrix."""
+    total = [0] * len(matrix[0])
+    for a, mrow in zip(row, matrix):
+        if a:
+            total = list(map(add, total, map(mul, repeat(a), mrow)))
+    return total
 
 
 def crosscheck_specialized(t: CohTransform, formula_id: str, grid=None) -> DiffReport:
@@ -631,20 +629,24 @@ def crosscheck_specialized(t: CohTransform, formula_id: str, grid=None) -> DiffR
 
     The block's matrix C is built once from the classes the transform
     labels, and the grid is scanned with the integer matrix Delta = C - M.
-    A grid point x, with integer numerators n over a denominator v, is a
-    disagreement exactly where Delta n is nonzero; it is recorded with the
-    engine value M n / v, the closed-form value (M n + Delta n) / v and
-    their difference Delta n / v, each Fraction built from ints; where
-    v = 1, the call builds one Fraction per integer value and shares it.
-    For reflexive formulas, when the transform names hhat and lhat, the
-    divisor part of the difference is also expressed in their basis H.
-    That map is linear in x, so [H | Delta_mid] is eliminated once per
-    crosscheck (linalg.solve_columns) into solution rows X, residual rows R
-    and a denominator d: delta_hat is X n / (d v) where R n = 0, and None
-    where the difference leaves the span of H or H is degenerate.  An
-    empty entry list means exact agreement on the grid.  The block is
-    square on the source lattice, so a transform onto another lattice
-    raises ValueError.
+    Each grid point x is scaled once to integer numerators n over a
+    denominator v (an integral point is its own numerators), and the
+    numerators are the columns of one integer matrix N.  M, Delta and,
+    where the hats are labelled, the rows X and R below are stacked and
+    multiplied by N in one integer pass over the grid, so no point runs a
+    product of its own.  A point is a disagreement exactly where Delta n
+    is nonzero; it is recorded with the engine value M n / v, the
+    closed-form value (M n + Delta n) / v and their difference Delta n / v,
+    each Fraction built from ints by linalg.fraction_vector, which shares
+    the integral ones.  For reflexive formulas, when the transform names
+    hhat and lhat, the divisor part of the difference is also expressed in
+    their basis H.  That map is linear in x, so [H | Delta_mid] is
+    eliminated once per crosscheck (linalg.solve_columns) into solution
+    rows X, residual rows R and a denominator d: delta_hat is X n / (d v)
+    where R n = 0, and None where the difference leaves the span of H or
+    H is degenerate.  Every entry is built here, eagerly.  An empty entry
+    list means exact agreement on the grid.  The block is square on the
+    source lattice, so a transform onto another lattice raises ValueError.
     """
     if formula_id not in CLOSED_FORMS:
         raise ValueError(
@@ -660,35 +662,38 @@ def crosscheck_specialized(t: CohTransform, formula_id: str, grid=None) -> DiffR
     delta_matrix = tuple(
         tuple(x - y for x, y in zip(crow, mrow)) for crow, mrow in zip(closed, t.matrix)
     )
-    if not any(map(any, delta_matrix)):
+    if not grid or not any(map(any, delta_matrix)):
         return DiffReport(formula_id=formula_id, points=len(grid), entries=())
+    stack = (*t.matrix, *delta_matrix)
     labels = t.label_map
     hat_map = None
     if "hhat" in labels and "lhat" in labels:
         hats = transpose((labels["hhat"].coords, labels["lhat"].coords))
         hat_map = linalg.solve_columns(hats, delta_matrix[1:-1])
-    integers = _Integers()
+    if hat_map is not None:
+        x_rows, r_rows, d = hat_map
+        stack += (*x_rows, *r_rows)
+    points, dens = zip(
+        *((point, 1) if all(type(x) is int for x in point) else linalg.scaled(point) for point in grid)
+    )
+    # N: one row per coordinate, one column per point.
+    numerators = tuple(zip(*points))
+    n = len(t.matrix)
     entries = []
-    for point in grid:
-        if all(type(x) is int for x in point):
-            nums, vden = point, 1
-        else:
-            nums, vden = linalg.scaled(point)
-        diff = tuple(sum(map(mul, row, nums)) for row in delta_matrix)
+    for nums, vden, values in zip(points, dens, zip(*(_times(row, numerators) for row in stack))):
+        diff = values[n : 2 * n]
         if not any(diff):
             continue
-        engine = tuple(sum(map(mul, row, nums)) for row in t.matrix)
+        engine = values[:n]
         delta_hat = None
-        if hat_map is not None:
-            x_rows, r_rows, d = hat_map
-            if not any(sum(map(mul, row, nums)) for row in r_rows):
-                delta_hat = tuple(Fraction(sum(map(mul, row, nums)), d * vden) for row in x_rows)
+        if hat_map is not None and not any(values[2 * n + 2 :]):
+            delta_hat = linalg.fraction_vector(values[2 * n : 2 * n + 2], d * vden)
         entries.append(
             DiffEntry(
-                input=_over(nums, vden, integers),
-                engine=_over(engine, vden, integers),
-                closed_form=_over(map(add, engine, diff), vden, integers),
-                delta=_over(diff, vden, integers),
+                input=linalg.fraction_vector(nums, vden),
+                engine=linalg.fraction_vector(engine, vden),
+                closed_form=linalg.fraction_vector(map(add, engine, diff), vden),
+                delta=linalg.fraction_vector(diff, vden),
                 delta_hat=delta_hat,
             )
         )

@@ -5,6 +5,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from k3fm import ChernCharacter, DivisorClass, KernelSpec, NSLattice
+from k3fm.linalg import mat_mul
 
 
 @st.composite
@@ -95,3 +96,13 @@ def unimodular_pairs(draw, n, max_steps=8):
             row[j] += s * row[i]
         q[i] = [x - s * y for x, y in zip(q[i], q[j])]
     return tuple(map(tuple, p)), tuple(map(tuple, q))
+
+
+def conjugated(q, m, p):
+    """diag(1, q, 1) m diag(1, p, 1), for the coordinates (r, f, ch2)."""
+
+    def extended(x):
+        n = len(x)
+        return ((1, *(0,) * n, 0), *((0, *row, 0) for row in x), (0, *(0,) * n, 1))
+
+    return mat_mul(mat_mul(extended(q), m), extended(p))

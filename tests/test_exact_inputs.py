@@ -68,6 +68,7 @@ BOUNDARIES = [
     ("solve_constraints", solve_constraints, 1, False),
     ("brute_force_oracle n", lambda v: brute_force_oracle(v, 30), 1, False),
     ("brute_force_oracle bound", lambda v: brute_force_oracle(0, v), 8, False),
+    ("Pic1Solution n", lambda v: Pic1Solution(v, -1, 1, -2, 1), 0, False),
     ("Pic1Solution c", lambda v: Pic1Solution(0, v, 1, -2, 1), -1, False),
 ]
 

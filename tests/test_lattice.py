@@ -1,5 +1,7 @@
+from fractions import Fraction
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from k3fm import (
@@ -10,6 +12,7 @@ from k3fm import (
     degree,
     intersect,
 )
+from k3fm.linalg import exact_int
 
 from helpers import lattice_with_classes, lattices
 
@@ -118,3 +121,62 @@ def test_chi_line_matches_square_formula(data):
 def test_degree_is_intersection(data):
     _, x, h = data
     assert degree(x, h) == intersect(x, h)
+
+
+@given(lattices(), st.data())
+def test_intersect_matches_naive_product(lat, data):
+    """x.y = x^T G y summed over every pair of coordinates, zero ones included."""
+    coords = st.lists(st.integers(-3, 3), min_size=lat.rank, max_size=lat.rank)
+    zeroed = st.lists(st.booleans(), min_size=lat.rank, max_size=lat.rank)
+    x, y = (
+        DivisorClass(lat, tuple(0 if z else c for c, z in zip(data.draw(coords), data.draw(zeroed))))
+        for _ in range(2)
+    )
+    naive = sum(
+        x.coords[i] * lat.gram[i][j] * y.coords[j] for i in range(lat.rank) for j in range(lat.rank)
+    )
+    assert intersect(x, y) == naive
+    assert intersect(lat.zero(), y) == 0
+
+
+def divisor_class_by_entries(lattice, coords):
+    """Reference: every coordinate through exact_int, then the length check;
+    the coordinates, or the error's type and text."""
+    try:
+        converted = tuple(exact_int(c, "divisor coordinate") for c in coords)
+        if len(converted) != lattice.rank:
+            raise LatticeMismatchError(
+                f"coordinate vector has length {len(converted)}, lattice rank is {lattice.rank}"
+            )
+    except ValueError as error:
+        return type(error), str(error)
+    return converted
+
+
+MIXED_COORDS = st.one_of(
+    st.integers(-3, 3),
+    st.booleans(),
+    st.integers(-3, 3).map(Fraction),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@given(st.lists(MIXED_COORDS, min_size=1, max_size=3), st.sampled_from((tuple, list, iter)))
+@example([2, 1], list)
+@example([True, 1], tuple)
+@example([Fraction(2, 1), 1], tuple)
+def test_divisor_class_matches_per_entry_conversion(values, container):
+    """Coordinates of int, bool, integral and non-integral Fraction, as a
+    tuple, a list or an iterator, of the right length or not: the class
+    stores the entry-by-entry conversion, or raises its error.  A tuple of
+    plain ints is stored as the same object."""
+    expected = divisor_class_by_entries(REFLEXIVE, values)
+    coords = container(values)
+    try:
+        got = DivisorClass(REFLEXIVE, coords).coords
+    except ValueError as error:
+        assert (type(error), str(error)) == expected
+        return
+    assert got == expected
+    assert type(got) is tuple and all(type(x) is int for x in got)
+    assert (got is coords) == (container is tuple and all(type(x) is int for x in values))

@@ -270,3 +270,22 @@ def test_identity_matches_its_definition():
         got = linalg.identity(n)
         assert got == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         assert all(type(x) is int for row in got for x in row)
+
+
+@given(st.integers(-50, 50), st.integers(-12, 12).filter(bool))
+def test_fraction_matches_fraction(n, den):
+    """fraction and fraction_vector give Fraction(n, den), always of type
+    Fraction, from the shared cache or built fresh."""
+    got = linalg.fraction(n, den)
+    assert got == Fraction(n, den) and type(got) is Fraction
+    assert linalg.fraction(n) == Fraction(n) and type(linalg.fraction(n)) is Fraction
+    vector = linalg.fraction_vector((n, n + 1, 0), den)
+    assert vector == (Fraction(n, den), Fraction(n + 1, den), Fraction(0))
+    assert all(type(x) is Fraction for x in vector)
+
+
+def test_fraction_shares_integral_values():
+    """An integral value is one shared Fraction, whatever the denominator it
+    was written over; a fractional value is built fresh."""
+    assert linalg.fraction(3) is linalg.fraction(6, 2) is linalg.fraction_vector((-9,), -3)[0]
+    assert linalg.fraction(1, 3) is not linalg.fraction(1, 3)

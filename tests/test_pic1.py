@@ -83,6 +83,15 @@ def test_solution_constructor_validates():
         Pic1Solution(1, good.c, good.x, good.alpha, good.y, det=-good.det)
 
 
+def test_solution_rejects_negative_n():
+    """n = -1 zeroes all four residuals, but its lsq = 4(2n+1) = -4 is no
+    polarization; the constructor rejects it as the solvers do."""
+    assert not any(residuals(-1, 0, -3, 0, 2))
+    with pytest.raises(ValueError, match=r"^n must be a non-negative integer, got -1$"):
+        Pic1Solution(-1, 0, -3, 0, 2)
+    assert Pic1Solution(0, -1, 1, -2, 1).lsq == 4
+
+
 def test_solution_is_its_five_unknowns():
     """The constructor takes n, c, x, alpha and y; lsq, z, matrix and det
     stay fields, so reports keep showing them."""

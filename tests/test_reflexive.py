@@ -1,4 +1,4 @@
-from operator import mul
+from operator import mul, sub
 from pathlib import Path
 
 import pytest
@@ -34,10 +34,11 @@ from k3fm import (
     validate_reflexive,
 )
 from k3fm.cli import _json
-from k3fm.linalg import mat_mul, transpose
+from k3fm.linalg import mat_mul, rank, transpose
 from k3fm.reflexive import KERNEL_VARIANTS
+from k3fm.transform import closed_form_matrix
 
-from helpers import unimodular_pairs
+from helpers import conjugated, unimodular_pairs
 
 SURFACES = Path(__file__).resolve().parent.parent / "surfaces"
 
@@ -427,6 +428,42 @@ def test_reflexive_pipeline_under_change_of_basis(spec, data):
     assert reflexive_verdicts(moved, lambda x: tuple(sum(map(mul, row, x)) for row in p)) == (
         reflexive_verdicts(spec, tuple)
     )
+
+
+def reflexive_delta(spec):
+    """The kernel variant of a reflexive surface, and Delta = C - M for its
+    transform M and the variant's closed-form block C."""
+    rs = validate_reflexive(spec)
+    variant = "nondegenerate"
+    if rs.degenerate:
+        variant = {"I": "type-i", "II": "type-ii"}[classify_type(rs, decompose_l2h(rs)).surface_type]
+    t = transform_for(rs, variant)
+    closed = closed_form_matrix(t, "reflexive_" + variant.replace("-", "_"))
+    return variant, tuple(tuple(map(sub, crow, mrow)) for crow, mrow in zip(closed, t.matrix))
+
+
+DELTA_RANKS = {"nondegenerate": 1, "type-i": 2, "type-ii": 1}
+DELTA_CASES = [
+    standard_spec(),
+    *(load_surface_spec(path) for path in sorted(SURFACES.glob("*.json"))),
+    *(rs.spec for rs in ADMITTED),
+]
+
+
+@pytest.mark.parametrize("spec", DELTA_CASES)
+@settings(max_examples=20)
+@given(data=st.data())
+def test_closed_form_difference_rank_and_change_of_basis(spec, data):
+    """Delta = C - M has rank 1 on nondegenerate and type II surfaces and
+    rank 2 on type I, and a unimodular P (x_old = P x_new) conjugates it
+    by diag(1, P, 1)."""
+    variant, delta = reflexive_delta(spec)
+    assert rank(delta) == DELTA_RANKS[variant]
+    p, q = data.draw(unimodular_pairs(spec.lattice.rank))
+    moved_variant, moved = reflexive_delta(moved_spec(spec, p, q))
+    assert moved_variant == variant
+    assert rank(moved) == DELTA_RANKS[variant]
+    assert moved == conjugated(q, delta, p)
 
 
 def test_brute_force_exact_for_two_components():

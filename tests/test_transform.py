@@ -51,6 +51,7 @@ from helpers import (
     SQUARE_MINUS_4,
     characters_on,
     class_on,
+    conjugated,
     grid_vectors,
     kernels,
     lattices,
@@ -636,16 +637,6 @@ def test_from_kernel_forms_no_product_and_no_class(monkeypatch):
     assert calls == ["DivisorClass", "intersect"]
 
 
-def conjugated(q, m, p):
-    """diag(1, q, 1) m diag(1, p, 1), for the coordinates (r, f, ch2)."""
-
-    def extended(x):
-        n = len(x)
-        return ((1, *(0,) * n, 0), *((0, *row, 0) for row in x), (0, *(0,) * n, 1))
-
-    return mat_mul(mat_mul(extended(q), m), extended(p))
-
-
 @given(st.one_of(lemma_kernels(), any_kernels), st.data())
 def test_kernel_transform_under_change_of_basis(k, data):
     """A unimodular P with x_old = P x_new and G' = P^T G P: the matrix and
@@ -734,25 +725,30 @@ def assert_fraction_fields(report):
             assert all(type(x) is Fraction for x in field)
 
 
-def half_integral_grid(data, lattice, size=12):
+def mixed_grid(data, lattice, size=12):
+    """Points of plain ints, the path the sweep and the CLI take, mixed with
+    half-integral points, which are scaled."""
     ints = st.integers(-3, 3)
-    point = st.tuples(
+    integral = st.tuples(*(ints for _ in range(lattice.rank + 2)))
+    half = st.tuples(
         ints, *(ints for _ in range(lattice.rank)), ints.map(lambda n: Fraction(n, 2))
     )
-    return data.draw(st.lists(point, max_size=size))
+    return data.draw(st.lists(st.one_of(integral, half), max_size=size))
 
 
 @pytest.mark.parametrize("formula_id", sorted(CLOSED_FORMS))
 @settings(max_examples=15)
 @given(st.data())
 def test_crosscheck_matches_point_scan_on_random_grids(formula_id, data):
+    """A drawn grid, its first point alone and the empty grid."""
     builder = data.draw(st.sampled_from(BLOCK_BUILDERS[formula_id]))
     t = builder_transform(builder, lsq=data.draw(st.sampled_from((4, 12, 20, 28))))
-    grid = half_integral_grid(data, t.source)
-    report = crosscheck_specialized(t, formula_id, grid)
-    assert report == crosscheck_by_points(t, formula_id, grid)
-    assert report.points == len(grid)
-    assert_fraction_fields(report)
+    grid = mixed_grid(data, t.source)
+    for points in (grid, grid[:1], []):
+        report = crosscheck_specialized(t, formula_id, points)
+        assert report == crosscheck_by_points(t, formula_id, points)
+        assert report.points == len(points)
+        assert_fraction_fields(report)
 
 
 @given(kernels(), st.data())
@@ -761,7 +757,7 @@ def test_general_crosscheck_of_mislabelled_kernel_matches_point_scan(k, data):
     t = from_kernel(k)
     labels = tuple((name, data.draw(class_on(k.lattice))) for name in "abcd")
     t = CohTransform(t.source, t.target, t.matrix, labels=labels)
-    grid = half_integral_grid(data, t.source)
+    grid = mixed_grid(data, t.source)
     assert crosscheck_specialized(t, "general", grid) == crosscheck_by_points(
         t, "general", grid
     )
@@ -788,7 +784,7 @@ def test_delta_hat_matches_point_scan(kind, data):
     lat = k.lattice
     labels = tuple((name, data.draw(class_on(lat))) for name in "abcd")
     t = CohTransform(lat, lat, from_kernel(k).matrix, labels=labels)
-    grid = half_integral_grid(data, lat)
+    grid = mixed_grid(data, lat)
     if kind == "independent":
         hhat, lhat = data.draw(class_on(lat)), data.draw(class_on(lat))
         assume(rank((hhat.coords, lhat.coords)) == 2)
@@ -838,6 +834,21 @@ def test_crosscheck_eliminates_once_whatever_the_grid(monkeypatch, variant):
     calls.clear()
     crosscheck_specialized(t, formula_id, grid)
     assert len(calls) == once
+
+
+@pytest.mark.parametrize("builder", ["reflexive-nondegenerate", "reflexive-type-i"])
+def test_repeated_crosscheck_builds_no_new_integral_fraction(builder):
+    """The integral Fractions of a report come from linalg's shared cache:
+    a second identical crosscheck finds every one of them there."""
+    t, formula_id = builder_transform(builder), builder.replace("-", "_")
+    rng = random.Random(15)
+    grid = [tuple(rng.randint(-2, 2) for _ in range(t.source.rank + 2)) for _ in range(64)]
+    grid += [(*point[:-1], Fraction(point[-1], 2)) for point in grid[:8]]
+    first = crosscheck_specialized(t, formula_id, grid)
+    assert not first.agree
+    misses = linalg._integral.cache_info().misses
+    assert crosscheck_specialized(t, formula_id, grid) == first
+    assert linalg._integral.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("formula_id", sorted(CLOSED_FORMS))
