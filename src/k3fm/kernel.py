@@ -157,9 +157,14 @@ def check_sufficient(kernel: KernelSpec) -> ValidityReport:
 def check_necessary_det(kernel: KernelSpec) -> bool:
     """Determinant constraint every valid kernel satisfies.
 
-    (chi(c) - 1) * d == c - chi(a) * b, as classes.  This is a necessary
-    condition; it does not by itself certify existence.
+    (chi(c) - 1) * d == c - chi(a) * b, as classes, on the kernel after
+    normalize_twist (a = b = 0); that step is idempotent, so a normalized
+    kernel may be passed as well.  Under a + b = c + d the normalized
+    identity reads chi(x) x = 0 for x = c - a, so it holds exactly when
+    (a - c)^2 = -4 or a = c.  This is a necessary condition; it does not by
+    itself certify existence.
     """
+    kernel = normalize_twist(kernel)
     lhs = (chi_line(kernel.c) - 1) * kernel.d
     rhs = kernel.c - chi_line(kernel.a) * kernel.b
     return lhs == rhs

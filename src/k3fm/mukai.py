@@ -32,8 +32,6 @@ __all__ = [
     "line_bundle_ch",
     "point_ch",
     "ideal_sheaf_ch",
-    "twisted_ideal_ch",
-    "extension_ch",
 ]
 
 
@@ -145,18 +143,3 @@ def ideal_sheaf_ch(lattice: NSLattice, n: int) -> ChernCharacter:
     """ch of the ideal sheaf of n points: (1, 0, -n)."""
     n = exact_int(n, "number of points", low=0)
     return ChernCharacter(1, lattice.zero(), Fraction(-n))
-
-
-def twisted_ideal_ch(l: DivisorClass, n: int) -> ChernCharacter:
-    """ch of O(l) tensor I_Z for a length-n subscheme Z: (1, l, l.l/2 - n)."""
-    n = exact_int(n, "subscheme length", low=0)
-    return ChernCharacter(1, l, Fraction(l.square, 2) - n)
-
-
-def extension_ch(m: DivisorClass, l: DivisorClass, n: int) -> ChernCharacter:
-    """ch of a rank-2 extension of O(l) I_Z by O(m): (2, m + l, m.m/2 + l.l/2 - n)."""
-    n = exact_int(n, "subscheme length", low=0)
-    t = Fraction(m.square, 2) + Fraction(l.square, 2) - n
-    ch = ChernCharacter(2, m + l, t)
-    assert ch.t.denominator == 1, "sheaf classes have integral ch_2"
-    return ch

@@ -190,7 +190,6 @@ def transform_from_solution(sol: Pic1Solution) -> CohTransform:
     lattice = NSLattice(((sol.lsq,),))
     return CohTransform(
         source=lattice,
-        target=lattice,
         matrix=sol.matrix,
         labels=(("n", sol.n),),
     )

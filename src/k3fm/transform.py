@@ -23,7 +23,10 @@ of its own; each entry is then built from integer numerators, with the
 integral Fractions shared through linalg.fraction.
 
 Transforms are stored as integer matrices (integral on an even lattice)
-acting on rational coordinate vectors (rank, NS-basis coefficients, ch2).
+acting on rational coordinate vectors (rank, NS-basis coefficients, ch2)
+of one lattice.  A rank-2 transform of this kind exists only when Y is
+isomorphic to X (the paper's negative-twisted-determinant theorem), so
+each transform maps its lattice to itself and carries that one lattice.
 A kernel transform M = B alpha^T + D gamma^T - T_e is a rank-two update of
 the twist T_e, so from_kernel keeps those factors, and they serve its
 determinant and inverse in O(n^2) (matrix determinant lemma and Woodbury
@@ -62,7 +65,6 @@ __all__ = [
     "identity_transform",
     "kernel_action_vector",
     "from_kernel",
-    "compose",
     "is_mukai_isometry",
     "DiffEntry",
     "DiffReport",
@@ -81,29 +83,25 @@ def euler_gram(lattice: NSLattice) -> Matrix:
 
 @dataclass(frozen=True)
 class CohTransform:
-    """An integer matrix acting on (r, f, ch2) coordinate vectors.
+    """An integer matrix acting on (r, f, ch2) coordinate vectors of one
+    lattice: every transform maps its lattice to itself.
 
     Construction converts every entry to int once; a non-integral entry
-    raises ValueError.
-
-    shift_parity records whether the underlying functor carries an odd
-    homological shift; the matrix already contains any resulting signs.
+    raises ValueError, and the matrix must be (rank+2)x(rank+2).
     numerically_valid is False when the originating kernel fails the
     lattice-level existence conditions (the action is still well defined).
     For a kernel transform it is the paper's exact condition, a + b = c + d
     and (a - c)^2 = -4, which differs from is_mukai_isometry only on a
     degenerate Gram: there a + b - c - d may also lie in the radical.
     kernel and labels are provenance for reporting and closed-form lookups
-    and do not take part in equality.  _rank_two, set only by from_kernel
-    without phi, holds the factors of the matrix, from which determinant(),
-    inverse() and is_mukai_isometry are computed without an n x n product;
-    no other transform carries it, and shifted() keeps kernel but drops it.
+    and do not take part in equality.  _rank_two, set only by from_kernel,
+    holds the factors of the matrix, from which determinant(), inverse()
+    and is_mukai_isometry are computed without an n x n product; no other
+    transform carries it.
     """
 
     source: NSLattice
-    target: NSLattice
     matrix: Matrix
-    shift_parity: int = 0
     numerically_valid: bool = True
     kernel: KernelSpec | None = field(default=None, compare=False)
     labels: tuple[tuple[str, object], ...] = field(default=(), compare=False)
@@ -112,17 +110,15 @@ class CohTransform:
     def __post_init__(self):
         object.__setattr__(self, "matrix", integer_matrix(self.matrix))
         object.__setattr__(self, "labels", tuple(self.labels))
-        rows, cols = self.target.rank + 2, self.source.rank + 2
-        if len(self.matrix) != rows or any(len(r) != cols for r in self.matrix):
-            raise ValueError(f"transform matrix must be {rows}x{cols} for these lattices")
+        n = self.source.rank + 2
+        if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
+            raise ValueError(f"transform matrix must be {n}x{n} for this lattice")
 
     @property
     def label_map(self) -> dict:
         return dict(self.labels)
 
     def determinant(self) -> int:
-        if self.source != self.target:
-            raise ValueError("determinant requires equal source and target lattices")
         if self._rank_two is not None:
             return self._rank_two.determinant()
         return linalg.det(self.matrix)
@@ -133,28 +129,7 @@ class CohTransform:
             matrix = self._rank_two.inverse()
         else:
             matrix = linalg.inverse(self.matrix)
-        return CohTransform(
-            source=self.target,
-            target=self.source,
-            matrix=matrix,
-            shift_parity=self.shift_parity,
-            numerically_valid=self.numerically_valid,
-        )
-
-    def shifted(self, k: int = 1) -> "CohTransform":
-        """Compose with a homological shift [k]: odd k negates the action."""
-        if k % 2 == 0:
-            return self
-        neg = tuple(tuple(-x for x in row) for row in self.matrix)
-        return CohTransform(
-            source=self.source,
-            target=self.target,
-            matrix=neg,
-            shift_parity=(self.shift_parity + 1) % 2,
-            numerically_valid=self.numerically_valid,
-            kernel=self.kernel,
-            labels=self.labels,
-        )
+        return CohTransform(self.source, matrix, self.numerically_valid)
 
     def apply_vector(self, vec) -> tuple[Fraction, ...]:
         if len(vec) != self.source.rank + 2:
@@ -164,8 +139,7 @@ class CohTransform:
     def apply(self, c: ChernCharacter) -> ChernCharacter:
         if c.lattice != self.source:
             raise ValueError("character does not live on the transform's source lattice")
-        out = self.apply_vector(ch_vector(c))
-        return vector_to_ch(self.target, out)
+        return vector_to_ch(self.source, self.apply_vector(ch_vector(c)))
 
 
 def ch_vector(c: ChernCharacter) -> tuple[Fraction, ...]:
@@ -185,7 +159,7 @@ def vector_to_ch(lattice: NSLattice, vec: tuple[Fraction, ...]) -> ChernCharacte
 
 
 def identity_transform(lattice: NSLattice) -> CohTransform:
-    return CohTransform(lattice, lattice, linalg.identity(lattice.rank + 2))
+    return CohTransform(lattice, linalg.identity(lattice.rank + 2))
 
 
 def kernel_action_vector(kernel: KernelSpec, vec) -> tuple[Fraction, ...]:
@@ -342,33 +316,24 @@ class _RankTwoUpdate:
         )
 
 
-def from_kernel(
-    kernel: KernelSpec,
-    labels: tuple = (),
-    *,
-    target: NSLattice | None = None,
-    phi: Matrix | None = None,
-) -> CohTransform:
+def from_kernel(kernel: KernelSpec, labels: tuple = ()) -> CohTransform:
     """Build the transform matrix in closed form, in int.
 
     Read as matrices, the term-by-term evaluation of kernel_action_vector
     is M = B alpha^T + D gamma^T - T_e (see _RankTwoUpdate for the
     factors).  Every x^2/2 is an integer because the lattice is even.
     kernel_action_vector stays the reference the tests check this matrix
-    against.  Without phi the factors are kept on the transform, and its
-    determinant and inverse come from them.  G a, G b, G c and G d are
+    against.  The factors are kept on the transform, and its determinant,
+    inverse and isometry test come from them.  G a, G b, G c and G d are
     row dot products with the Gram, and numerically_valid (a + b = c + d
-    and (a - c)^2 / 2 = -2) is read from them and the coordinates, so
-    without phi no matrix product is formed and no DivisorClass is built.
+    and (a - c)^2 / 2 = -2) is read from them and the coordinates, so no
+    matrix product is formed and no DivisorClass is built.
     numerically_valid agrees with is_mukai_isometry except on a degenerate
     Gram, where the isometry also admits a + b - c - d in the radical;
     numerically_valid keeps the paper's equality.
 
-    phi, when given, is an isometry matrix taking source NS coordinates to
-    target NS coordinates (phi^T G_target phi = G_source) and is applied as
-    the block-diagonal extension fixing the rank and ch2 coordinates.  The
-    kernel's four classes are auto-attached as labels a, b, c, d when no
-    relattice identification is involved.
+    The kernel's four classes are attached as labels a, b, c, d, ahead of
+    the given labels.
     """
     lat = kernel.lattice
     a, b, c, d = (x.coords for x in (kernel.a, kernel.b, kernel.c, kernel.d))
@@ -384,34 +349,11 @@ def from_kernel(
         ge=ge,
         half_e2=_half_square(e, ge),
     )
-    matrix = update.matrix()
-
-    tgt = lat
-    if phi is not None:
-        if target is None:
-            raise ValueError("phi requires an explicit target lattice")
-        tgt = target
-        phi = integer_matrix(phi)
-        if len(phi) != tgt.rank or any(len(row) != lat.rank for row in phi):
-            raise ValueError("phi has the wrong shape for the given lattices")
-        if mat_mul(mat_mul(transpose(phi), tgt.gram), phi) != lat.gram:
-            raise ValueError("phi is not an isometry of the divisor lattices")
-        # The block-diagonal extension fixes the rank and ch2 rows.
-        matrix = (matrix[0], *mat_mul(phi, matrix[1:-1]), matrix[-1])
-        update = None
-    elif target is not None:
-        if target != lat:
-            raise ValueError("target lattice differs from the kernel lattice; supply phi")
-        tgt = target
-
-    auto = ()
-    if phi is None:
-        auto = (("a", kernel.a), ("b", kernel.b), ("c", kernel.c), ("d", kernel.d))
+    auto = (("a", kernel.a), ("b", kernel.b), ("c", kernel.c), ("d", kernel.d))
     valid = tuple(map(add, a, b)) == e and _half_square(map(sub, a, c), map(sub, ga, gc)) == -2
     return CohTransform(
         source=lat,
-        target=tgt,
-        matrix=matrix,
+        matrix=update.matrix(),
         numerically_valid=valid,
         kernel=kernel,
         labels=auto + tuple(labels),
@@ -419,26 +361,13 @@ def from_kernel(
     )
 
 
-def compose(outer: CohTransform, inner: CohTransform) -> CohTransform:
-    """outer after inner, with no labels: the classes a closed-form block
-    reads from labels belong to one kernel, not to a composite."""
-    if inner.target != outer.source:
-        raise ValueError("inner transform's target lattice differs from outer's source")
-    return CohTransform(
-        source=inner.source,
-        target=outer.target,
-        matrix=mat_mul(outer.matrix, inner.matrix),
-        shift_parity=(outer.shift_parity + inner.shift_parity) % 2,
-        numerically_valid=outer.numerically_valid and inner.numerically_valid,
-    )
-
-
 def is_mukai_isometry(t: CohTransform) -> bool:
     """Whether the transform preserves the Euler pairing exactly.
 
-    The defining identity is M^T E_target M = E_source (Huybrechts 2006,
-    ch. 5), equivalent by bilinearity to agreement of euler_chi on all
-    pairs; a transform without factors is tested by exactly that product.
+    The defining identity is M^T E M = E (Huybrechts 2006, ch. 5), with E
+    the Euler Gram of the transform's lattice, equivalent by bilinearity to
+    agreement of euler_chi on all pairs; a transform without factors is
+    tested by exactly that product.
 
     A kernel transform with its factors, M = U V^T - T_e (see
     _RankTwoUpdate), is tested in O(n) integer operations and forms no
@@ -463,13 +392,14 @@ def is_mukai_isometry(t: CohTransform) -> bool:
       X L^T = V A^T + R, so R = V A.  In integers: adj(V_2) R_2 = delta A
       is antisymmetric and delta R = V (delta A) row by row.
 
-    Every other transform (phi, compose, shifted, inverse results, pic1,
-    hand-built matrices) takes the product.
+    Every other transform (inverse results, pic1, hand-built matrices)
+    takes the product, against one Euler Gram.
     """
     if t._rank_two is not None:
         return t._rank_two.is_isometry()
     m = t.matrix
-    return mat_mul(transpose(m), mat_mul(euler_gram(t.target), m)) == euler_gram(t.source)
+    e = euler_gram(t.source)
+    return mat_mul(transpose(m), mat_mul(e, m)) == e
 
 
 # Closed-form blocks.  Each takes the lattice and the classes CLOSED_FORMS
@@ -645,15 +575,13 @@ def crosscheck_specialized(t: CohTransform, formula_id: str, grid=None) -> DiffR
     rows X, residual rows R and a denominator d: delta_hat is X n / (d v)
     where R n = 0, and None where the difference leaves the span of H or
     H is degenerate.  Every entry is built here, eagerly.  An empty entry
-    list means exact agreement on the grid.  The block is square on the
-    source lattice, so a transform onto another lattice raises ValueError.
+    list means exact agreement on the grid.  The block is built on the
+    transform's one lattice, so C and M always have the same shape.
     """
     if formula_id not in CLOSED_FORMS:
         raise ValueError(
             f"unknown formula id {formula_id!r}; known: {sorted(CLOSED_FORMS)}"
         )
-    if t.source != t.target:
-        raise ValueError("crosscheck requires equal source and target lattices")
     if grid is None:
         grid = default_grid(t.source)
     if any(len(point) != t.source.rank + 2 for point in grid):

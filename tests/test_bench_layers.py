@@ -1,15 +1,21 @@
-"""The benchmark's tracer names each layer by an attribute path into k3fm.
+"""The benchmark reaches k3fm only through names this tree still provides.
 
 bench/tracing.py wraps every TARGETS entry by looking it up at run time, so
-a renamed function would break `--trace 1`.  The file is read as text and
-its TARGETS literal evaluated; nothing under bench/ is imported or written.
+a renamed function would break `--trace 1`; the workloads read `k3fm.<name>`
+attributes and pass keywords to `k3fm.<callable>(...)`, so a removed name or
+keyword would fail the benchmark run rather than a test.  Every bench/*.py
+is read as text and parsed; nothing under bench/ is imported or written.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+import k3fm
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def trace_targets():
@@ -34,3 +40,79 @@ def test_trace_targets_resolve_to_k3fm_callables():
     assert targets
     assert all(module.split(".")[0] == "k3fm" for module, _, _ in targets)
     assert [layer for module, path, layer in targets if not resolves(module, path)] == []
+
+
+def k3fm_path(node):
+    """The names read after k3fm in `k3fm.x.y` or `self.k3fm.x.y`, else ()."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    parts.reverse()
+    if isinstance(node, ast.Name) and node.id == "k3fm":
+        return tuple(parts)
+    if parts[:1] == ["k3fm"]:
+        return tuple(parts[1:])
+    return ()
+
+
+def lookup(path):
+    """The object k3fm.<path> names, importing submodules as `import` would;
+    None where a name does not resolve."""
+    owner = k3fm
+    for part in path:
+        if not hasattr(owner, part) and inspect.ismodule(owner):
+            try:
+                importlib.import_module(f"{owner.__name__}.{part}")
+            except ModuleNotFoundError:
+                return None
+        owner = getattr(owner, part, None)
+        if owner is None:
+            return None
+    return owner
+
+
+def bench_uses():
+    """(where, path, keywords) for every k3fm attribute read in bench/*.py;
+    keywords are those of the call the read is the callee of, if any."""
+    uses = []
+    for source in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(source.read_text(), filename=str(source))
+        called = {
+            id(node.func): [kw.arg for kw in node.keywords if kw.arg is not None]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+        }
+        for node in ast.walk(tree):
+            path = k3fm_path(node) if isinstance(node, ast.Attribute) else ()
+            if path:
+                uses.append((f"{source.name}:{node.lineno}", path, called.get(id(node), [])))
+    return uses
+
+
+def accepts(target, keyword):
+    if target is None:
+        return False
+    params = inspect.signature(target).parameters.values()
+    return any(
+        p.kind is p.VAR_KEYWORD or (p.name == keyword and p.kind is not p.POSITIONAL_ONLY)
+        for p in params
+    )
+
+
+def test_bench_reads_only_names_k3fm_provides():
+    uses = bench_uses()
+    assert uses
+    assert [(where, ".".join(path)) for where, path, _ in uses if lookup(path) is None] == []
+
+
+def test_bench_passes_only_keywords_k3fm_accepts():
+    calls = [(where, path, kws) for where, path, kws in bench_uses() if kws]
+    assert calls
+    rejected = [
+        (where, ".".join(path), kw)
+        for where, path, kws in calls
+        for kw in kws
+        if not accepts(lookup(path), kw)
+    ]
+    assert rejected == []

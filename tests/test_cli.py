@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from k3fm import SurfaceSpecError, surface_spec_from_dict
 from k3fm.cli import _COMMANDS, _render_text, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,9 +65,20 @@ def test_surface_validate_rejects_bad_gram(tmp_path, capsys):
     assert "odd" in message
 
 
-@pytest.mark.parametrize("key", ["classes", "assumptions"])
-def test_surface_validate_rejects_non_container_sections(tmp_path, capsys, key):
-    surface = {"gram": [[2]], "classes": {"h": [1]}, key: 5}
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        pytest.param("classes", 5, id="classes"),
+        pytest.param("assumptions", 5, id="assumptions"),
+        pytest.param("gram", 5, id="gram-int"),
+        pytest.param("gram", [1, 2], id="gram-flat"),
+        pytest.param("gram", "x", id="gram-str"),
+    ],
+)
+def test_surface_validate_rejects_non_container_sections(tmp_path, capsys, key, value):
+    surface = {"gram": [[2]], "classes": {"h": [1]}, key: value}
+    with pytest.raises(SurfaceSpecError, match=f'"{key}" must be'):
+        surface_spec_from_dict(surface)
     message = surface_input_error(tmp_path, capsys, surface)
     assert f'"{key}" must be' in message
 

@@ -22,7 +22,6 @@ from k3fm import (
     check_ample_primitive,
     es_relation,
     existence_test,
-    extension_ch,
     hilb_moduli_vector,
     identity_transform,
     ideal_sheaf_ch,
@@ -32,7 +31,6 @@ from k3fm import (
     standard_spec,
     strata_chain,
     transform_for,
-    twisted_ideal_ch,
     validate_reflexive,
 )
 from k3fm import linalg
@@ -48,7 +46,7 @@ ROWS = identity_transform(LATTICE).matrix[1:]
 BOUNDARIES = [
     ("NSLattice gram", lambda v: NSLattice(((2, v), (v, -2))), 1, False),
     ("DivisorClass coords", lambda v: DivisorClass(LATTICE, (v, 0)), 1, False),
-    ("CohTransform matrix", lambda v: CohTransform(LATTICE, LATTICE, ((v, 0, 0, 0), *ROWS)), 1, False),
+    ("CohTransform matrix", lambda v: CohTransform(LATTICE, ((v, 0, 0, 0), *ROWS)), 1, False),
     ("mat_vec", lambda v: linalg.mat_vec(((1, 2),), (v, 0)), 1, True),
     ("apply_vector", lambda v: NONDEG.apply_vector((v, 0, 0, 0)), 1, True),
     ("kernel_action_vector", lambda v: kernel_action_vector(KERNEL, (0, v, 0, 0)), 1, True),
@@ -57,8 +55,6 @@ BOUNDARIES = [
     ("MukaiVector r", lambda v: MukaiVector(v, H, Fraction(0)), 1, False),
     ("MukaiVector s", lambda v: MukaiVector(1, H, v), 1, True),
     ("ideal_sheaf_ch n", lambda v: ideal_sheaf_ch(LATTICE, v), 1, False),
-    ("twisted_ideal_ch n", lambda v: twisted_ideal_ch(L, v), 1, False),
-    ("extension_ch n", lambda v: extension_ch(H, L, v), 1, False),
     ("es_relation", es_relation, 4, False),
     ("strata_chain z", lambda v: strata_chain(L, H, H, v, surface=SPEC), 1, False),
     ("strata_chain a", lambda v: strata_chain(L, H, H, 1, surface=SPEC, a=v), 1, True),

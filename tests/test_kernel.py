@@ -16,7 +16,7 @@ from k3fm import (
 
 from k3fm.cli import _json
 
-from helpers import SQUARE_MINUS_4, kernels, lattices
+from helpers import SQUARE_MINUS_4, class_on, kernels, lattice_with_classes, lattices
 
 REFLEXIVE = NSLattice(((2, 0), (0, -12)))
 H = DivisorClass(REFLEXIVE, (1, 0))
@@ -113,6 +113,22 @@ def test_determinant_condition_for_reflexive_kernel():
 def test_determinant_condition_fails_off_family():
     k = KernelSpec(a=H, b=L, c=H + L, d=L - H)
     assert not check_necessary_det(k)
+
+
+@pytest.mark.parametrize("lattice,coords", SQUARE_MINUS_4)
+@given(data=st.data())
+def test_determinant_condition_holds_for_every_valid_kernel(lattice, coords, data):
+    # Not only at a = b = 0: the kernel is normalized inside the check.
+    m = DivisorClass(lattice, coords)
+    a, b = data.draw(class_on(lattice)), data.draw(class_on(lattice))
+    assert check_necessary_det(KernelSpec(a=a, b=b, c=a - m, d=b + m))
+
+
+@given(lattice_with_classes(3))
+def test_determinant_condition_under_the_sum_condition(drawn):
+    _, a, b, c = drawn
+    k = KernelSpec(a=a, b=b, c=c, d=a + b - c)
+    assert check_necessary_det(k) == ((a - c).square == -4 or a == c)
 
 
 @pytest.mark.parametrize("lattice,coords", SQUARE_MINUS_4)

@@ -13,7 +13,6 @@ from k3fm import (
     chi_line,
     chi_sheaf,
     euler_chi,
-    extension_ch,
     ideal_sheaf_ch,
     line_bundle_ch,
     mukai_pairing,
@@ -21,7 +20,6 @@ from k3fm import (
     point_ch,
     sign_normalized,
     twist,
-    twisted_ideal_ch,
 )
 
 from k3fm.cli import _json
@@ -91,9 +89,6 @@ def test_chi_sheaf_values():
 
 def test_standard_class_constructors():
     assert ideal_sheaf_ch(REFLEXIVE, 2).t == -2
-    assert twisted_ideal_ch(L, 1).t == Fraction(-12, 2) - 1
-    ext = extension_ch(REFLEXIVE.zero(), L, 2)
-    assert (ext.r, ext.f, ext.t) == (2, L, Fraction(-8))
     with pytest.raises(ValueError, match="non-negative"):
         ideal_sheaf_ch(REFLEXIVE, -1)
 
@@ -111,10 +106,8 @@ def test_frac_str_canonical():
         lambda: ChernCharacter(True, REFLEXIVE.zero(), Fraction(0)),
         lambda: MukaiVector(False, REFLEXIVE.zero(), Fraction(0)),
         lambda: ideal_sheaf_ch(REFLEXIVE, True),
-        lambda: twisted_ideal_ch(L, True),
-        lambda: extension_ch(L, L, False),
     ],
-    ids=["ChernCharacter", "MukaiVector", "ideal_sheaf_ch", "twisted_ideal_ch", "extension_ch"],
+    ids=["ChernCharacter", "MukaiVector", "ideal_sheaf_ch"],
 )
 def test_booleans_are_not_integers(build):
     with pytest.raises(ValueError, match="integer"):

@@ -15,7 +15,6 @@ from k3fm import (
     KernelSpec,
     NSLattice,
     ch_to_mukai,
-    compose,
     crosscheck_specialized,
     euler_chi,
     euler_gram,
@@ -266,17 +265,9 @@ def test_invalid_kernel_is_flagged_but_still_linear():
 def test_compose_and_inverse():
     t = nondeg_transform()
     ti = t.inverse()
-    both = compose(ti, t)
-    ident = identity_transform(REFLEXIVE)
-    assert both.matrix == ident.matrix
+    assert mat_mul(ti.matrix, t.matrix) == identity_transform(REFLEXIVE).matrix
     c = ChernCharacter(2, 3 * H - L, Fraction(-7))
     assert ti.apply(t.apply(c)) == c
-
-
-def test_composite_carries_no_labels():
-    t = nondeg_transform()
-    with pytest.raises(ValueError, match="missing labels"):
-        crosscheck_specialized(compose(t, t.inverse()), "reflexive_nondegenerate")
 
 
 def assert_integer_matrices(t):
@@ -296,59 +287,36 @@ def test_builder_matrices_are_integral(builder):
 def test_kernel_matrices_are_integral(k):
     t = from_kernel(k)
     assert_integer_matrices(t)
-    assert_integer_matrices(t.shifted())
-    assert_integer_matrices(compose(t, t))
+    if t.determinant() in (1, -1):
+        assert_integer_matrices(t.inverse())
 
 
 def test_non_integral_entry_is_rejected():
     rows = ((1, 0, 0), (0, Fraction(1, 2), 0), (0, 0, 1))
     lattice = NSLattice(((-4,),))
     with pytest.raises(ValueError, match=r"matrix entry must be an integer, got Fraction\(1, 2\)"):
-        CohTransform(lattice, lattice, rows)
-    integral = CohTransform(lattice, lattice, ((Fraction(2, 2), 0, 0), (0, 1, 0), (0, 0, 1)))
+        CohTransform(lattice, rows)
+    integral = CohTransform(lattice, ((Fraction(2, 2), 0, 0), (0, 1, 0), (0, 0, 1)))
     assert integral.matrix == identity_transform(lattice).matrix
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [((1, 0, 0), (0, 1, 0)), ((1, 0), (0, 1), (0, 0)), ((1, 0, 0, 0),) * 4],
+    ids=["too few rows", "too few columns", "square but too large"],
+)
+def test_matrix_must_be_square_on_the_lattice(rows):
+    with pytest.raises(ValueError, match="must be 3x3 for this lattice"):
+        CohTransform(NSLattice(((-4,),)), rows)
 
 
 @pytest.mark.parametrize("scale", [2, -2])
 def test_inverse_needs_unit_determinant(scale):
     lattice = NSLattice(((-4,),))
-    t = CohTransform(lattice, lattice, ((scale, 0, 0), (0, 1, 0), (0, 0, 1)))
+    t = CohTransform(lattice, ((scale, 0, 0), (0, 1, 0), (0, 0, 1)))
     assert t.determinant() == scale
     with pytest.raises(ValueError, match=f"determinant {scale}"):
         t.inverse()
-
-
-def test_shifted_negates_action():
-    t = nondeg_transform()
-    s = t.shifted()
-    assert s.shift_parity == 1
-    c = ChernCharacter(1, H, Fraction(1))
-    out, shifted_out = t.apply(c), s.apply(c)
-    assert shifted_out.r == -out.r
-    assert shifted_out.f == -out.f
-    assert shifted_out.t == -out.t
-    assert s.shifted().matrix == t.matrix
-
-
-def test_phi_identification_requires_isometry():
-    k = KernelSpec(
-        a=REFLEXIVE.zero(),
-        b=REFLEXIVE.zero(),
-        c=2 * H + L,
-        d=-(2 * H + L),
-    )
-    neg = ((Fraction(-1), Fraction(0)), (Fraction(0), Fraction(-1)))
-    t = from_kernel(k, target=REFLEXIVE, phi=neg)
-    assert t.target == REFLEXIVE
-    assert is_mukai_isometry(t)
-    with pytest.raises(ValueError, match="isometry"):
-        from_kernel(
-            k,
-            target=REFLEXIVE,
-            phi=((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1))),
-        )
-    with pytest.raises(ValueError, match="target"):
-        from_kernel(k, phi=neg)
 
 
 @st.composite
@@ -389,17 +357,16 @@ def test_factored_determinant_and_inverse_match_bareiss(k):
         # With a + b = c + d, K = -[[1, s], [s, 1]] for s = 2 + (b - d)^2/2,
         # and (b - d)^2 = (a - c)^2 = -4 gives s = 0.
         assert t.determinant() == (-1) ** rank
-    # Transforms derived from t carry no factors and keep agreeing with Bareiss.
-    shifted = t.shifted()
-    assert shifted.kernel is k
-    assert shifted.determinant() == det(shifted.matrix)
-    assert outcome(lambda: shifted.inverse().matrix) == outcome(lambda: inverse(shifted.matrix))
-    both = compose(t, t)
-    assert both.determinant() == det(both.matrix) == t.determinant() ** 2
-    negation = tuple(tuple(-x for x in row) for row in identity(rank))
-    phi_t = from_kernel(k, target=k.lattice, phi=negation)
-    assert phi_t.determinant() == det(phi_t.matrix) == (-1) ** rank * t.determinant()
-    assert outcome(lambda: phi_t.inverse().matrix) == outcome(lambda: inverse(phi_t.matrix))
+    # Transforms without factors go through Bareiss and agree with the factors.
+    bare = CohTransform(t.source, t.matrix)
+    assert bare._rank_two is None
+    assert bare.determinant() == t.determinant()
+    assert outcome(lambda: bare.inverse().matrix) == outcome(lambda: t.inverse().matrix)
+    if t.determinant() in (1, -1):
+        ti = t.inverse()
+        assert ti._rank_two is None
+        assert ti.determinant() == det(ti.matrix) == t.determinant()
+        assert ti.inverse().matrix == t.matrix
 
 
 def ladder_kernel(rank):
@@ -441,60 +408,39 @@ def test_factored_path_matches_oracles_on_rank_ladder(rank):
 
 
 def dense_isometry(t):
-    m = t.matrix
-    return mat_mul(mat_mul(transpose(m), euler_gram(t.target)), m) == euler_gram(t.source)
-
-
-def sheared(lattice):
-    """phi = I + E_01 and the lattice it carries the source onto isometrically."""
-    rank = lattice.rank
-    phi = tuple(tuple(int(i == j or (i, j) == (0, 1)) for j in range(rank)) for i in range(rank))
-    back = inverse(phi)
-    return phi, NSLattice(mat_mul(mat_mul(transpose(back), lattice.gram), back))
+    m, e = t.matrix, euler_gram(t.source)
+    return mat_mul(mat_mul(transpose(m), e), m) == e
 
 
 @given(any_kernels, st.data())
 def test_isometry_check_matches_dense_product(k, data):
     t = from_kernel(k)
-    kernel_transforms = [t]
-    if k.lattice.rank > 1:
-        phi, target = sheared(k.lattice)
-        kernel_transforms.append(from_kernel(k, target=target, phi=phi))
+    exact = [t]
+    if t.determinant() in (1, -1):
+        # The inverse carries no factors: the dense path on a true isometry.
+        exact.append(t.inverse())
     if t.numerically_valid:
-        assert all(map(is_mukai_isometry, kernel_transforms))
+        assert all(map(is_mukai_isometry, exact))
     size = len(t.matrix)
     entries = st.lists(st.integers(-2, 2), min_size=size, max_size=size)
     candidates = [
-        *kernel_transforms,
-        CohTransform(t.source, t.target, data.draw(st.lists(entries, min_size=size, max_size=size))),
+        *exact,
+        CohTransform(t.source, data.draw(st.lists(entries, min_size=size, max_size=size))),
     ]
-    for kernel_transform in kernel_transforms:
+    for u in exact:
         i, j = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
-        rows = [list(row) for row in kernel_transform.matrix]
+        rows = [list(row) for row in u.matrix]
         rows[i][j] += data.draw(st.sampled_from((-2, -1, 1, 2)))
-        candidates.append(CohTransform(kernel_transform.source, kernel_transform.target, rows))
+        candidates.append(CohTransform(u.source, rows))
     for candidate in candidates:
         assert is_mukai_isometry(candidate) == dense_isometry(candidate)
-
-
-def test_isometry_check_on_relattice_transform():
-    m = 2 * H + L
-    k = KernelSpec(a=REFLEXIVE.zero(), b=REFLEXIVE.zero(), c=m, d=-m)
-    phi, target = sheared(REFLEXIVE)
-    assert target.gram == ((2, -2), (-2, -10))
-    t = from_kernel(k, target=target, phi=phi)
-    assert is_mukai_isometry(t) and dense_isometry(t)
-    rows = [list(row) for row in t.matrix]
-    rows[1][0] += 1
-    bent = CohTransform(t.source, t.target, rows)
-    assert not is_mukai_isometry(bent) and not dense_isometry(bent)
 
 
 @pytest.mark.parametrize("scale, isometry", [(1, True), (-1, True), (2, False)])
 def test_isometry_check_reads_the_diagonal(scale, isometry):
     # Scaling f by 2 changes only the diagonal entry -G = 4 of M^T E M, to 4 * 2^2.
     lattice = NSLattice(((-4,),))
-    t = CohTransform(lattice, lattice, ((1, 0, 0), (0, scale, 0), (0, 0, 1)))
+    t = CohTransform(lattice, ((1, 0, 0), (0, scale, 0), (0, 0, 1)))
     assert is_mukai_isometry(t) == dense_isometry(t) == isometry
 
 
@@ -569,8 +515,11 @@ def test_factored_isometry_forms_no_dense_product(monkeypatch):
     euler_gram; transforms without factors still take the dense path."""
     k = ladder_kernel(8)
     t = from_kernel(k)
-    phi, target = sheared(k.lattice)
-    others = [t.shifted(), compose(t, t), from_kernel(k, target=target, phi=phi), t.inverse()]
+    others = [
+        CohTransform(t.source, t.matrix),
+        CohTransform(t.source, mat_mul(t.matrix, t.matrix)),
+        t.inverse(),
+    ]
     calls = []
     for name in ("mat_mul", "euler_gram"):
         real = getattr(transform, name)
@@ -607,10 +556,9 @@ def test_numerically_valid_matches_class_arithmetic(k):
 
 
 def test_from_kernel_forms_no_product_and_no_class(monkeypatch):
-    """Without phi, from_kernel calls no mat_mul and no intersect and builds
-    no DivisorClass; the counters do see the phi path and class arithmetic."""
+    """from_kernel calls no mat_mul and no intersect and builds no
+    DivisorClass; the counters do see class arithmetic."""
     k = ladder_kernel(8)
-    phi, target = sheared(k.lattice)
     calls = []
     patched = (
         (transform, "mat_mul"),
@@ -630,9 +578,6 @@ def test_from_kernel_forms_no_product_and_no_class(monkeypatch):
     t = from_kernel(k)
     assert calls == []
     assert t.numerically_valid
-    from_kernel(k, target=target, phi=phi)
-    assert "mat_mul" in calls
-    calls.clear()
     assert (k.a - k.c).square == -4
     assert calls == ["DivisorClass", "intersect"]
 
@@ -756,7 +701,7 @@ def test_general_crosscheck_of_mislabelled_kernel_matches_point_scan(k, data):
     # Labelled with other classes, the general block disagrees with the engine.
     t = from_kernel(k)
     labels = tuple((name, data.draw(class_on(k.lattice))) for name in "abcd")
-    t = CohTransform(t.source, t.target, t.matrix, labels=labels)
+    t = CohTransform(t.source, t.matrix, labels=labels)
     grid = mixed_grid(data, t.source)
     assert crosscheck_specialized(t, "general", grid) == crosscheck_by_points(
         t, "general", grid
@@ -783,7 +728,7 @@ def test_delta_hat_matches_point_scan(kind, data):
     k = data.draw(kernels(max_rank=4).filter(lambda k: k.lattice.rank >= HAT_PAIR_RANKS[kind]))
     lat = k.lattice
     labels = tuple((name, data.draw(class_on(lat))) for name in "abcd")
-    t = CohTransform(lat, lat, from_kernel(k).matrix, labels=labels)
+    t = CohTransform(lat, from_kernel(k).matrix, labels=labels)
     grid = mixed_grid(data, lat)
     if kind == "independent":
         hhat, lhat = data.draw(class_on(lat)), data.draw(class_on(lat))
@@ -807,7 +752,7 @@ def test_delta_hat_matches_point_scan(kind, data):
         )
         units = identity(lat.rank + 2)
         grid = [units[j], units[i], *grid]
-    t = CohTransform(lat, lat, t.matrix, labels=labels + (("hhat", hhat), ("lhat", lhat)))
+    t = CohTransform(lat, t.matrix, labels=labels + (("hhat", hhat), ("lhat", lhat)))
     report = crosscheck_specialized(t, "general", grid)
     assert report == crosscheck_by_points(t, "general", grid)
     assert_fraction_fields(report)
@@ -863,19 +808,6 @@ def test_crosscheck_rejects_wrong_length_points():
     t = nondeg_transform()
     with pytest.raises(ValueError, match="wrong length"):
         crosscheck_specialized(t, "reflexive_nondegenerate", [(0, 0, 0, 0), (1, 0, 0)])
-
-
-def test_crosscheck_rejects_transform_onto_another_lattice():
-    # The block is square on the source; the engine matrix has target-sized rows.
-    src, tgt = NSLattice(((0, 0), (0, 0))), NSLattice(((0,),))
-    k = KernelSpec(a=src.basis(0), b=src.zero(), c=src.zero(), d=src.basis(1))
-    labels = (("a", k.a), ("b", k.b), ("c", k.c), ("d", k.d))
-    t = from_kernel(k, labels, target=tgt, phi=((1, 0),))
-    with pytest.raises(ValueError, match="equal source and target"):
-        crosscheck_specialized(t, "general", [(1, 0, 0, 0)])
-    with_hats = from_kernel(k, labels + (("hhat", k.a), ("lhat", k.d)), target=tgt, phi=((1, 0),))
-    with pytest.raises(ValueError, match="equal source and target"):
-        crosscheck_specialized(with_hats, "general")
 
 
 def test_crosscheck_unknown_formula():
