@@ -294,7 +294,7 @@ def _cmd_kernel_check(args):
     payload = {
         "kernel": kernel.to_dict(),
         "report": report.to_dict(),
-        "determinant_condition": check_necessary_det(normalized),
+        "determinant_condition": check_necessary_det(kernel),
         "phi_o_identity": check_phiO_identity(normalized),
         "normalized": normalized.to_dict(),
     }
@@ -443,7 +443,7 @@ def _cmd_primitive_check(args):
         "h": h,
         "l": l,
         "lsq": lsq,
-        "z": es_relation(lsq) if lsq % 4 == 0 and lsq >= -8 else None,
+        "z": es_relation(lsq),
         "excluded": excluded,
     }
 
@@ -492,8 +492,15 @@ def _add_builder(sub):
     sub.add_argument("--lsq", type=int, default=None, help="generator square for builder pic1")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError on an argument error, so main reports it as input."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="k3fm",
         description="Exact computations with rank-2 kernel transforms on K3 lattices.",
     )
@@ -588,19 +595,19 @@ def _resolve_format(args) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _, handler = _COMMANDS[args.command]
+    command = None  # reported as null when the arguments do not parse
     fmt = "json"  # the report of an unsupported format is itself JSON
     try:
+        args = build_parser().parse_args(argv)
+        command = args.command
         fmt = _resolve_format(args)
-        status, payload = handler(args)
+        status, payload = _COMMANDS[command][1](args)
     except RejectionError as exc:
         status, payload = 1, {"error": {"kind": "rejection", "message": str(exc)}}
     except (ValueError, OSError) as exc:
         status, payload = 2, {"error": {"kind": "input", "message": str(exc)}}
     try:
-        _emit(_json({"command": args.command, "ok": status == 0, **payload}), fmt)
+        _emit(_json({"command": command, "ok": status == 0, **payload}), fmt)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader went away: point stdout at devnull so the interpreter's

@@ -15,7 +15,8 @@ check_sufficient evaluates these and reports a verdict.  Conditions (1)
 and (2) are decidable from the lattice alone; (3) is geometric input that
 must be declared on the surface, so the verdict distinguishes "sufficient"
 (all four) from "numerically-consistent" (lattice conditions hold, no
-declaration) and "fails".
+declaration) and "fails".  It is the one place that decides (1) and (2);
+check_phiO_identity and CohTransform.numerically_valid read its verdict.
 """
 
 from __future__ import annotations
@@ -157,17 +158,17 @@ def check_sufficient(kernel: KernelSpec) -> ValidityReport:
 def check_necessary_det(kernel: KernelSpec) -> bool:
     """Determinant constraint every valid kernel satisfies.
 
-    (chi(c) - 1) * d == c - chi(a) * b, as classes, on the kernel after
-    normalize_twist (a = b = 0); that step is idempotent, so a normalized
-    kernel may be passed as well.  Under a + b = c + d the normalized
-    identity reads chi(x) x = 0 for x = c - a, so it holds exactly when
-    (a - c)^2 = -4 or a = c.  This is a necessary condition; it does not by
-    itself certify existence.
+    (chi(c) - 1) * d == c - chi(a) * b on the kernel twisted to a = b = 0,
+    that is (chi(x) - 1) (d - b) == x for x = c - a.  Under a + b = c + d
+    it reads chi(x) x = 0, so it holds exactly when (a - c)^2 = -4 or
+    a = c.  This is a necessary condition; it does not by itself certify
+    existence.  It stays apart from check_sufficient because kernel-check
+    reports it for every kernel, and where the sum condition fails it is
+    an independent fact: (0, 0, x, x) with x^2 = 0 and x != 0 satisfies
+    it, while a + b != c + d.
     """
-    kernel = normalize_twist(kernel)
-    lhs = (chi_line(kernel.c) - 1) * kernel.d
-    rhs = kernel.c - chi_line(kernel.a) * kernel.b
-    return lhs == rhs
+    x = kernel.c - kernel.a
+    return (chi_line(x) - 1) * (kernel.d - kernel.b) == x
 
 
 def normalize_twist(kernel: KernelSpec) -> KernelSpec:
@@ -195,12 +196,13 @@ def check_phiO_identity(kernel: KernelSpec) -> bool:
 
     Kernels of this shape send the structure sheaf to a sheaf with the
     Chern character of a line bundle and are the model case for transforms
-    fixing the trivial class.
+    fixing the trivial class.  With a = b = 0, "sufficient" is that shape:
+    the sum condition is c + d = 0, so d = -m for m = c; (a - c)^2 = m^2;
+    and vanishing_covers accepts either sign, so a declaration for
+    a - c = -m is one for m.
     """
     return (
         kernel.a.is_zero
         and kernel.b.is_zero
-        and (kernel.c + kernel.d).is_zero
-        and kernel.c.square == -4
-        and vanishing_covers(kernel, kernel.c)
+        and check_sufficient(kernel).verdict == "sufficient"
     )

@@ -102,17 +102,15 @@ class StrataReport:
         return data
 
 
-def es_relation(lsq: int) -> int:
+def es_relation(lsq: int) -> int | None:
     """Forced zero-locus length of a rank-2 section: z = (lsq + 8) / 4.
 
     Defined only for lsq divisible by 4 and at least -8; outside that
-    range no section configuration is compatible.
+    range no section configuration is compatible, and the result is None.
     """
     lsq = exact_int(lsq, "class square")
-    if lsq % 4 != 0:
-        raise ValueError(f"class square {lsq} is not divisible by 4; no zero-locus length fits")
-    if lsq < -8:
-        raise ValueError(f"class square {lsq} would force a negative zero-locus length")
+    if lsq % 4 != 0 or lsq < -8:
+        return None
     return (lsq + 8) // 4
 
 
@@ -168,7 +166,8 @@ def check_ample_primitive(l: DivisorClass, n: int, h: DivisorClass, *, surface: 
 
     Substitutes m = h into the destabilizing gap l.m - m^2 > z with z the
     forced zero-locus length for l^2.  Returns True when the system is
-    inconsistent, i.e. the configuration is excluded.
+    inconsistent, i.e. the configuration is excluded; an l^2 with no
+    zero-locus length (es_relation gives None) is excluded outright.
     """
     n = exact_int(n, "multiplier n", low=2)
     if l != n * h:
@@ -177,12 +176,9 @@ def check_ample_primitive(l: DivisorClass, n: int, h: DivisorClass, *, surface: 
         raise RejectionError(
             "h is not declared ample on this surface; the test applies to polarizations"
         )
-    lsq = l.square
-    if lsq % 4 != 0 or lsq < -8:
-        return True
-    z = es_relation(lsq)
+    z = es_relation(l.square)
     gap = intersect(l, h) - h.square
-    return not gap > z
+    return z is None or not gap > z
 
 
 def hilb_moduli_vector(T: CohTransform, n: int, flavor: str) -> MukaiVector:

@@ -371,38 +371,32 @@ def build_kernel(rs: ReflexiveSurface, variant: str) -> KernelSpec:
     """
     if variant not in KERNEL_VARIANTS:
         raise ValueError(f"unknown kernel variant {variant!r}; expected {KERNEL_VARIANTS}")
-    vanishing = rs.spec.declared("no_cohomology")
+    h, l = rs.h, rs.l
     if variant == "nondegenerate":
         if rs.degenerate:
             raise ReflexiveViolation(
                 "the non-degenerate kernel requires l+2h without cohomology, "
                 "but the surface declares it effective"
             )
-        return KernelSpec(
-            a=-rs.h,
-            b=3 * rs.l + 7 * rs.h,
-            c=rs.l + rs.h,
-            d=2 * rs.l + 5 * rs.h,
-            declared_vanishing=vanishing,
-            source=rs.spec,
-            target=rs.spec,
-        )
-    report = classify_type(rs, decompose_l2h(rs))
-    wanted = "I" if variant == "type-i" else "II"
-    if report.surface_type != wanted:
-        raise ReflexiveViolation(
-            f"surface decomposes with degree pattern ({report.deg_d1}, {report.deg_d2}), "
-            f"type {report.surface_type}; the {variant} kernel does not apply"
-        )
-    d1, d2, h = report.d1, report.d2, rs.h
-    if variant == "type-i":
-        return KernelSpec(
-            a=d1 - h, b=h - d1, c=d2 - h, d=h - d2,
-            declared_vanishing=vanishing, source=rs.spec, target=rs.spec,
-        )
+        classes = (-h, 3 * l + 7 * h, l + h, 2 * l + 5 * h)
+    else:
+        report = classify_type(rs, decompose_l2h(rs))
+        wanted = "I" if variant == "type-i" else "II"
+        if report.surface_type != wanted:
+            raise ReflexiveViolation(
+                f"surface decomposes with degree pattern ({report.deg_d1}, {report.deg_d2}), "
+                f"type {report.surface_type}; the {variant} kernel does not apply"
+            )
+        d1, d2 = report.d1, report.d2
+        if variant == "type-i":
+            classes = (d1 - h, h - d1, d2 - h, h - d2)
+        else:
+            classes = (d1 - h, d2 - 2 * d1 + h, d2 - h, h - d1)
     return KernelSpec(
-        a=d1 - h, b=d2 - 2 * d1 + h, c=d2 - h, d=h - d1,
-        declared_vanishing=vanishing, source=rs.spec, target=rs.spec,
+        *classes,
+        declared_vanishing=rs.spec.declared("no_cohomology"),
+        source=rs.spec,
+        target=rs.spec,
     )
 
 

@@ -50,10 +50,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product, repeat
-from operator import add, mul, sub
+from operator import add, mul
 
 from . import linalg
-from .kernel import KernelSpec
+from .kernel import KernelSpec, check_sufficient
 from .lattice import DivisorClass, NSLattice, intersect
 from .linalg import Matrix, integer_matrix, mat_mul, transpose
 from .mukai import ChernCharacter, chi_sheaf, line_bundle_ch, twist
@@ -88,13 +88,9 @@ class CohTransform:
 
     Construction converts every entry to int once; a non-integral entry
     raises ValueError, and the matrix must be (rank+2)x(rank+2).
-    numerically_valid is False when the originating kernel fails the
-    lattice-level existence conditions (the action is still well defined).
-    For a kernel transform it is the paper's exact condition, a + b = c + d
-    and (a - c)^2 = -4, which differs from is_mukai_isometry only on a
-    degenerate Gram: there a + b - c - d may also lie in the radical.
-    kernel and labels are provenance for reporting and closed-form lookups
-    and do not take part in equality.  _rank_two, set only by from_kernel,
+    kernel and labels are provenance for reporting, numerically_valid and
+    closed-form lookups, and do not take part in equality; an inverse
+    carries neither.  _rank_two, set only by from_kernel,
     holds the factors of the matrix, from which determinant(), inverse()
     and is_mukai_isometry are computed without an n x n product; no other
     transform carries it.
@@ -102,7 +98,6 @@ class CohTransform:
 
     source: NSLattice
     matrix: Matrix
-    numerically_valid: bool = True
     kernel: KernelSpec | None = field(default=None, compare=False)
     labels: tuple[tuple[str, object], ...] = field(default=(), compare=False)
     _rank_two: _RankTwoUpdate | None = field(default=None, compare=False, repr=False)
@@ -118,6 +113,14 @@ class CohTransform:
     def label_map(self) -> dict:
         return dict(self.labels)
 
+    @property
+    def numerically_valid(self) -> bool:
+        """Whether the kernel, if any, passes the lattice conditions of
+        check_sufficient, a + b = c + d and (a - c)^2 = -4 (the action is
+        well defined either way).  It differs from is_mukai_isometry only
+        on a degenerate Gram: there a + b - c - d may also lie in the radical."""
+        return self.kernel is None or check_sufficient(self.kernel).verdict != "fails"
+
     def determinant(self) -> int:
         if self._rank_two is not None:
             return self._rank_two.determinant()
@@ -129,7 +132,7 @@ class CohTransform:
             matrix = self._rank_two.inverse()
         else:
             matrix = linalg.inverse(self.matrix)
-        return CohTransform(self.source, matrix, self.numerically_valid)
+        return CohTransform(self.source, matrix)
 
     def apply_vector(self, vec) -> tuple[Fraction, ...]:
         if len(vec) != self.source.rank + 2:
@@ -325,12 +328,8 @@ def from_kernel(kernel: KernelSpec, labels: tuple = ()) -> CohTransform:
     kernel_action_vector stays the reference the tests check this matrix
     against.  The factors are kept on the transform, and its determinant,
     inverse and isometry test come from them.  G a, G b, G c and G d are
-    row dot products with the Gram, and numerically_valid (a + b = c + d
-    and (a - c)^2 / 2 = -2) is read from them and the coordinates, so no
-    matrix product is formed and no DivisorClass is built.
-    numerically_valid agrees with is_mukai_isometry except on a degenerate
-    Gram, where the isometry also admits a + b - c - d in the radical;
-    numerically_valid keeps the paper's equality.
+    row dot products with the Gram, so no matrix product is formed and no
+    DivisorClass is built.
 
     The kernel's four classes are attached as labels a, b, c, d, ahead of
     the given labels.
@@ -350,11 +349,9 @@ def from_kernel(kernel: KernelSpec, labels: tuple = ()) -> CohTransform:
         half_e2=_half_square(e, ge),
     )
     auto = (("a", kernel.a), ("b", kernel.b), ("c", kernel.c), ("d", kernel.d))
-    valid = tuple(map(add, a, b)) == e and _half_square(map(sub, a, c), map(sub, ga, gc)) == -2
     return CohTransform(
         source=lat,
         matrix=update.matrix(),
-        numerically_valid=valid,
         kernel=kernel,
         labels=auto + tuple(labels),
         _rank_two=update,

@@ -1,13 +1,21 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from k3fm import SurfaceSpecError, surface_spec_from_dict
-from k3fm.cli import _COMMANDS, _render_text, main
+from k3fm.cli import _COMMANDS, BUILDERS, _render_text, build_parser, main
+from k3fm.moduli import HILB_FLAVORS
+from k3fm.reflexive import KERNEL_VARIANTS
+from k3fm.surface import ASSUMPTION_KINDS
+from k3fm.transform import CLOSED_FORMS
 
 ROOT = Path(__file__).resolve().parent.parent
 REFLEXIVE = str(ROOT / "surfaces" / "reflexive.json")
@@ -454,9 +462,21 @@ def test_invalid_format_env(capsys, monkeypatch):
 
 
 def test_unknown_command_exits_two(capsys):
+    """Every argument error ends in the input envelope, with no command."""
+    for argv in (
+        [],
+        ["frobnicate"],
+        ["pic1"],
+        ["pic1", "--lsq", "x"],
+        ["pic1", "--lsq", "4", "--format", "xml"],
+        ["pic1", "--lsq", "4", "--bogus"],
+    ):
+        data = run_json(capsys, *argv, expect=2)
+        assert data["command"] is None and data["ok"] is False
+        assert data["error"]["kind"] == "input"
     with pytest.raises(SystemExit) as err:
-        main(["frobnicate"])
-    assert err.value.code == 2
+        main(["--help"])
+    assert err.value.code == 0
 
 
 def test_json_output_is_sorted_and_stable(capsys):
@@ -561,3 +581,112 @@ def test_text_renders_the_json_payload(capsys, monkeypatch, command):
     assert payload["ok"] is True
     assert main([*argv, "--format", "text"]) == status == 0
     assert capsys.readouterr().out == _render_text(payload) + "\n"
+
+
+# The fuzz vocabulary: each subcommand's options, and values for each
+# option, valid and not.  Valued options are passed as --option=value, so a
+# value such as -h is never read as the help flag.
+FUZZ_BUILDER_OPTIONS = ("--builder", "--surface", "--h-name", "--l-name", "--m-class", "--lsq")
+FUZZ_OPTIONS = {
+    "surface-validate": ("--surface", "--reflexive", "--h-name", "--l-name"),
+    "chi": ("--surface", "--class"),
+    "kernel-check": ("--surface", "--a", "--b", "--c", "--d", "--vanishing"),
+    "transform-apply": (*FUZZ_BUILDER_OPTIONS, "--ch"),
+    "transform-crosscheck": (*FUZZ_BUILDER_OPTIONS, "--formula", "--max-entries"),
+    "pic1": ("--lsq", "--oracle", "--bound"),
+    "reflexive-decompose": ("--surface", "--h-name", "--l-name", "--oracle"),
+    "reflexive-classify": ("--surface", "--h-name", "--l-name"),
+    "reflexive-kernel": ("--variant", "--surface", "--h-name", "--l-name"),
+    "hilb-moduli": ("--n", "--flavor", "--surface", "--h-name", "--l-name", "--variant", "--m-class"),
+    "strata": ("--surface", "--l", "--m", "--h", "--z", "--a"),
+    "primitive-check": ("--surface", "--h", "--n", "--l"),
+}
+FUZZ_NAMES = ("h", "l", "l2h", "m", "c1", "c2")
+FUZZ_CLASS_EXPRS = st.sampled_from(
+    ("h", "l", "m", "l2h", "c2", "l+2h", "3l+7h", "2l+5h", "l+h", "-h", "h-c1", "1,0", "0,1,0", "q", "2h+", "")
+)
+FUZZ_INTS = st.sampled_from(("-9", "-2", "0", "1", "2", "3", "4", "12", "20", "x"))
+FUZZ_VALUES = {
+    **dict.fromkeys(
+        ("--class", "--b", "--c", "--d", "--vanishing", "--l", "--m", "--h", "--m-class"), FUZZ_CLASS_EXPRS
+    ),
+    **dict.fromkeys(("--lsq", "--bound", "--n", "--z", "--max-entries"), FUZZ_INTS),
+    **dict.fromkeys(("--h-name", "--l-name"), st.sampled_from((*FUZZ_NAMES, "q"))),
+    "--a": st.one_of(FUZZ_CLASS_EXPRS, st.sampled_from(("1/2", "0", "1/0"))),
+    "--builder": st.sampled_from((*BUILDERS, "nope")),
+    "--ch": st.sampled_from(("1,0,0", "1,0,0,0", "2,1,-1,1/2", "0,0,1,0,0", "1,x", "")),
+    "--formula": st.sampled_from((*CLOSED_FORMS, "nope")),
+    "--flavor": st.sampled_from((*HILB_FLAVORS, "nope")),
+    "--variant": st.sampled_from((*KERNEL_VARIANTS, "nope")),
+    "--format": st.sampled_from(("json", "text", "xml")),
+}
+FUZZ_FLAGS = ("--reflexive", "--oracle")
+
+
+@st.composite
+def fuzz_surfaces(draw):
+    """A random rank 1-3 surface: an even symmetric Gram and classes and
+    assumptions on a few names, each of which may be missing or ill-sized."""
+    rank = draw(st.integers(1, 3))
+    gram = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        gram[i][i] = 2 * draw(st.integers(-6, 1))
+        for j in range(i + 1, rank):
+            gram[i][j] = gram[j][i] = draw(st.integers(-3, 3))
+    names = draw(st.lists(st.sampled_from(FUZZ_NAMES), unique=True, max_size=4))
+    coords = st.lists(st.integers(-3, 3), min_size=rank - 1, max_size=rank + 1)
+    assumptions = st.fixed_dictionaries(
+        {"kind": st.sampled_from(ASSUMPTION_KINDS), "class": st.sampled_from(FUZZ_NAMES)}
+    )
+    return {
+        "rank": rank,
+        "gram": gram,
+        "classes": {name: draw(coords) for name in names},
+        "assumptions": draw(st.lists(assumptions, max_size=4)),
+    }
+
+
+FUZZ_SURFACES = st.one_of(
+    fuzz_surfaces(),
+    st.sampled_from([json.loads(Path(p).read_text()) for p in (REFLEXIVE, TYPE_I, TYPE_II)]),
+    st.sampled_from(({"gram": [[2]], "classes": 5}, [], "{", "null")),
+)
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_fuzz_argv_always_ends_in_a_report(tmp_path, monkeypatch, data):
+    """Random argv over the subcommands' vocabulary, with a random surface
+    file: exit 0, 1 or 2, a report with an ok key that matches the status,
+    and no traceback."""
+    monkeypatch.delenv("K3FM_FORMAT", raising=False)
+    surface = tmp_path / "surface.json"
+    drawn = data.draw(FUZZ_SURFACES)
+    surface.write_text(drawn if isinstance(drawn, str) else json.dumps(drawn))
+    paths = st.sampled_from((str(surface), str(tmp_path / "missing.json"), REFLEXIVE, TYPE_I, TYPE_II))
+    values = {**FUZZ_VALUES, "--surface": paths}
+    command = data.draw(st.sampled_from((*_COMMANDS, "frobnicate", None)))
+    # A minimal valid invocation, perhaps less one token, then random
+    # options, mostly the command's own; a later option overrides an earlier.
+    argv = [] if command is None else [command, *MINIMAL_ARGV.get(command, ())]
+    if len(argv) > 1 and data.draw(st.integers(0, 3)) == 0:
+        del argv[data.draw(st.integers(1, len(argv) - 1))]
+    own = FUZZ_OPTIONS.get(command, ())
+    vocabulary = st.sampled_from((*FUZZ_FLAGS, *values))
+    options = st.one_of(st.sampled_from(own), st.sampled_from(own), vocabulary) if own else vocabulary
+    for option in data.draw(st.lists(options, max_size=4)):
+        argv.append(option if option in FUZZ_FLAGS else f"{option}={data.draw(values[option])}")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        status = main(argv)
+    assert status in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    try:
+        fmt = build_parser().parse_args(argv).format
+    except ValueError:
+        fmt = None
+    if fmt == "text":
+        lines = dict(line.split(None, 1) for line in out.getvalue().splitlines())
+        assert lines["ok"] == ("true" if status == 0 else "false")
+    else:
+        assert json.loads(out.getvalue())["ok"] is (status == 0)

@@ -549,8 +549,8 @@ def test_numerically_valid_keeps_the_paper_condition_on_a_degenerate_gram():
 @settings(max_examples=300)
 @given(lemma_kernels())
 def test_numerically_valid_matches_class_arithmetic(k):
-    """from_kernel reads numerically_valid from coordinates and G x; it is
-    the class-level condition, degenerate Grams included."""
+    """numerically_valid reads check_sufficient on the kernel; it is the
+    class-level condition, degenerate Grams included."""
     expected = k.a + k.b == k.c + k.d and (k.a - k.c).square == -4
     assert from_kernel(k).numerically_valid == expected
 
@@ -577,9 +577,9 @@ def test_from_kernel_forms_no_product_and_no_class(monkeypatch):
     )
     t = from_kernel(k)
     assert calls == []
-    assert t.numerically_valid
     assert (k.a - k.c).square == -4
     assert calls == ["DivisorClass", "intersect"]
+    assert t.numerically_valid
 
 
 @given(st.one_of(lemma_kernels(), any_kernels), st.data())
