@@ -5,7 +5,9 @@ aligned text via --format / the K3FM_FORMAT environment variable.
 Handlers return raw library values; _json is the one place that turns
 them into JSON values: a divisor class becomes its coordinate list and a
 rational becomes "p/q" in lowest terms with positive denominator.
-Exit status: 0 on success, 1 on mathematical rejection, 2 on input error.
+Exit status: 0 on success, 1 on mathematical rejection, 2 on input error,
+3 on an internal error (an exception the library did not mean to raise),
+each with its JSON report on stdout and nothing on stderr.
 
 _BUILDER_TABLE is the one place that says which closed-form formula each
 builder is crosschecked against and which builder options it reads.  An
@@ -15,7 +17,6 @@ option that the command or its builder does not read is an input error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -47,6 +48,7 @@ from .pic1 import (
     solve_constraints,
     transform_from_solution,
 )
+from .record import Record
 from .reflexive import (
     KERNEL_VARIANTS,
     ReflexiveSurface,
@@ -102,8 +104,9 @@ _BUILDER_OPTIONS = sorted(frozenset().union(*(b.reads for b in _BUILDER_TABLE.va
 def _json(value):
     """The JSON value of a report value.
 
-    DivisorClass is tested before the dataclass rule because it is a
-    dataclass itself; any other dataclass becomes the object of its fields.
+    DivisorClass is tested before the record rule because it is a record
+    itself; any other Record becomes the object of its fields, its
+    __slots__ in order.
     """
     if isinstance(value, DivisorClass):
         return list(value.coords)
@@ -113,8 +116,8 @@ def _json(value):
         return {key: _json(item) for key, item in value.items()}
     if isinstance(value, (tuple, list)):
         return [_json(item) for item in value]
-    if dataclasses.is_dataclass(value):
-        return {f.name: _json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, Record):
+        return {name: _json(getattr(value, name)) for name in value.__slots__}
     return value
 
 
@@ -606,6 +609,9 @@ def main(argv=None) -> int:
         status, payload = 1, {"error": {"kind": "rejection", "message": str(exc)}}
     except (ValueError, OSError) as exc:
         status, payload = 2, {"error": {"kind": "input", "message": str(exc)}}
+    except Exception as exc:
+        message = f"{type(exc).__name__}: {exc}"
+        status, payload = 3, {"error": {"kind": "internal", "message": message}}
     try:
         _emit(_json({"command": command, "ok": status == 0, **payload}), fmt)
         sys.stdout.flush()

@@ -21,9 +21,8 @@ check_phiO_identity and CohTransform.numerically_valid read its verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .lattice import DivisorClass, chi_line
+from .record import Record
 from .surface import SurfaceSpec
 
 __all__ = [
@@ -37,31 +36,42 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KernelSpec:
+class KernelSpec(Record):
     """The four classes cutting out a rank-2 kernel, plus optional context.
 
     declared_vanishing lists classes whose line bundles are declared to have
-    no cohomology; it feeds condition (3) of check_sufficient.
+    no cohomology; it feeds condition (3) of check_sufficient.  source and
+    target are context only and take no part in equality.
     """
 
-    a: DivisorClass
-    b: DivisorClass
-    c: DivisorClass
-    d: DivisorClass
-    declared_vanishing: tuple[DivisorClass, ...] = ()
-    source: SurfaceSpec | None = field(default=None, compare=False)
-    target: SurfaceSpec | None = field(default=None, compare=False)
+    __slots__ = ("a", "b", "c", "d", "declared_vanishing", "source", "target")
+    _compare = ("a", "b", "c", "d", "declared_vanishing")
 
-    def __post_init__(self):
-        object.__setattr__(self, "declared_vanishing", tuple(self.declared_vanishing))
-        lat = self.a.lattice
-        for name, dc in (("b", self.b), ("c", self.c), ("d", self.d)):
+    def __init__(
+        self,
+        a: DivisorClass,
+        b: DivisorClass,
+        c: DivisorClass,
+        d: DivisorClass,
+        declared_vanishing: tuple[DivisorClass, ...] = (),
+        source: SurfaceSpec | None = None,
+        target: SurfaceSpec | None = None,
+    ):
+        declared_vanishing = tuple(declared_vanishing)
+        lat = a.lattice
+        for name, dc in (("b", b), ("c", c), ("d", d)):
             if dc.lattice != lat:
                 raise ValueError(f"kernel class {name} lives on a different lattice")
-        for dc in self.declared_vanishing:
+        for dc in declared_vanishing:
             if dc.lattice != lat:
                 raise ValueError("declared vanishing class lives on a different lattice")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "declared_vanishing", declared_vanishing)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
 
     @property
     def lattice(self):
@@ -72,22 +82,41 @@ class KernelSpec:
         return {"a": self.a, "b": self.b, "c": self.c, "d": self.d}
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(Record):
     """Outcome of the existence check for a kernel quadruple."""
 
-    ab_equals_cd: bool
-    ab: tuple[int, ...]
-    cd: tuple[int, ...]
-    ac: tuple[int, ...]
-    ac_square: int
-    chi_ac: int
-    ac_square_ok: bool
-    vanishing_declared: bool
-    bd: tuple[int, ...]
-    bd_square: int
-    chi_bd: int
-    verdict: str
+    __slots__ = (
+        "ab_equals_cd", "ab", "cd", "ac", "ac_square", "chi_ac",
+        "ac_square_ok", "vanishing_declared", "bd", "bd_square", "chi_bd", "verdict",
+    )
+
+    def __init__(
+        self,
+        ab_equals_cd: bool,
+        ab: tuple[int, ...],
+        cd: tuple[int, ...],
+        ac: tuple[int, ...],
+        ac_square: int,
+        chi_ac: int,
+        ac_square_ok: bool,
+        vanishing_declared: bool,
+        bd: tuple[int, ...],
+        bd_square: int,
+        chi_bd: int,
+        verdict: str,
+    ):
+        object.__setattr__(self, "ab_equals_cd", ab_equals_cd)
+        object.__setattr__(self, "ab", ab)
+        object.__setattr__(self, "cd", cd)
+        object.__setattr__(self, "ac", ac)
+        object.__setattr__(self, "ac_square", ac_square)
+        object.__setattr__(self, "chi_ac", chi_ac)
+        object.__setattr__(self, "ac_square_ok", ac_square_ok)
+        object.__setattr__(self, "vanishing_declared", vanishing_declared)
+        object.__setattr__(self, "bd", bd)
+        object.__setattr__(self, "bd_square", bd_square)
+        object.__setattr__(self, "chi_bd", chi_bd)
+        object.__setattr__(self, "verdict", verdict)
 
     def to_dict(self) -> dict:
         """The JSON shape of the report, in raw values that cli._json encodes."""

@@ -14,10 +14,10 @@ declarations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 from .linalg import exact_int
+from .record import Record
 
 __all__ = [
     "LatticeMismatchError",
@@ -33,20 +33,19 @@ class LatticeMismatchError(ValueError):
     """Raised when an operation mixes classes from incompatible lattices."""
 
 
-@dataclass(frozen=True)
-class NSLattice:
+class NSLattice(Record):
     """A free Z-module with an even symmetric bilinear form, given by its Gram matrix.
 
     Even means every diagonal entry is even, so every class has even
     self-intersection.  No signature or definiteness condition is imposed.
     """
 
-    gram: tuple[tuple[int, ...], ...]
+    __slots__ = ("gram",)
 
-    def __post_init__(self):
+    def __init__(self, gram: tuple[tuple[int, ...], ...]):
         rows = tuple(
             tuple(exact_int(e, f"gram entry ({i},{j})") for j, e in enumerate(row))
-            for i, row in enumerate(self.gram)
+            for i, row in enumerate(gram)
         )
         object.__setattr__(self, "gram", rows)
         n = len(rows)
@@ -83,26 +82,24 @@ class NSLattice:
         return f"NSLattice({[list(r) for r in self.gram]})"
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(Record):
     """An integral divisor class: integer coordinates in a fixed NSLattice basis.
 
     Coordinates that are already a tuple of plain ints are kept as they
     are; anything else is converted entry by entry through exact_int.
     """
 
-    lattice: NSLattice
-    coords: tuple[int, ...]
+    __slots__ = ("lattice", "coords")
 
-    def __post_init__(self):
-        coords = self.coords
+    def __init__(self, lattice: NSLattice, coords: tuple[int, ...]):
         if type(coords) is not tuple or not set(map(type, coords)) <= {int}:
             coords = tuple(exact_int(c, "divisor coordinate") for c in coords)
-            object.__setattr__(self, "coords", coords)
-        if len(coords) != self.lattice.rank:
+        if len(coords) != lattice.rank:
             raise LatticeMismatchError(
-                f"coordinate vector has length {len(coords)}, lattice rank is {self.lattice.rank}"
+                f"coordinate vector has length {len(coords)}, lattice rank is {lattice.rank}"
             )
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "coords", coords)
 
     def _require_same_lattice(self, other: DivisorClass) -> None:
         if self.lattice != other.lattice:

@@ -20,13 +20,13 @@ family predicted for that kernel flavor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import RejectionError
 from .lattice import DivisorClass, degree, intersect
 from .linalg import exact_int, exact_rational, rank
 from .mukai import MukaiVector, ch_to_mukai, ideal_sheaf_ch, sign_normalized
+from .record import Record
 from .surface import SurfaceSpec
 from .transform import CohTransform
 
@@ -43,33 +43,47 @@ __all__ = [
 HILB_FLAVORS = ("no-cohomology", "reflexive")
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(Record):
     """Destabilizing-gap predicate at window bound a.
 
     predicate_ok is the implication value: vacuously true outside the
     window, and equal to gap_holds inside it.
     """
 
-    a: Fraction
-    in_window: bool
-    gap: int
-    gap_holds: bool
-    predicate_ok: bool
+    __slots__ = ("a", "in_window", "gap", "gap_holds", "predicate_ok")
+
+    def __init__(self, a: Fraction, in_window: bool, gap: int, gap_holds: bool, predicate_ok: bool):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "in_window", in_window)
+        object.__setattr__(self, "gap", gap)
+        object.__setattr__(self, "gap_holds", gap_holds)
+        object.__setattr__(self, "predicate_ok", predicate_ok)
 
 
-@dataclass(frozen=True)
-class StrataReport:
+class StrataReport(Record):
     """Exact slope chain evaluation for classes l, m against polarization h."""
 
-    l: DivisorClass
-    m: DivisorClass
-    h: DivisorClass
-    z: int
-    slopes: tuple[Fraction, Fraction, Fraction, Fraction, Fraction]
-    verdicts: tuple[bool, bool, bool, bool, bool]
-    independent: bool
-    lemma: LemmaReport | None = None
+    __slots__ = ("l", "m", "h", "z", "slopes", "verdicts", "independent", "lemma")
+
+    def __init__(
+        self,
+        l: DivisorClass,
+        m: DivisorClass,
+        h: DivisorClass,
+        z: int,
+        slopes: tuple[Fraction, Fraction, Fraction, Fraction, Fraction],
+        verdicts: tuple[bool, bool, bool, bool, bool],
+        independent: bool,
+        lemma: LemmaReport | None = None,
+    ):
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "slopes", slopes)
+        object.__setattr__(self, "verdicts", verdicts)
+        object.__setattr__(self, "independent", independent)
+        object.__setattr__(self, "lemma", lemma)
 
     @property
     def chain_holds(self) -> bool:

@@ -13,11 +13,11 @@ both exercised in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import DivisorClass, NSLattice, intersect
 from .linalg import exact_int, exact_rational
+from .record import Record
 
 __all__ = [
     "ChernCharacter",
@@ -42,17 +42,15 @@ def _half_rational(value, what: str) -> Fraction:
     return q
 
 
-@dataclass(frozen=True)
-class ChernCharacter:
+class ChernCharacter(Record):
     """Exact Chern character (r, f, t) of a class on a K3 surface."""
 
-    r: int
-    f: DivisorClass
-    t: Fraction
+    __slots__ = ("r", "f", "t")
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", exact_int(self.r, "rank"))
-        object.__setattr__(self, "t", _half_rational(self.t, "ch_2"))
+    def __init__(self, r: int, f: DivisorClass, t: Fraction):
+        object.__setattr__(self, "r", exact_int(r, "rank"))
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "t", _half_rational(t, "ch_2"))
 
     @property
     def lattice(self) -> NSLattice:
@@ -62,17 +60,15 @@ class ChernCharacter:
         return f"ch({self.r}, {list(self.f.coords)}, {self.t})"
 
 
-@dataclass(frozen=True)
-class MukaiVector:
+class MukaiVector(Record):
     """Mukai vector (r, f, s) with s = ch_2 + r."""
 
-    r: int
-    f: DivisorClass
-    s: Fraction
+    __slots__ = ("r", "f", "s")
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", exact_int(self.r, "rank"))
-        object.__setattr__(self, "s", _half_rational(self.s, "Mukai degree-four part"))
+    def __init__(self, r: int, f: DivisorClass, s: Fraction):
+        object.__setattr__(self, "r", exact_int(r, "rank"))
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "s", _half_rational(s, "Mukai degree-four part"))
 
     @property
     def lattice(self) -> NSLattice:

@@ -22,11 +22,11 @@ so the oracle shares no closed-form algebra with the solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .lattice import NSLattice
 from .linalg import det, exact_int
+from .record import Record
 from .transform import CohTransform
 
 __all__ = [
@@ -42,44 +42,40 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Pic1Solution:
+class Pic1Solution(Record):
     """One integer solution of the rank-1 constraint system: its five unknowns.
 
     Pic1Solution(n, c, x, alpha, y) takes each unknown as an exact integer,
     n non-negative so that lsq = 4(2n+1) is positive, and is checked by the
     four constraint residuals alone; lsq, z, the matrix and its determinant
     are derived from the unknowns, once, and are fields only so that
-    reports show them.  The closed forms follow, as
-    z = 2n+3 is never 2: row2 gives x, then oo and rank_rt give
+    reports show them, in the order of __slots__.  The closed forms follow,
+    as z = 2n+3 is never 2: row2 gives x, then oo and rank_rt give
     (z-2)((z+2c)^2 - 1) = 0, fixing alpha and y; rows two and three of the
     residuals are the image of (2, 1, z-4).
     """
 
-    n: int
-    lsq: int = field(init=False)
-    z: int = field(init=False)
-    c: int
-    x: int
-    alpha: int
-    y: int
-    matrix: tuple[tuple[int, ...], ...] = field(init=False)
-    det: int = field(init=False)
+    __slots__ = ("n", "lsq", "z", "c", "x", "alpha", "y", "matrix", "det")
 
-    def __post_init__(self):
-        n = exact_int(self.n, "n", low=0)
-        c, x, alpha, y = (exact_int(getattr(self, k), k) for k in ("c", "x", "alpha", "y"))
+    def __init__(self, n: int, c: int, x: int, alpha: int, y: int):
+        n = exact_int(n, "n", low=0)
+        c, x, alpha, y = map(exact_int, (c, x, alpha, y), ("c", "x", "alpha", "y"))
         if any(residuals(n, c, x, alpha, y)):
             raise ValueError("constraint residuals do not vanish")
         lsq, z = 4 * (2 * n + 1), 2 * n + 3
         matrix = ((z, -lsq, 2), (c, x, -1), (alpha, y * lsq, z - 4))
-        values = dict(n=n, lsq=lsq, z=z, c=c, x=x, alpha=alpha, y=y, matrix=matrix, det=det(matrix))
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "lsq", lsq)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "det", det(matrix))
 
 
-@dataclass(frozen=True)
-class ExclusionWitness:
+class ExclusionWitness(Record):
     """Slope obstruction against the determinant -1 solution.
 
     The excluded transform would force a locally-free object of slope
@@ -87,9 +83,12 @@ class ExclusionWitness:
     stability of exceptional bundles over a rank-1 Picard lattice.
     """
 
-    slope: Fraction
-    threshold: Fraction
-    excluded: bool
+    __slots__ = ("slope", "threshold", "excluded")
+
+    def __init__(self, slope: Fraction, threshold: Fraction, excluded: bool):
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "excluded", excluded)
 
 
 def existence_test(lsq: int) -> int | None:

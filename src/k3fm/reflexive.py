@@ -13,11 +13,10 @@ every sub-multiset sum and keeps those meeting the same invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import RejectionError
 from .kernel import KernelSpec
 from .lattice import DivisorClass, NSLattice, degree, intersect
+from .record import Record
 from .surface import Assumption, SurfaceSpec
 from .transform import CohTransform, from_kernel
 
@@ -50,8 +49,7 @@ class DecompositionError(RejectionError):
     """The declared component configuration admits no valid decomposition."""
 
 
-@dataclass(frozen=True)
-class ReflexiveSurface:
+class ReflexiveSurface(Record):
     """A surface together with its resolved h, l classes and declared data.
 
     validate_reflexive and component_surface are the two constructors, and
@@ -64,37 +62,59 @@ class ReflexiveSurface:
     guards every decomposition it returns.
     """
 
-    spec: SurfaceSpec
-    h: DivisorClass
-    l: DivisorClass
-    degenerate: bool
-    curves: tuple[DivisorClass, ...] = ()
+    __slots__ = ("spec", "h", "l", "degenerate", "curves")
+
+    def __init__(
+        self,
+        spec: SurfaceSpec,
+        h: DivisorClass,
+        l: DivisorClass,
+        degenerate: bool,
+        curves: tuple[DivisorClass, ...] = (),
+    ):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "degenerate", degenerate)
+        object.__setattr__(self, "curves", curves)
 
     @property
     def l2h(self) -> DivisorClass:
         return self.l + 2 * self.h
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    d1: DivisorClass
-    d2: DivisorClass
+class Decomposition(Record):
+    __slots__ = ("d1", "d2")
+
+    def __init__(self, d1: DivisorClass, d2: DivisorClass):
+        object.__setattr__(self, "d1", d1)
+        object.__setattr__(self, "d2", d2)
 
 
-@dataclass(frozen=True)
-class TypeReport:
+class TypeReport(Record):
     """Degree classification of a decomposition, ordered deg(d1) <= deg(d2).
 
     Pattern (2, 2) is type I; (1, 3) is type II, which additionally forces
     h = d1 + e for a degree-1 curve class e with e^2 = -2 and d1.e = 3.
     """
 
-    surface_type: str
-    d1: DivisorClass
-    d2: DivisorClass
-    deg_d1: int
-    deg_d2: int
-    e: DivisorClass | None = None
+    __slots__ = ("surface_type", "d1", "d2", "deg_d1", "deg_d2", "e")
+
+    def __init__(
+        self,
+        surface_type: str,
+        d1: DivisorClass,
+        d2: DivisorClass,
+        deg_d1: int,
+        deg_d2: int,
+        e: DivisorClass | None = None,
+    ):
+        object.__setattr__(self, "surface_type", surface_type)
+        object.__setattr__(self, "d1", d1)
+        object.__setattr__(self, "d2", d2)
+        object.__setattr__(self, "deg_d1", deg_d1)
+        object.__setattr__(self, "deg_d2", deg_d2)
+        object.__setattr__(self, "e", e)
 
     def to_dict(self) -> dict:
         """The JSON shape of the report, in raw values that cli._json encodes."""

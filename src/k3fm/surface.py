@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
 from .lattice import DivisorClass, NSLattice
+from .record import Record
 
 __all__ = [
     "ASSUMPTION_KINDS",
@@ -49,43 +49,48 @@ class SurfaceSpecError(ValueError):
     """A surface description violates a structural invariant: an input error."""
 
 
-@dataclass(frozen=True)
-class Assumption:
+class Assumption(Record):
     """A declared geometric property of a named class."""
 
-    kind: str
-    class_name: str
+    __slots__ = ("kind", "class_name")
 
-    def __post_init__(self):
-        if self.kind not in ASSUMPTION_KINDS:
+    def __init__(self, kind: str, class_name: str):
+        if kind not in ASSUMPTION_KINDS:
             raise SurfaceSpecError(
-                f"unknown assumption kind {self.kind!r}; expected one of {ASSUMPTION_KINDS}"
+                f"unknown assumption kind {kind!r}; expected one of {ASSUMPTION_KINDS}"
             )
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "class_name", class_name)
 
 
-@dataclass(frozen=True)
-class SurfaceSpec:
+class SurfaceSpec(Record):
     """An even lattice with named classes and declared geometric assumptions."""
 
-    lattice: NSLattice
-    named: tuple[tuple[str, DivisorClass], ...]
-    assumptions: tuple[Assumption, ...] = ()
+    __slots__ = ("lattice", "named", "assumptions")
 
-    def __post_init__(self):
-        object.__setattr__(self, "named", tuple(self.named))
-        object.__setattr__(self, "assumptions", tuple(self.assumptions))
+    def __init__(
+        self,
+        lattice: NSLattice,
+        named: tuple[tuple[str, DivisorClass], ...],
+        assumptions: tuple[Assumption, ...] = (),
+    ):
+        named = tuple(named)
+        assumptions = tuple(assumptions)
         seen = set()
-        for name, dc in self.named:
+        for name, dc in named:
             if name in seen:
                 raise SurfaceSpecError(f"class {name!r} is declared twice")
             seen.add(name)
-            if dc.lattice != self.lattice:
+            if dc.lattice != lattice:
                 raise SurfaceSpecError(f"class {name!r} does not live on the surface lattice")
-        for a in self.assumptions:
+        for a in assumptions:
             if a.class_name not in seen:
                 raise SurfaceSpecError(
                     f"assumption {a.kind!r} refers to undeclared class {a.class_name!r}"
                 )
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "named", named)
+        object.__setattr__(self, "assumptions", assumptions)
 
     @property
     def names(self) -> tuple[str, ...]:

@@ -47,7 +47,6 @@ factored test for both ranks of the form pair (alpha, gamma).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product, repeat
 from operator import add, mul
@@ -57,6 +56,7 @@ from .kernel import KernelSpec, check_sufficient
 from .lattice import DivisorClass, NSLattice, intersect
 from .linalg import Matrix, integer_matrix, mat_mul, transpose
 from .mukai import ChernCharacter, chi_sheaf, line_bundle_ch, twist
+from .record import Record
 
 __all__ = [
     "Matrix",
@@ -81,8 +81,7 @@ def euler_gram(lattice: NSLattice) -> Matrix:
     return ((2, *zeros, 1), *middle, (1, *zeros, 0))
 
 
-@dataclass(frozen=True)
-class CohTransform:
+class CohTransform(Record):
     """An integer matrix acting on (r, f, ch2) coordinate vectors of one
     lattice: every transform maps its lattice to itself.
 
@@ -96,18 +95,26 @@ class CohTransform:
     transform carries it.
     """
 
-    source: NSLattice
-    matrix: Matrix
-    kernel: KernelSpec | None = field(default=None, compare=False)
-    labels: tuple[tuple[str, object], ...] = field(default=(), compare=False)
-    _rank_two: _RankTwoUpdate | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("source", "matrix", "kernel", "labels", "_rank_two")
+    _compare = ("source", "matrix")
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", integer_matrix(self.matrix))
-        object.__setattr__(self, "labels", tuple(self.labels))
-        n = self.source.rank + 2
-        if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
+    def __init__(
+        self,
+        source: NSLattice,
+        matrix: Matrix,
+        kernel: KernelSpec | None = None,
+        labels: tuple[tuple[str, object], ...] = (),
+        _rank_two: _RankTwoUpdate | None = None,
+    ):
+        matrix = integer_matrix(matrix)
+        n = source.rank + 2
+        if len(matrix) != n or any(len(r) != n for r in matrix):
             raise ValueError(f"transform matrix must be {n}x{n} for this lattice")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "labels", tuple(labels))
+        object.__setattr__(self, "_rank_two", _rank_two)
 
     @property
     def label_map(self) -> dict:
@@ -206,8 +213,7 @@ def _twist(x, gx, half_x2) -> Matrix:
     )
 
 
-@dataclass(frozen=True)
-class _RankTwoUpdate:
+class _RankTwoUpdate(Record):
     """The factors of a kernel transform M = U V^T - T_e.
 
     u holds the columns B = (1, b, b^2/2) and D = (1, d, d^2/2), the
@@ -223,12 +229,23 @@ class _RankTwoUpdate:
     in is_mukai_isometry.
     """
 
-    u: tuple[tuple[int, ...], tuple[int, ...]]
-    eu: tuple[tuple[int, ...], tuple[int, ...]]
-    v: tuple[tuple[int, ...], tuple[int, ...]]
-    e: tuple[int, ...]
-    ge: tuple[int, ...]
-    half_e2: int
+    __slots__ = ("u", "eu", "v", "e", "ge", "half_e2")
+
+    def __init__(
+        self,
+        u: tuple[tuple[int, ...], tuple[int, ...]],
+        eu: tuple[tuple[int, ...], tuple[int, ...]],
+        v: tuple[tuple[int, ...], tuple[int, ...]],
+        e: tuple[int, ...],
+        ge: tuple[int, ...],
+        half_e2: int,
+    ):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "eu", eu)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "ge", ge)
+        object.__setattr__(self, "half_e2", half_e2)
 
     def matrix(self) -> Matrix:
         (big_b, big_d), (alpha, gamma) = self.u, self.v
@@ -510,20 +527,31 @@ def closed_form_matrix(t: CohTransform, formula_id: str) -> Matrix:
     return block(t.source, *(found[name] for name in names))
 
 
-@dataclass(frozen=True)
-class DiffEntry:
-    input: tuple[Fraction, ...]
-    engine: tuple[Fraction, ...]
-    closed_form: tuple[Fraction, ...]
-    delta: tuple[Fraction, ...]
-    delta_hat: tuple[Fraction, Fraction] | None = None
+class DiffEntry(Record):
+    __slots__ = ("input", "engine", "closed_form", "delta", "delta_hat")
+
+    def __init__(
+        self,
+        input: tuple[Fraction, ...],
+        engine: tuple[Fraction, ...],
+        closed_form: tuple[Fraction, ...],
+        delta: tuple[Fraction, ...],
+        delta_hat: tuple[Fraction, Fraction] | None = None,
+    ):
+        object.__setattr__(self, "input", input)
+        object.__setattr__(self, "engine", engine)
+        object.__setattr__(self, "closed_form", closed_form)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "delta_hat", delta_hat)
 
 
-@dataclass(frozen=True)
-class DiffReport:
-    formula_id: str
-    points: int
-    entries: tuple[DiffEntry, ...]
+class DiffReport(Record):
+    __slots__ = ("formula_id", "points", "entries")
+
+    def __init__(self, formula_id: str, points: int, entries: tuple[DiffEntry, ...]):
+        object.__setattr__(self, "formula_id", formula_id)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def agree(self) -> bool:

@@ -583,6 +583,39 @@ def test_text_renders_the_json_payload(capsys, monkeypatch, command):
     assert capsys.readouterr().out == _render_text(payload) + "\n"
 
 
+@pytest.mark.parametrize("command", list(MINIMAL_ARGV))
+def test_internal_error_exits_three_with_a_report(capsys, monkeypatch, command):
+    """An exception that is neither a rejection nor an input error is a
+    bug: exit 3 with an "internal" report on stdout and no traceback."""
+    monkeypatch.delenv("K3FM_FORMAT", raising=False)
+
+    def broken(args):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setitem(_COMMANDS, command, (_COMMANDS[command][0], broken))
+    assert main([command, *MINIMAL_ARGV[command]]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {
+        "command": command,
+        "error": {"kind": "internal", "message": "TypeError: unsupported operand"},
+        "ok": False,
+    }
+
+
+def test_library_bug_inside_a_handler_is_internal(capsys, monkeypatch):
+    """The same for a library function failing under a real handler."""
+
+    def broken(n):
+        raise KeyError(n)
+
+    monkeypatch.setattr("k3fm.cli.solve_constraints", broken)
+    assert main(["pic1", "--lsq", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["error"] == {"kind": "internal", "message": "KeyError: 0"}
+
+
 # The fuzz vocabulary: each subcommand's options, and values for each
 # option, valid and not.  Valued options are passed as --option=value, so a
 # value such as -h is never read as the help flag.

@@ -571,9 +571,11 @@ def test_from_kernel_forms_no_product_and_no_class(monkeypatch):
         monkeypatch.setattr(
             module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
         )
-    real_init = DivisorClass.__post_init__
+    real_init = DivisorClass.__init__
     monkeypatch.setattr(
-        DivisorClass, "__post_init__", lambda self: calls.append("DivisorClass") or real_init(self)
+        DivisorClass,
+        "__init__",
+        lambda self, *args: calls.append("DivisorClass") or real_init(self, *args),
     )
     t = from_kernel(k)
     assert calls == []
