@@ -65,13 +65,7 @@ class KernelSpec(Record):
         for dc in declared_vanishing:
             if dc.lattice != lat:
                 raise ValueError("declared vanishing class lives on a different lattice")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "declared_vanishing", declared_vanishing)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
+        self._set(a, b, c, d, declared_vanishing, source, target)
 
     @property
     def lattice(self):
@@ -105,18 +99,10 @@ class ValidityReport(Record):
         chi_bd: int,
         verdict: str,
     ):
-        object.__setattr__(self, "ab_equals_cd", ab_equals_cd)
-        object.__setattr__(self, "ab", ab)
-        object.__setattr__(self, "cd", cd)
-        object.__setattr__(self, "ac", ac)
-        object.__setattr__(self, "ac_square", ac_square)
-        object.__setattr__(self, "chi_ac", chi_ac)
-        object.__setattr__(self, "ac_square_ok", ac_square_ok)
-        object.__setattr__(self, "vanishing_declared", vanishing_declared)
-        object.__setattr__(self, "bd", bd)
-        object.__setattr__(self, "bd_square", bd_square)
-        object.__setattr__(self, "chi_bd", chi_bd)
-        object.__setattr__(self, "verdict", verdict)
+        self._set(
+            ab_equals_cd, ab, cd, ac, ac_square, chi_ac,
+            ac_square_ok, vanishing_declared, bd, bd_square, chi_bd, verdict,
+        )
 
     def to_dict(self) -> dict:
         """The JSON shape of the report, in raw values that cli._json encodes."""

@@ -53,11 +53,7 @@ class LemmaReport(Record):
     __slots__ = ("a", "in_window", "gap", "gap_holds", "predicate_ok")
 
     def __init__(self, a: Fraction, in_window: bool, gap: int, gap_holds: bool, predicate_ok: bool):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "in_window", in_window)
-        object.__setattr__(self, "gap", gap)
-        object.__setattr__(self, "gap_holds", gap_holds)
-        object.__setattr__(self, "predicate_ok", predicate_ok)
+        self._set(a, in_window, gap, gap_holds, predicate_ok)
 
 
 class StrataReport(Record):
@@ -76,14 +72,7 @@ class StrataReport(Record):
         independent: bool,
         lemma: LemmaReport | None = None,
     ):
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "slopes", slopes)
-        object.__setattr__(self, "verdicts", verdicts)
-        object.__setattr__(self, "independent", independent)
-        object.__setattr__(self, "lemma", lemma)
+        self._set(l, m, h, z, slopes, verdicts, independent, lemma)
 
     @property
     def chain_holds(self) -> bool:

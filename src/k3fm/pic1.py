@@ -64,15 +64,7 @@ class Pic1Solution(Record):
             raise ValueError("constraint residuals do not vanish")
         lsq, z = 4 * (2 * n + 1), 2 * n + 3
         matrix = ((z, -lsq, 2), (c, x, -1), (alpha, y * lsq, z - 4))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "lsq", lsq)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "det", det(matrix))
+        self._set(n, lsq, z, c, x, alpha, y, matrix, det(matrix))
 
 
 class ExclusionWitness(Record):
@@ -86,9 +78,7 @@ class ExclusionWitness(Record):
     __slots__ = ("slope", "threshold", "excluded")
 
     def __init__(self, slope: Fraction, threshold: Fraction, excluded: bool):
-        object.__setattr__(self, "slope", slope)
-        object.__setattr__(self, "threshold", threshold)
-        object.__setattr__(self, "excluded", excluded)
+        self._set(slope, threshold, excluded)
 
 
 def existence_test(lsq: int) -> int | None:

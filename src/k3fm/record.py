@@ -2,10 +2,15 @@
 
 A record is a plain class with __slots__: its slots are its fields, in
 report order (cli._json writes them in that order), and its own __init__
-validates the arguments and sets each field once with object.__setattr__.
+validates the arguments and sets each field once: with one
+object.__setattr__ per field in the hot constructors, with _set elsewhere.
 
 - Frozen: assigning or deleting any attribute raises AttributeError, and
-  there is no instance __dict__ to write to.
+  there is no instance __dict__ to write to.  vars(record) still works,
+  as it did for the dataclasses: it returns a fresh {field: value} dict,
+  and writing to that dict changes nothing.
+- Copied: copy, deepcopy and pickle carry the field values in slot order
+  (__getstate__/__setstate__), since the default restore would assign.
 - Compared: two records are equal when they are of the same class and
   agree on the fields named by the class's _compare, all slots unless the
   class names fewer; the hash reads the same fields.  Fields left out are
@@ -53,6 +58,21 @@ class Record:
     def __repr__(self) -> str:
         shown = (f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_")
         return f"{self.__class__.__qualname__}({', '.join(shown)})"
+
+    @property
+    def __dict__(self):
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __getstate__(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state):
+        self._set(*state)
+
+    def _set(self, *values):
+        """Set the fields, one value per slot in slot order, once at construction."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

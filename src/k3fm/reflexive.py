@@ -72,11 +72,7 @@ class ReflexiveSurface(Record):
         degenerate: bool,
         curves: tuple[DivisorClass, ...] = (),
     ):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "degenerate", degenerate)
-        object.__setattr__(self, "curves", curves)
+        self._set(spec, h, l, degenerate, curves)
 
     @property
     def l2h(self) -> DivisorClass:
@@ -87,8 +83,7 @@ class Decomposition(Record):
     __slots__ = ("d1", "d2")
 
     def __init__(self, d1: DivisorClass, d2: DivisorClass):
-        object.__setattr__(self, "d1", d1)
-        object.__setattr__(self, "d2", d2)
+        self._set(d1, d2)
 
 
 class TypeReport(Record):
@@ -109,12 +104,7 @@ class TypeReport(Record):
         deg_d2: int,
         e: DivisorClass | None = None,
     ):
-        object.__setattr__(self, "surface_type", surface_type)
-        object.__setattr__(self, "d1", d1)
-        object.__setattr__(self, "d2", d2)
-        object.__setattr__(self, "deg_d1", deg_d1)
-        object.__setattr__(self, "deg_d2", deg_d2)
-        object.__setattr__(self, "e", e)
+        self._set(surface_type, d1, d2, deg_d1, deg_d2, e)
 
     def to_dict(self) -> dict:
         """The JSON shape of the report, in raw values that cli._json encodes."""

@@ -59,8 +59,7 @@ class Assumption(Record):
             raise SurfaceSpecError(
                 f"unknown assumption kind {kind!r}; expected one of {ASSUMPTION_KINDS}"
             )
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "class_name", class_name)
+        self._set(kind, class_name)
 
 
 class SurfaceSpec(Record):
@@ -88,9 +87,7 @@ class SurfaceSpec(Record):
                 raise SurfaceSpecError(
                     f"assumption {a.kind!r} refers to undeclared class {a.class_name!r}"
                 )
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "named", named)
-        object.__setattr__(self, "assumptions", assumptions)
+        self._set(lattice, named, assumptions)
 
     @property
     def names(self) -> tuple[str, ...]:

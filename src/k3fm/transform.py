@@ -538,20 +538,14 @@ class DiffEntry(Record):
         delta: tuple[Fraction, ...],
         delta_hat: tuple[Fraction, Fraction] | None = None,
     ):
-        object.__setattr__(self, "input", input)
-        object.__setattr__(self, "engine", engine)
-        object.__setattr__(self, "closed_form", closed_form)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "delta_hat", delta_hat)
+        self._set(input, engine, closed_form, delta, delta_hat)
 
 
 class DiffReport(Record):
     __slots__ = ("formula_id", "points", "entries")
 
     def __init__(self, formula_id: str, points: int, entries: tuple[DiffEntry, ...]):
-        object.__setattr__(self, "formula_id", formula_id)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "entries", entries)
+        self._set(formula_id, points, entries)
 
     @property
     def agree(self) -> bool:

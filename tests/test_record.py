@@ -3,11 +3,15 @@
 Each row pins the constructor's parameters (names, order, defaults), the
 field order the CLI's _json emits, and the fields that == and hash ignore.
 Every class is frozen (assigning or deleting an attribute raises
-AttributeError), has no instance __dict__, and reprs as Name(field=...)
-without its private fields, unless it defines its own short repr.
+AttributeError), has no instance __dict__ (vars gives a fresh snapshot of
+the fields), survives copy, deepcopy and pickle with every field, and
+reprs as Name(field=...) without its private fields, unless it defines its
+own short repr.
 """
 
+import copy
 import inspect
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -257,7 +261,26 @@ def test_frozen(cls, make, signature, fields, ignored):
 
 @each_record
 def test_no_instance_dict(cls, make, signature, fields, ignored):
-    assert not hasattr(make(), "__dict__")
+    value = make()
+    assert cls.__dictoffset__ == 0
+    snapshot = vars(value)
+    assert list(snapshot) == FIELDS[cls]
+    assert all(snapshot[name] is getattr(value, name) for name in FIELDS[cls])
+    snapshot[FIELDS[cls][0]] = None
+    assert value == make()
+
+
+@each_record
+@pytest.mark.parametrize(
+    "clone", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))], ids=["copy", "deepcopy", "pickle"]
+)
+def test_copy_and_pickle_keep_every_field(clone, cls, make, signature, fields, ignored):
+    value = make()
+    twin = clone(value)
+    assert type(twin) is cls and twin == value
+    assert all(getattr(twin, name) == getattr(value, name) for name in FIELDS[cls])
+    with pytest.raises(AttributeError):
+        setattr(twin, FIELDS[cls][0], None)
 
 
 @each_record
