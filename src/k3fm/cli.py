@@ -142,11 +142,11 @@ def _render_text(payload) -> str:
     return "\n".join(f"{lhs.ljust(width)}  {rhs}" for lhs, rhs in pairs)
 
 
-def _emit(payload: dict, fmt: str):
+def _encode(report: dict, fmt: str) -> str:
+    payload = _json(report)
     if fmt == "text":
-        print(_render_text(payload))
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        return _render_text(payload)
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -600,20 +600,26 @@ def _resolve_format(args) -> str:
 def main(argv=None) -> int:
     command = None  # reported as null when the arguments do not parse
     fmt = "json"  # the report of an unsupported format is itself JSON
+    error = None
     try:
         args = build_parser().parse_args(argv)
         command = args.command
         fmt = _resolve_format(args)
         status, payload = _COMMANDS[command][1](args)
+        # Encoding raises ValueError too, for an int longer than Python
+        # converts to text (4300 digits by default): that is bad input.
+        text = _encode({"command": command, "ok": status == 0, **payload}, fmt)
     except RejectionError as exc:
-        status, payload = 1, {"error": {"kind": "rejection", "message": str(exc)}}
+        status, error = 1, {"kind": "rejection", "message": str(exc)}
     except (ValueError, OSError) as exc:
-        status, payload = 2, {"error": {"kind": "input", "message": str(exc)}}
+        status, error = 2, {"kind": "input", "message": str(exc)}
     except Exception as exc:
         message = f"{type(exc).__name__}: {exc}"
-        status, payload = 3, {"error": {"kind": "internal", "message": message}}
+        status, error = 3, {"kind": "internal", "message": message}
+    if error is not None:
+        text = _encode({"command": command, "ok": False, "error": error}, fmt)
     try:
-        _emit(_json({"command": command, "ok": status == 0, **payload}), fmt)
+        print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader went away: point stdout at devnull so the interpreter's

@@ -30,26 +30,26 @@ each transform maps its lattice to itself and carries that one lattice.
 A kernel transform M = B alpha^T + D gamma^T - T_e is a rank-two update of
 the twist T_e, so from_kernel keeps those factors, and they serve its
 determinant and inverse in O(n^2) (matrix determinant lemma and Woodbury
-identity) and its isometry test in O(n); every other transform uses the
-Bareiss elimination of linalg, and its isometry test is the product
-M^T E M = E itself (Huybrechts, Fourier-Mukai Transforms in Algebraic
-Geometry, 2006, ch. 5).
+identity); every other transform uses the Bareiss elimination of linalg.
 The Euler pairing in these coordinates has Gram matrix
 
     [[2, 0, 1],
      [0, -G, 0],
      [1, 0, 0]]
 
-and a transform is an equivalence-induced map only if it preserves it;
-is_mukai_isometry checks this exactly, and its docstring proves the
-factored test for both ranks of the form pair (alpha, gamma).
+and a transform is an equivalence-induced map only if it preserves it,
+M^T E M = E (Huybrechts, Fourier-Mukai Transforms in Algebraic Geometry,
+2006, ch. 5).  is_mukai_isometry tests that product on every transform
+without factors.  A kernel transform is an isometry exactly when
+(a - c)^2 = -4 and G (a + b - c - d) = 0, a lemma that its docstring
+proves; from_kernel decides it in O(n) from the Gram products it forms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product, repeat
-from operator import add, mul
+from operator import add, mul, sub
 
 from . import linalg
 from .kernel import KernelSpec, check_sufficient
@@ -89,10 +89,10 @@ class CohTransform(Record):
     raises ValueError, and the matrix must be (rank+2)x(rank+2).
     kernel and labels are provenance for reporting, numerically_valid and
     closed-form lookups, and do not take part in equality; an inverse
-    carries neither.  _rank_two, set only by from_kernel,
-    holds the factors of the matrix, from which determinant(), inverse()
-    and is_mukai_isometry are computed without an n x n product; no other
-    transform carries it.
+    carries neither.  _rank_two, set only by from_kernel, holds the
+    factors of the matrix, from which determinant() and inverse() are
+    computed without an n x n product, and the isometry lemma's verdict,
+    which is_mukai_isometry returns; no other transform carries it.
     """
 
     __slots__ = ("source", "matrix", "kernel", "labels", "_rank_two")
@@ -217,35 +217,40 @@ class _RankTwoUpdate(Record):
     """The factors of a kernel transform M = U V^T - T_e.
 
     u holds the columns B = (1, b, b^2/2) and D = (1, d, d^2/2), the
-    characters ch(B) and ch(D), and eu their images E B = (2 + b^2/2, -G b, 1)
-    and E D under the Euler form; v holds the linear forms
+    characters ch(B) and ch(D); v holds the linear forms
     alpha = (2 + a^2/2, G a, 1) and gamma = (2 + c^2/2, G c, 1), which give
     chi(F*A) and chi(F*C); T_e twists by e = c + d, with ge = G e and
     half_e2 = e^2/2.  T_{-e} = T_e^{-1} acts on a vector in O(n), so with
     the 2x2 matrix K = I - V^T T_{-e} U the matrix determinant lemma gives
     det M = (-1)^n det K, and the Woodbury identity (Hager, SIAM Review 31,
     1989) gives M^{-1} = -T_{-e} - (T_{-e} U K^{-1}) (V^T T_{-e}), all in
-    int and in O(n^2).  is_isometry tests M^T E M = E in O(n); the proof is
-    in is_mukai_isometry.
+    int and in O(n^2).  With chi(x) = 2 + x^2/2, the Euler characteristic
+    of O(x), and s = a + b - c - d,
+
+        K = [[-1 - s^2/2, -chi(a - c)], [-chi(b - d), -1]],
+
+    so det M = (-1)^n (1 + s^2/2 - chi(a - c) chi(b - d)).  isometry is the
+    verdict of the lemma proved in is_mukai_isometry,
+    (a - c)^2 = -4 and G (a + b - c - d) = 0.
     """
 
-    __slots__ = ("u", "eu", "v", "e", "ge", "half_e2")
+    __slots__ = ("u", "v", "e", "ge", "half_e2", "isometry")
 
     def __init__(
         self,
         u: tuple[tuple[int, ...], tuple[int, ...]],
-        eu: tuple[tuple[int, ...], tuple[int, ...]],
         v: tuple[tuple[int, ...], tuple[int, ...]],
         e: tuple[int, ...],
         ge: tuple[int, ...],
         half_e2: int,
+        isometry: bool,
     ):
         object.__setattr__(self, "u", u)
-        object.__setattr__(self, "eu", eu)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "ge", ge)
         object.__setattr__(self, "half_e2", half_e2)
+        object.__setattr__(self, "isometry", isometry)
 
     def matrix(self) -> Matrix:
         (big_b, big_d), (alpha, gamma) = self.u, self.v
@@ -263,13 +268,12 @@ class _RankTwoUpdate(Record):
             t - sum(map(mul, self.ge, f)) + r * self.half_e2,
         )
 
-    def _twist_form(self, y, sign: int) -> tuple[int, ...]:
-        """The linear form y^T T_{sign e}, as a row: y^T T_{-e} for sign -1,
-        (T_e^T y)^T for sign 1."""
+    def _twist_form(self, y) -> tuple[int, ...]:
+        """The linear form y^T T_{-e}, as a row."""
         p, *q, s = y
         return (
-            p + sign * sum(map(mul, self.e, q)) + s * self.half_e2,
-            *(qi + sign * s * gi for qi, gi in zip(q, self.ge)),
+            p - sum(map(mul, self.e, q)) + s * self.half_e2,
+            *(qi - s * gi for qi, gi in zip(q, self.ge)),
             s,
         )
 
@@ -298,41 +302,11 @@ class _RankTwoUpdate(Record):
         # det K = +-1 is its own inverse, and the rows of V^T T_{-e}.
         p0 = tuple(det_k * (k11 * x - k10 * y) for x, y in zip(w0, w1))
         p1 = tuple(det_k * (k00 * y - k01 * x) for x, y in zip(w0, w1))
-        r0, r1 = (self._twist_form(y, -1) for y in self.v)
+        r0, r1 = map(self._twist_form, self.v)
         untwist = _twist(tuple(-x for x in self.e), tuple(-x for x in self.ge), self.half_e2)
         return tuple(
             tuple(-z - pi * x - qi * y for x, y, z in zip(r0, r1, row))
             for pi, qi, row in zip(p0, p1, untwist)
-        )
-
-    def euler_defect(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The columns of R = V S - 2 P, with S = U^T E U and P = T_e^T E U,
-        so that 2 (M^T E M - E) = V R^T + R V^T; O(n)."""
-        (big_b, big_d), (eb, ed), (alpha, gamma) = self.u, self.eu, self.v
-        s00, s01, s11 = (sum(map(mul, x, y)) for x, y in ((big_b, eb), (big_b, ed), (big_d, ed)))
-        p0, p1 = (self._twist_form(y, 1) for y in self.eu)
-        return (
-            tuple(x * s00 + y * s01 - 2 * z for x, y, z in zip(alpha, gamma, p0)),
-            tuple(x * s01 + y * s11 - 2 * z for x, y, z in zip(alpha, gamma, p1)),
-        )
-
-    def is_isometry(self) -> bool:
-        """M^T E M = E, in O(n) from the factors; the proof is in
-        is_mukai_isometry."""
-        alpha, gamma = self.v
-        r0, r1 = self.euler_defect()
-        i = next((i for i, (x, y) in enumerate(zip(alpha, gamma)) if x != y), None)
-        if i is None:
-            return not any(map(add, r0, r1))
-        # A = adj(V_2) R_2 for the rows i and last, where V_2 = [[alpha_i, gamma_i], [1, 1]].
-        a00, a01 = r0[i] - gamma[i] * r0[-1], r1[i] - gamma[i] * r1[-1]
-        a10, a11 = alpha[i] * r0[-1] - r0[i], alpha[i] * r1[-1] - r1[i]
-        if a00 or a11 or a01 + a10:
-            return False
-        delta = alpha[i] - gamma[i]
-        return all(
-            delta * q0 == y * a10 and delta * q1 == x * a01
-            for x, y, q0, q1 in zip(alpha, gamma, r0, r1)
         )
 
 
@@ -343,10 +317,11 @@ def from_kernel(kernel: KernelSpec, labels: tuple = ()) -> CohTransform:
     is M = B alpha^T + D gamma^T - T_e (see _RankTwoUpdate for the
     factors).  Every x^2/2 is an integer because the lattice is even.
     kernel_action_vector stays the reference the tests check this matrix
-    against.  The factors are kept on the transform, and its determinant,
-    inverse and isometry test come from them.  G a, G b, G c and G d are
-    row dot products with the Gram, so no matrix product is formed and no
-    DivisorClass is built.
+    against.  The factors are kept on the transform, and its determinant
+    and inverse come from them; its isometry verdict is the lemma of
+    is_mukai_isometry, read off G a, ..., G d in O(n).  G a, G b, G c and
+    G d are row dot products with the Gram, so no matrix product is formed
+    and no DivisorClass is built.
 
     The kernel's four classes are attached as labels a, b, c, d, ahead of
     the given labels.
@@ -356,14 +331,15 @@ def from_kernel(kernel: KernelSpec, labels: tuple = ()) -> CohTransform:
     e = tuple(map(add, c, d))
     ga, gb, gc, gd = (tuple(sum(map(mul, row, x)) for row in lat.gram) for x in (a, b, c, d))
     ge = tuple(map(add, gc, gd))
-    hb, hd = _half_square(b, gb), _half_square(d, gd)
+    # The lemma of is_mukai_isometry: (a - c)^2 = -4 and G a + G b = G e.
+    square_ac = sum(map(mul, map(sub, a, c), map(sub, ga, gc)))
     update = _RankTwoUpdate(
-        u=((1, *b, hb), (1, *d, hd)),
-        eu=((2 + hb, *(-x for x in gb), 1), (2 + hd, *(-x for x in gd), 1)),
+        u=((1, *b, _half_square(b, gb)), (1, *d, _half_square(d, gd))),
         v=((2 + _half_square(a, ga), *ga, 1), (2 + _half_square(c, gc), *gc, 1)),
         e=e,
         ge=ge,
         half_e2=_half_square(e, ge),
+        isometry=square_ac == -4 and tuple(map(add, ga, gb)) == ge,
     )
     auto = (("a", kernel.a), ("b", kernel.b), ("c", kernel.c), ("d", kernel.d))
     return CohTransform(
@@ -380,37 +356,38 @@ def is_mukai_isometry(t: CohTransform) -> bool:
 
     The defining identity is M^T E M = E (Huybrechts 2006, ch. 5), with E
     the Euler Gram of the transform's lattice, equivalent by bilinearity to
-    agreement of euler_chi on all pairs; a transform without factors is
-    tested by exactly that product.
+    agreement of euler_chi on all pairs; a transform without factors
+    (inverse results, pic1, hand-built matrices) is tested by exactly that
+    product, against one Euler Gram.
 
-    A kernel transform with its factors, M = U V^T - T_e (see
-    _RankTwoUpdate), is tested in O(n) integer operations and forms no
-    n x n product.  A twist preserves the Euler form, T_e^T E T_e = E, so
-    with the 2x2 symmetric S = U^T E U and the n x 2 P = T_e^T E U,
+    A kernel transform with its factors is an isometry exactly when
 
-        M^T E M - E = V S V^T - V P^T - P V^T = (V R^T + R V^T) / 2,
+        (a - c)^2 = -4  and  G (a + b - c - d) = 0,
 
-    where R = V S - 2 P has integer columns, each O(n) from E B, E D and
-    T_e^T y.  Both forms in V end in 1, so V has rank 1 or 2:
+    the lattice shadow of the paper's criterion chi(O(a - c)) = 0 (Huybrechts
+    2006, ch. 5, 10).  from_kernel reads it in O(n) off G a, ..., G d, so
+    no n x n product is formed.  Proof: write l_x = ch O(x) = (1, x, x^2/2),
+    e = c + d and chi for the Euler form, which is symmetric, is preserved
+    by every twist and has chi(l_x, l_y) = 2 + (x - y)^2/2.  Then
 
-    - alpha = gamma (rank 1, e.g. a = c): V R^T + R V^T = alpha q^T + q alpha^T
-      with q = R_0 + R_1.  Its last column is alpha q_last + q, whose last
-      entry is 2 q_last; so it vanishes iff q_last = 0 and then q = 0, that
-      is iff R_0 + R_1 = 0.
-    - alpha_i != gamma_i for some row i (rank 2): the rows i and last of V
-      form V_2 with det V_2 = delta = alpha_i - gamma_i != 0, so
-      L = adj(V_2) / delta applied to those rows is a left inverse of V,
-      L V = I.  If R = V A with A antisymmetric, V R^T + R V^T =
-      V (A^T + A) V^T = 0.  Conversely, if X = V R^T + R V^T = 0, then
-      L X L^T = A^T + A for A = L R, so A is antisymmetric, and
-      X L^T = V A^T + R, so R = V A.  In integers: adj(V_2) R_2 = delta A
-      is antisymmetric and delta R = V (delta A) row by row.
+        T_{-e} M = chi(l_{-a}, .) l_{b-e} + chi(l_{-c}, .) l_{-c} - I,
 
-    Every other transform (inverse results, pic1, hand-built matrices)
-    takes the product, against one Euler Gram.
+    and since chi(l_x, l_x) = 2 the terms in chi(l_{-c}, .) cancel in
+
+        chi(M v, M w) - chi(v, w) = phi(v) psi(w) + psi(v) phi(w),
+
+    where phi = chi(l_{-a}, .) is nonzero, its last entry being 1, and
+    psi = chi(z, .) with z = l_{-a} + kappa l_{-c} - l_{b-e} and
+    kappa = 2 + (b - d)^2/2.  Taking v with phi(v) != 0 shows that this
+    symmetric form vanishes iff psi = 0, so M is an isometry iff E z = 0.
+    The last entry of E z is kappa; when kappa = 0 its middle is
+    G (a + b - c - d), and once that vanishes the first, a^2/2 - (b - e)^2/2,
+    vanishes too, because b - e = (a + b - c - d) - a.  Likewise, with
+    a + b - c - d in the radical, (b - d)^2 = (a - c)^2, so kappa = 0 iff
+    (a - c)^2 = -4.
     """
     if t._rank_two is not None:
-        return t._rank_two.is_isometry()
+        return t._rank_two.isometry
     m = t.matrix
     e = euler_gram(t.source)
     return mat_mul(transpose(m), mat_mul(e, m)) == e
@@ -552,10 +529,22 @@ class DiffReport(Record):
         return not self.entries
 
 
+# The most points default_grid builds: rank 10 needs 9 * 3^10 = 531441,
+# rank 11 would need 9 * 3^11 = 1594323.
+MAX_GRID_POINTS = 10**6
+
+
 def default_grid(lattice: NSLattice) -> tuple[tuple[int, ...], ...]:
-    """Small deterministic grid of (r, f, t) coordinate vectors."""
+    """Small deterministic grid of (r, f, t) coordinate vectors; ValueError
+    if it would have more than MAX_GRID_POINTS points."""
     span = {1: 2, 2: 2}.get(lattice.rank, 1)
     fspan = {1: 3, 2: 2}.get(lattice.rank, 1)
+    size = (2 * fspan + 1) ** lattice.rank * (2 * span + 1) ** 2
+    if size > MAX_GRID_POINTS:
+        raise ValueError(
+            f"the default grid of a rank-{lattice.rank} lattice has {size} points, "
+            f"more than the {MAX_GRID_POINTS} allowed"
+        )
     rts = range(-span, span + 1)
     fvals = range(-fspan, fspan + 1)
     return tuple(

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from k3fm import SurfaceSpecError, surface_spec_from_dict
+from k3fm import SurfaceSpecError, surface_spec_from_dict, transform
 from k3fm.cli import _COMMANDS, BUILDERS, _render_text, build_parser, main
 from k3fm.moduli import HILB_FLAVORS
 from k3fm.reflexive import KERNEL_VARIANTS
@@ -614,6 +614,56 @@ def test_library_bug_inside_a_handler_is_internal(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert json.loads(captured.out)["error"] == {"kind": "internal", "message": "KeyError: 0"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pic1", "--lsq", str(4 + 8 * 10**2400)],
+        ["chi", "--surface", REFLEXIVE, "--class", f"{10**2200}h"],
+    ],
+    ids=["pic1", "chi"],
+)
+def test_result_too_long_to_print_is_input_error(capsys, monkeypatch, argv):
+    """A result with an int longer than Python converts to text (4300
+    digits by default) cannot be encoded: exit 2 with an input report, in
+    either format, and nothing on stderr."""
+    monkeypatch.delenv("K3FM_FORMAT", raising=False)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    data = json.loads(captured.out)
+    assert data["command"] == argv[0] and data["ok"] is False
+    assert data["error"]["kind"] == "input"
+    assert data["error"]["message"].startswith("Exceeds the limit")
+    assert main([*argv, "--format", "text"]) == 2
+    assert capsys.readouterr().out == _render_text(data) + "\n"
+
+
+def test_oversized_default_grid_is_input_error(capsys, monkeypatch, tmp_path):
+    """The default crosscheck grid of a rank-20 lattice would have 9 * 3^20
+    points: its size is checked before any point is built."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(transform, "product", unreachable)
+    rank = 20
+    gram = [[-2 * (i == j) for j in range(rank)] for i in range(rank)]
+    gram[0][0] = -4
+    surface = tmp_path / "rank20.json"
+    surface.write_text(json.dumps({
+        "gram": gram,
+        "classes": {"m": [1] + [0] * (rank - 1)},
+        "assumptions": [{"kind": "no_cohomology", "class": "m"}],
+    }))
+    argv = ["transform-crosscheck", "--builder", "no-cohomology", "--surface", str(surface)]
+    data = run_json(capsys, *argv, expect=2)
+    assert data["error"] == {
+        "kind": "input",
+        "message": "the default grid of a rank-20 lattice has 31381059609 points, "
+        "more than the 1000000 allowed",
+    }
 
 
 # The fuzz vocabulary: each subcommand's options, and values for each

@@ -354,8 +354,8 @@ def test_factored_determinant_and_inverse_match_bareiss(k):
     assert_factored_matches_bareiss(t)
     rank = k.lattice.rank
     if t.numerically_valid:
-        # With a + b = c + d, K = -[[1, s], [s, 1]] for s = 2 + (b - d)^2/2,
-        # and (b - d)^2 = (a - c)^2 = -4 gives s = 0.
+        # With s = a + b - c - d = 0, K = -[[1, chi(a - c)], [chi(b - d), 1]],
+        # and (b - d)^2 = (a - c)^2 = -4 makes both chi vanish.
         assert t.determinant() == (-1) ** rank
     # Transforms without factors go through Bareiss and agree with the factors.
     bare = CohTransform(t.source, t.matrix)
@@ -386,24 +386,23 @@ def ladder_kernel(rank):
 
 @pytest.mark.parametrize("rank", [1, 2, 4, 8, 12, 20])
 def test_factored_path_matches_oracles_on_rank_ladder(rank):
-    """Determinant and inverse against Bareiss, the isometry test against
-    the dense product, on both branches of the latter."""
+    """Determinant and inverse against Bareiss, the isometry lemma against
+    the dense product."""
     valid = ladder_kernel(rank)
     t = from_kernel(valid)
     assert t.determinant() == (-1) ** rank
     assert_factored_matches_bareiss(t)
     assert mat_mul(t.matrix, t.inverse().matrix) == identity(rank + 2)
-    # (a - c)^2 = -16 instead of -4: s = -6 and det K = -35.
+    # (a - c)^2 = -16 instead of -4: s = a + b - c - d = 0 and
+    # chi(a - c) = chi(b - d) = -6, so det K = 1 - 36 = -35.
     m = valid.a - valid.c
     broken = from_kernel(KernelSpec(a=valid.a, b=valid.b, c=valid.a - 2 * m, d=valid.b + 2 * m))
     assert not broken.numerically_valid
     assert broken.determinant() == -35 * (-1) ** rank
     assert_factored_matches_bareiss(broken)
-    # a = c makes alpha = gamma: the rank-1 branch of the factored isometry test.
+    # a = c: a + b = c + d holds, but (a - c)^2 = 0.
     same = from_kernel(KernelSpec(a=valid.a, b=valid.b, c=valid.a, d=valid.b))
     for u, isometry in ((t, True), (broken, False), (same, False)):
-        alpha, gamma = u._rank_two.v
-        assert (alpha == gamma) == (u is same)
         assert is_mukai_isometry(u) == dense_isometry(u) == isometry
 
 
@@ -495,19 +494,20 @@ def test_kernel_transform_isometry_lemma(k):
         assert t.numerically_valid == lemma
 
 
+@settings(max_examples=300)
 @given(lemma_kernels())
-def test_euler_defect_factors_the_dense_difference(k):
-    """2 (M^T E M - E) = V R^T + R V^T, the identity the factored test reads."""
+def test_determinant_closed_form(k):
+    """det M = (-1)^rho (1 + s^2/2 - chi(a - c) chi(b - d)) with
+    s = a + b - c - d and chi(x) = 2 + x^2/2, the determinant of the 2x2
+    matrix K in _RankTwoUpdate."""
     t = from_kernel(k)
-    v, r = (transpose(pair) for pair in (t._rank_two.v, t._rank_two.euler_defect()))
-    vr, rv = mat_mul(v, transpose(r)), mat_mul(r, transpose(v))
-    m, e = t.matrix, euler_gram(t.source)
-    dense = mat_mul(mat_mul(transpose(m), e), m)
-    assert all(
-        2 * (x - y) == p + q
-        for drow, erow, prow, qrow in zip(dense, e, vr, rv)
-        for x, y, p, q in zip(drow, erow, prow, qrow)
-    )
+
+    def chi(x):
+        return 2 + x.square // 2
+
+    s = k.a + k.b - k.c - k.d
+    closed = (-1) ** k.lattice.rank * (1 + s.square // 2 - chi(k.a - k.c) * chi(k.b - k.d))
+    assert t.determinant() == det(t.matrix) == closed
 
 
 def test_factored_isometry_forms_no_dense_product(monkeypatch):
@@ -828,6 +828,10 @@ def test_closed_form_requires_labels():
 def test_default_grid_sizes():
     assert len(default_grid(NSLattice(((-4,),)))) == 175
     assert len(default_grid(REFLEXIVE)) == 625
+    # 3^11 * 9 points: refused before any is built.
+    rank_11 = NSLattice(tuple(tuple(-2 * (i == j) for j in range(11)) for i in range(11)))
+    with pytest.raises(ValueError, match="rank-11 lattice has 1594323 points"):
+        default_grid(rank_11)
 
 
 def default_grid_by_recursion(lattice):
