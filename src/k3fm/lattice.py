@@ -101,6 +101,16 @@ class DivisorClass(Record):
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "coords", coords)
 
+    # Record's == and hash read both fields through one attrgetter call;
+    # these read them directly, coords first since they differ more often.
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coords == other.coords and self.lattice == other.lattice
+
+    def __hash__(self):
+        return hash((self.lattice, self.coords))
+
     def _require_same_lattice(self, other: DivisorClass) -> None:
         if self.lattice != other.lattice:
             raise LatticeMismatchError("classes belong to different lattices")

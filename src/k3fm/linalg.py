@@ -16,7 +16,6 @@ reject bool, float, str and anything else with a ValueError.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import repeat
 from math import lcm
 from operator import mul
@@ -68,30 +67,48 @@ def exact_rational(value, what: str) -> Fraction:
 
 
 # Fractions are immutable, so one Fraction(n) serves every caller.  The
-# cache is bounded, and holds integral values only: fractional values are
-# rarely reused.
-_integral = lru_cache(maxsize=2048)(Fraction)
+# cache holds integral values only, since fractional values are rarely
+# reused, and at most _INTEGRAL_BOUND of them: it keeps the first values
+# it is asked for and evicts nothing, so past the bound a value is built
+# fresh.  Read through the dict's own __getitem__, which calls __missing__
+# only on a miss, it costs less per lookup than an lru_cache.
+_INTEGRAL_BOUND = 2048
+
+
+class _IntegralCache(dict):
+    __slots__ = ()
+
+    def __missing__(self, n):
+        value = Fraction(n)
+        if len(self) < _INTEGRAL_BOUND:
+            self[n] = value
+        return value
+
+
+_integral = _IntegralCache()
+_integral_of = _integral.__getitem__
 
 
 def fraction(n: int, den: int = 1) -> Fraction:
     """n/den as a Fraction, for an int n and a nonzero int den.
 
-    An integral value is taken from a shared cache of Fraction(n) and
-    built only on its first use there; any other value is built fresh.
-    Pass only int numerators, as exact_int and scaled give them: the cache
+    An integral value is taken from a shared cache of Fraction(n), a
+    dict that keeps the first 2048 distinct values it is asked for and
+    builds any other fresh; any fractional value is built fresh.  Pass
+    only int numerators, as exact_int and scaled give them: the cache
     does not tell types apart, so True would be served the Fraction of 1.
     """
     if den == 1:
-        return _integral(n)
+        return _integral_of(n)
     if n % den:
         return Fraction(n, den)
-    return _integral(n // den)
+    return _integral_of(n // den)
 
 
 def fraction_vector(nums, den: int = 1) -> tuple[Fraction, ...]:
     """The Fractions n/den for the ints n in nums, each as fraction builds it."""
     if den == 1:
-        return tuple(map(_integral, nums))
+        return tuple(map(_integral_of, nums))
     return tuple(map(fraction, nums, repeat(den)))
 
 

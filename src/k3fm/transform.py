@@ -19,8 +19,10 @@ delta_hat: one elimination of [H | Delta_mid] per crosscheck
 (linalg.solve_columns) gives them at every point.  The engine, the
 difference and the hat coordinates of every grid point come from one
 integer pass over the whole grid, so no point runs a product or a solve
-of its own; each entry is then built from integer numerators, with the
-integral Fractions shared through linalg.fraction.
+of its own.  The report is then built column by column: each row of
+integer results is cut to the disagreeing points and turned into
+Fractions in one map (the integral ones shared through linalg.fraction),
+and the rows are zipped into the entries.
 
 Transforms are stored as integer matrices (integral on an even lattice)
 acting on rational coordinate vectors (rank, NS-basis coefficients, ch2)
@@ -48,7 +50,7 @@ proves; from_kernel decides it in O(n) from the Gram products it forms.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import chain, compress, product, repeat
 from operator import add, mul, sub
 
 from . import linalg
@@ -515,7 +517,11 @@ class DiffEntry(Record):
         delta: tuple[Fraction, ...],
         delta_hat: tuple[Fraction, Fraction] | None = None,
     ):
-        self._set(input, engine, closed_form, delta, delta_hat)
+        object.__setattr__(self, "input", input)
+        object.__setattr__(self, "engine", engine)
+        object.__setattr__(self, "closed_form", closed_form)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "delta_hat", delta_hat)
 
 
 class DiffReport(Record):
@@ -566,33 +572,36 @@ def crosscheck_specialized(t: CohTransform, formula_id: str, grid=None) -> DiffR
     """Compare the transform's action against a named closed-form block.
 
     The block's matrix C is built once from the classes the transform
-    labels, and the grid is scanned with the integer matrix Delta = C - M.
-    Each grid point x is scaled once to integer numerators n over a
-    denominator v (an integral point is its own numerators), and the
-    numerators are the columns of one integer matrix N.  M, Delta and,
-    where the hats are labelled, the rows X and R below are stacked and
-    multiplied by N in one integer pass over the grid, so no point runs a
-    product of its own.  A point is a disagreement exactly where Delta n
-    is nonzero; it is recorded with the engine value M n / v, the
-    closed-form value (M n + Delta n) / v and their difference Delta n / v,
-    each Fraction built from ints by linalg.fraction_vector, which shares
-    the integral ones.  For reflexive formulas, when the transform names
-    hhat and lhat, the divisor part of the difference is also expressed in
-    their basis H.  That map is linear in x, so [H | Delta_mid] is
-    eliminated once per crosscheck (linalg.solve_columns) into solution
-    rows X, residual rows R and a denominator d: delta_hat is X n / (d v)
-    where R n = 0, and None where the difference leaves the span of H or
-    H is degenerate.  Every entry is built here, eagerly.  An empty entry
-    list means exact agreement on the grid.  The block is built on the
-    transform's one lattice, so C and M always have the same shape.
+    labels, and the grid, any iterable of points, is scanned with the
+    integer matrix Delta = C - M.  A grid of plain ints is its own
+    numerators; otherwise every point x is scaled to integer numerators n
+    over a denominator v by linalg.scaled, which rejects any entry that is
+    not an int or a Fraction.  The numerators are the columns of one
+    integer matrix N.  M, Delta and, where the hats are labelled, the rows
+    X and R below are stacked and multiplied by N in one integer pass over
+    the grid, so no point runs a product of its own.  A point is a
+    disagreement exactly where Delta n is nonzero; it is recorded with the
+    engine value M n / v, the closed-form value (M n + Delta n) / v and
+    their difference Delta n / v.  The report is built column by column:
+    each row of products is cut to the disagreeing points once and turned
+    into Fractions by linalg.fraction, which shares the integral ones, and
+    the rows are then zipped into the entries.  For reflexive formulas,
+    when the transform names hhat and lhat, the divisor part of the
+    difference is also expressed in their basis H.  That map is linear in
+    x, so [H | Delta_mid] is eliminated once per crosscheck
+    (linalg.solve_columns) into solution rows X, residual rows R and a
+    denominator d: delta_hat is X n / (d v) where R n = 0, and None where
+    the difference leaves the span of H or H is degenerate.  Every entry
+    is built here, eagerly, in grid order.  An empty entry list means
+    exact agreement on the grid.  The block is built on the transform's
+    one lattice, so C and M always have the same shape.
     """
     if formula_id not in CLOSED_FORMS:
         raise ValueError(
             f"unknown formula id {formula_id!r}; known: {sorted(CLOSED_FORMS)}"
         )
-    if grid is None:
-        grid = default_grid(t.source)
-    if any(len(point) != t.source.rank + 2 for point in grid):
+    grid = default_grid(t.source) if grid is None else tuple(grid)
+    if not set(map(len, grid)) <= {t.source.rank + 2}:
         raise ValueError("coordinate vector has the wrong length for the source lattice")
     closed = closed_form_matrix(t, formula_id)
     delta_matrix = tuple(
@@ -609,28 +618,39 @@ def crosscheck_specialized(t: CohTransform, formula_id: str, grid=None) -> DiffR
     if hat_map is not None:
         x_rows, r_rows, d = hat_map
         stack += (*x_rows, *r_rows)
-    points, dens = zip(
-        *((point, 1) if all(type(x) is int for x in point) else linalg.scaled(point) for point in grid)
-    )
-    # N: one row per coordinate, one column per point.
-    numerators = tuple(zip(*points))
+    # N: one row per coordinate, one column per point, and the points'
+    # denominators: one int for a grid of plain ints, else one per point.
+    if set(map(type, chain.from_iterable(grid))) <= {int}:
+        numerators, dens = tuple(zip(*grid)), 1
+    else:
+        points, dens = zip(*map(linalg.scaled, grid))
+        numerators = tuple(zip(*points))
     n = len(t.matrix)
-    entries = []
-    for nums, vden, values in zip(points, dens, zip(*(_times(row, numerators) for row in stack))):
-        diff = values[n : 2 * n]
-        if not any(diff):
-            continue
-        engine = values[:n]
-        delta_hat = None
-        if hat_map is not None and not any(values[2 * n + 2 :]):
-            delta_hat = linalg.fraction_vector(values[2 * n : 2 * n + 2], d * vden)
-        entries.append(
-            DiffEntry(
-                input=linalg.fraction_vector(nums, vden),
-                engine=linalg.fraction_vector(engine, vden),
-                closed_form=linalg.fraction_vector(map(add, engine, diff), vden),
-                delta=linalg.fraction_vector(diff, vden),
-                delta_hat=delta_hat,
-            )
-        )
+    products = [_times(row, numerators) for row in stack]
+    engine, delta = products[:n], products[n : 2 * n]
+    mask = tuple(map(any, zip(*delta)))
+
+    def fractions(rows, den):
+        """The rows cut to the disagreeing points, as Fractions over den
+        (one int, or one per point), zipped into one tuple per point."""
+        if type(den) is int:
+            return zip(*(linalg.fraction_vector(compress(row, mask), den) for row in rows))
+        den = tuple(compress(den, mask))
+        return zip(*(map(linalg.fraction, compress(row, mask), den) for row in rows))
+
+    delta_hats = repeat(None)
+    if hat_map is not None:
+        hat_dens = d * dens if type(dens) is int else [d * v for v in dens]
+        delta_hats = fractions(products[2 * n : 2 * n + 2], hat_dens)
+        if r_rows:
+            outside = map(any, zip(*(compress(row, mask) for row in products[2 * n + 2 :])))
+            delta_hats = [None if off else x for x, off in zip(delta_hats, outside)]
+    entries = map(
+        DiffEntry,
+        fractions(numerators, dens),
+        fractions(engine, dens),
+        fractions((map(add, e, x) for e, x in zip(engine, delta)), dens),
+        fractions(delta, dens),
+        delta_hats,
+    )
     return DiffReport(formula_id=formula_id, points=len(grid), entries=tuple(entries))

@@ -289,3 +289,16 @@ def test_fraction_shares_integral_values():
     was written over; a fractional value is built fresh."""
     assert linalg.fraction(3) is linalg.fraction(6, 2) is linalg.fraction_vector((-9,), -3)[0]
     assert linalg.fraction(1, 3) is not linalg.fraction(1, 3)
+
+
+def test_integral_fraction_cache_is_bounded():
+    """Past its bound the cache keeps nothing more, and every value is still
+    the right Fraction."""
+    linalg._integral.clear()
+    try:
+        for n in range(10**6, 10**6 + 5000):
+            got = linalg.fraction(n)
+            assert got == Fraction(n) and type(got) is Fraction
+        assert len(linalg._integral) <= 2048
+    finally:
+        linalg._integral.clear()

@@ -674,13 +674,60 @@ def assert_fraction_fields(report):
 
 def mixed_grid(data, lattice, size=12):
     """Points of plain ints, the path the sweep and the CLI take, mixed with
-    half-integral points, which are scaled."""
+    half-integral points and points whose f-coordinates have denominators 3
+    and 6, which are scaled."""
     ints = st.integers(-3, 3)
     integral = st.tuples(*(ints for _ in range(lattice.rank + 2)))
     half = st.tuples(
         ints, *(ints for _ in range(lattice.rank)), ints.map(lambda n: Fraction(n, 2))
     )
-    return data.draw(st.lists(st.one_of(integral, half), max_size=size))
+    over_3_or_6 = st.builds(Fraction, ints, st.sampled_from((3, 6)))
+    rational_f = st.tuples(ints, *(over_3_or_6 for _ in range(lattice.rank)), ints)
+    return data.draw(st.lists(st.one_of(integral, half, rational_f), max_size=size))
+
+
+class Int(int):
+    """An int subclass: an exact integer, but not a plain int."""
+
+
+def test_crosscheck_exact_number_cases():
+    """Denominators 3 and 6 make d v differ from point to point in delta_hat;
+    an int subclass counts as the int it is, and a bool is refused."""
+    t = nondeg_transform()
+    third, sixth = Fraction(1, 3), Fraction(-5, 6)
+    grid = [
+        (1, 0, 0, 0),
+        (1, third, 0, 0),
+        (0, sixth, 1, 2),
+        (2, 1, third, sixth),
+        (-1, 2, 0, 1),
+    ]
+    report = crosscheck_specialized(t, "reflexive_nondegenerate", grid)
+    assert report == crosscheck_by_points(t, "reflexive_nondegenerate", grid)
+    assert_fraction_fields(report)
+    inputs = [e.input for e in report.entries]
+    assert inputs == [p for p in (tuple(map(Fraction, p)) for p in grid) if p in inputs]
+    assert len(inputs) >= 3 and all(e.delta_hat is not None for e in report.entries)
+    assert len({e.delta_hat[1].denominator for e in report.entries}) > 1
+
+    ints = [(1, 0, 0, 0), (-1, 2, 0, 1), (2, -1, 1, 0)]
+    subclassed = [(Int(1), 0, 0, 0), (-1, Int(2), 0, 1), tuple(map(Int, ints[2]))]
+    plain = crosscheck_specialized(t, "reflexive_nondegenerate", ints)
+    assert crosscheck_specialized(t, "reflexive_nondegenerate", subclassed) == plain
+    assert_fraction_fields(plain)
+
+    with pytest.raises(ValueError) as raised:
+        crosscheck_specialized(t, "reflexive_nondegenerate", [(1, 0, 0, 0), (True, 0, 0, 0)])
+    assert str(raised.value) == "vector entry must be an integer or a Fraction, got True"
+
+
+def test_crosscheck_of_an_iterator_grid_matches_the_tuple_grid():
+    t = nondeg_transform()
+    grid = default_grid(t.source)
+    report = crosscheck_specialized(t, "reflexive_nondegenerate", grid)
+    assert not report.agree
+    for points in (iter(grid), (point for point in grid), map(list, grid)):
+        assert crosscheck_specialized(t, "reflexive_nondegenerate", points) == report
 
 
 @pytest.mark.parametrize("formula_id", sorted(CLOSED_FORMS))
@@ -786,16 +833,25 @@ def test_crosscheck_eliminates_once_whatever_the_grid(monkeypatch, variant):
 @pytest.mark.parametrize("builder", ["reflexive-nondegenerate", "reflexive-type-i"])
 def test_repeated_crosscheck_builds_no_new_integral_fraction(builder):
     """The integral Fractions of a report come from linalg's shared cache:
-    a second identical crosscheck finds every one of them there."""
+    a second identical crosscheck adds nothing to it, and its integral
+    Fractions are the very objects of the first report."""
     t, formula_id = builder_transform(builder), builder.replace("-", "_")
     rng = random.Random(15)
     grid = [tuple(rng.randint(-2, 2) for _ in range(t.source.rank + 2)) for _ in range(64)]
     grid += [(*point[:-1], Fraction(point[-1], 2)) for point in grid[:8]]
+    # Start from an empty cache, so that earlier tests cannot have filled it.
+    linalg._integral.clear()
     first = crosscheck_specialized(t, formula_id, grid)
     assert not first.agree
-    misses = linalg._integral.cache_info().misses
-    assert crosscheck_specialized(t, formula_id, grid) == first
-    assert linalg._integral.cache_info().misses == misses
+    size = len(linalg._integral)
+    second = crosscheck_specialized(t, formula_id, grid)
+    assert second == first
+    assert len(linalg._integral) == size
+    for old, new in zip(first.entries, second.entries):
+        for field in ("input", "engine", "closed_form", "delta", "delta_hat"):
+            for x, y in zip(getattr(old, field) or (), getattr(new, field) or ()):
+                if x.denominator == 1:
+                    assert x is y, field
 
 
 @pytest.mark.parametrize("formula_id", sorted(CLOSED_FORMS))
