@@ -142,7 +142,14 @@ def mat_mul(a, b) -> Matrix:
 
 
 def scaled(v) -> tuple[list[int], int]:
-    """Integer numerators of a rational vector over its common denominator."""
+    """Integer numerators of a rational vector over its common denominator.
+
+    A vector of exact ints (no bool, no subclass) is its own numerators
+    over 1, without a check per entry.
+    """
+    v = list(v)
+    if set(map(type, v)) <= {int}:
+        return v, 1
     v = [exact_rational(x, "vector entry") for x in v]
     den = lcm(*(x.denominator for x in v))
     return [x.numerator * (den // x.denominator) for x in v], den

@@ -228,6 +228,20 @@ def test_mat_vec_is_exact():
     assert all(type(x) is Fraction for x in got)
 
 
+@pytest.mark.parametrize("bad", [True, False, 1.0, "1"])
+def test_scaled_rejects_non_exact_entries_among_ints(bad):
+    """An all-int vector is its own numerators over 1; a bool, float or
+    string among ints is still rejected, by scaled and by its callers."""
+    assert linalg.scaled(iter((3, -4))) == ([3, -4], 1)
+    message = f"^vector entry must be an integer or a Fraction, got {bad!r}$"
+    with pytest.raises(ValueError, match=message):
+        linalg.scaled([1, bad])
+    with pytest.raises(ValueError, match=message):
+        linalg.mat_vec(((1, 0), (0, 1)), (bad, 2))
+    with pytest.raises(ValueError, match=message):
+        linalg.solve_columns(((1,), (0,)), ((bad,), (2,)))
+
+
 def integer_matrix_by_entries(rows):
     """Reference: every entry through exact_int, or the ValueError's text."""
     try:

@@ -262,6 +262,20 @@ def test_hilb_flavor_mismatches():
         hilb_moduli_vector(nondeg, 2, "no-cohomology")
 
 
+def test_hilb_family_rejection():
+    """A kernel whose pattern class has square -4 but whose transform sends
+    O to a vector outside the family."""
+    spec = standard_spec()
+    a = DivisorClass(spec.lattice, (-2, -2))
+    t = from_kernel(KernelSpec(a, a, a, DivisorClass(spec.lattice, (0, 1)), source=spec, target=spec))
+    with pytest.raises(RejectionError) as err:
+        hilb_moduli_vector(t, 0, "no-cohomology")
+    assert str(err.value) == (
+        "transformed ideal sheaf gives v(37, [-38, -19], -433), "
+        "outside the predicted no-cohomology family for n = 0"
+    )
+
+
 def test_hilb_input_errors():
     t, _ = no_cohomology_transform()
     with pytest.raises(ValueError, match="unknown flavor"):

@@ -1,3 +1,5 @@
+import itertools
+from collections import Counter
 from operator import mul, sub
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from k3fm import (
     DivisorClass,
     NSLattice,
     RejectionError,
+    ReflexiveSurface,
     ReflexiveViolation,
     SurfaceSpec,
     build_kernel,
@@ -33,6 +36,7 @@ from k3fm import (
     transform_for,
     validate_reflexive,
 )
+from k3fm import lattice, reflexive
 from k3fm.cli import _json
 from k3fm.linalg import mat_mul, rank, transpose
 from k3fm.reflexive import KERNEL_VARIANTS
@@ -75,6 +79,12 @@ def test_hat_classes():
     assert intersect(hhat, lhat) == 0
     assert 5 * hhat - 2 * lhat == rs.h
     assert 5 * lhat - 12 * hhat == rs.l
+
+
+def test_hat_classes_guard():
+    rs = validate_reflexive(standard_spec())
+    with pytest.raises(ReflexiveViolation, match="^hat classes fail the defining relations$"):
+        hat_classes(ReflexiveSurface(rs.spec, rs.h, rs.h, False))
 
 
 @pytest.mark.parametrize(
@@ -289,6 +299,149 @@ def test_decompose_requires_components():
         decompose_l2h(rs)
 
 
+TYPE_I_SURFACE = component_surface(("c1", "c2"), {"c1": 2, "c2": 2})
+
+
+@pytest.mark.parametrize(
+    "rs, message",
+    [
+        (component_surface(("c1",), {"c1": 4}), "1 components declared; expected between 2 and 4"),
+        (
+            component_surface(tuple("abcde"), dict.fromkeys("abcde", 1)),
+            "5 components declared; expected between 2 and 4",
+        ),
+        # l shifted by h: the curves no longer sum to l+2h.
+        (
+            ReflexiveSurface(
+                TYPE_I_SURFACE.spec,
+                TYPE_I_SURFACE.h,
+                TYPE_I_SURFACE.l + TYPE_I_SURFACE.h,
+                True,
+                TYPE_I_SURFACE.curves,
+            ),
+            "case analysis produced an invalid decomposition; "
+            "the declared intersection data is inconsistent",
+        ),
+    ],
+)
+def test_decompose_guards(rs, message):
+    with pytest.raises(DecompositionError) as err:
+        decompose_l2h(rs)
+    assert str(err.value) == message
+
+
+def restricted_growth_strings(n):
+    """The occurrence patterns of n components up to relabelling: each label
+    is at most one more than the largest label before it."""
+    strings = [(0,)]
+    for _ in range(n - 1):
+        strings = [s + (k,) for s in strings for k in range(max(s) + 2)]
+    return strings
+
+
+def enumerated_configurations():
+    """Every configuration of 2 to 4 occurrences whose components have degree
+    >= 1, summing to 4 over the occurrences, and products 0..4 between
+    distinct components, that has (l+2h)^2 = -4: yields (occurrences,
+    degrees, products, surface), the surface through validate_reflexive."""
+    for n in (2, 3, 4):
+        for labels in restricted_growth_strings(n):
+            names = "uvwx"[: max(labels) + 1]
+            occurrences = "".join(names[i] for i in labels)
+            mult = [labels.count(i) for i in range(len(names))]
+            pairs = list(itertools.combinations(range(len(names)), 2))
+            for degrees in itertools.product(range(1, 5), repeat=len(names)):
+                if sum(map(mul, mult, degrees)) != 4:
+                    continue
+                for products in itertools.product(range(5), repeat=len(pairs)):
+                    # (l+2h)^2 from the multiplicities, before any lattice is built.
+                    square = -2 * sum(m * m for m in mult) + 2 * sum(
+                        p * mult[i] * mult[j] for p, (i, j) in zip(products, pairs)
+                    )
+                    if square != -4:
+                        continue
+                    rs = component_surface(
+                        tuple(occurrences),
+                        dict(zip(names, degrees)),
+                        {(names[i], names[j]): p for p, (i, j) in zip(products, pairs)},
+                    )
+                    yield occurrences, degrees, products, validate_reflexive(rs.spec)
+
+
+ENUMERATED = list(enumerated_configurations())
+
+# The configurations that "(c_i+c_j)^2 <= -2" rejects although
+# decompose_brute_force finds a numerical decomposition: in each, two
+# distinct components meet twice.  Rows are (occurrences, degrees of the
+# distinct components, their products in pair order uv, uw, ..., wx).
+RULE_REJECTS_DECOMPOSABLE = {
+    ("uuvw", (1, 1, 1), (0, 2, 0)),
+    ("uuvw", (1, 1, 1), (2, 0, 0)),
+    ("uvuw", (1, 1, 1), (0, 2, 0)),
+    ("uvuw", (1, 1, 1), (2, 0, 0)),
+    ("uvvw", (1, 1, 1), (0, 0, 2)),
+    ("uvvw", (1, 1, 1), (2, 0, 0)),
+    ("uvwu", (1, 1, 1), (0, 2, 0)),
+    ("uvwu", (1, 1, 1), (2, 0, 0)),
+    ("uvwv", (1, 1, 1), (0, 0, 2)),
+    ("uvwv", (1, 1, 1), (2, 0, 0)),
+    ("uvww", (1, 1, 1), (0, 0, 2)),
+    ("uvww", (1, 1, 1), (0, 2, 0)),
+    ("uvwx", (1, 1, 1, 1), (0, 0, 0, 0, 0, 2)),
+    ("uvwx", (1, 1, 1, 1), (0, 0, 0, 0, 2, 0)),
+    ("uvwx", (1, 1, 1, 1), (0, 0, 0, 2, 0, 0)),
+    ("uvwx", (1, 1, 1, 1), (0, 0, 2, 0, 0, 0)),
+    ("uvwx", (1, 1, 1, 1), (0, 2, 0, 0, 0, 0)),
+    ("uvwx", (1, 1, 1, 1), (2, 0, 0, 0, 0, 0)),
+}
+
+
+def test_case_analysis_over_the_whole_finite_space():
+    """Each of the 69 configurations decomposes within the brute force, or
+    is rejected by the two-set rule; the rule's rejections that the brute
+    force can decompose are exactly the stated table."""
+    verdicts = Counter()
+    decomposable_rejects = set()
+    for occurrences, degrees, products, rs in ENUMERATED:
+        oracle = {pair_key(found) for found in decompose_brute_force(rs)}
+        try:
+            dec = decompose_l2h(rs)
+        except DecompositionError as error:
+            assert str(error).startswith('"(c_i+c_j)^2 <= -2" fails for components ')
+            verdicts["rejected"] += 1
+            if oracle:
+                decomposable_rejects.add((occurrences, degrees, products))
+            continue
+        assert pair_key(dec) in oracle
+        verdicts[classify_type(rs, dec).surface_type] += 1
+    assert verdicts == {"I": 13, "II": 20, "rejected": 36}
+    assert decomposable_rejects == RULE_REJECTS_DECOMPOSABLE
+
+
+def test_case_analysis_reads_no_intersect(monkeypatch):
+    """decompose_l2h reads one product matrix: on every admitted
+    configuration it calls intersect, which DivisorClass.square also calls,
+    zero times."""
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return intersect(x, y)
+
+    monkeypatch.setattr(lattice, "intersect", counted)
+    monkeypatch.setattr(reflexive, "intersect", counted)
+    outcomes = Counter()
+    for rs in ADMITTED + [rs for *_, rs in ENUMERATED]:
+        try:
+            decompose_l2h(rs)
+        except DecompositionError:
+            outcomes["rejected"] += 1
+        else:
+            outcomes["admitted"] += 1
+    assert outcomes == {"admitted": 39, "rejected": 36}
+    assert calls == []
+
+
 ADMITTED = [
     component_surface(("c1", "c2"), {"c1": 2, "c2": 2}),
     component_surface(("a", "b", "c"), {"a": 1, "b": 1, "c": 2}, {("a", "b"): 1}),
@@ -479,6 +632,11 @@ def test_classify_rejects_degree_patterns():
         classify_type(rs, Decomposition(d1=c1 - h, d2=c2 + h))
     with pytest.raises(ReflexiveViolation, match=r"\(2, 4\) is impossible"):
         classify_type(rs, Decomposition(d1=c1, d2=c2 + h))
+    # Degrees (1, 3), but d1 = c2 - h is no (-2)-class: e = 2h - c2 has square -6.
+    type_ii = component_surface(("c1", "c2"), {"c1": 1, "c2": 3})
+    c2 = type_ii.spec.cls("c2")
+    with pytest.raises(ReflexiveViolation, match=r'^"e\^2 = -2" fails for e = h - d_1: got -6$'):
+        classify_type(type_ii, Decomposition(d1=c2 - type_ii.h, d2=c2))
 
 
 def test_nondegenerate_kernel():
