@@ -15,7 +15,16 @@ explicit argument: it counts points on strata the lattice cannot see.
 
 hilb_moduli_vector sends the ideal sheaf of n points through a kernel
 transform and checks the resulting Mukai vector against the closed-form
-family predicted for that kernel flavor.
+family predicted for that kernel flavor.  The action on cohomology is
+linear (Huybrechts, Fourier-Mukai Transforms in Algebraic Geometry, 2006,
+ch. 5) and ch(I_n) = (1, 0, -n) = ch(O) - n ch(pt), so
+
+    Phi(I_n) = Phi(O) - n Phi(pt):
+
+the image is the transform matrix's first column minus n times its last,
+affine in n, and so is each predicted family.  hilb_moduli_vector reads
+those two columns in int arithmetic instead of applying the transform to
+a Chern character.
 """
 
 from __future__ import annotations
@@ -24,8 +33,8 @@ from fractions import Fraction
 
 from .errors import RejectionError
 from .lattice import DivisorClass, degree, intersect
-from .linalg import exact_int, exact_rational, rank
-from .mukai import MukaiVector, ch_to_mukai, ideal_sheaf_ch, sign_normalized
+from .linalg import exact_int, exact_rational, fraction, rank
+from .mukai import MukaiVector
 from .record import Record
 from .surface import SurfaceSpec
 from .transform import CohTransform
@@ -193,6 +202,13 @@ def hilb_moduli_vector(T: CohTransform, n: int, flavor: str) -> MukaiVector:
     class g with output ±(1+2n, n*g, 1-3n).  A transform whose kernel
     does not fit the flavor, or whose output leaves the family, is
     rejected.  n = 0 is the structure sheaf, expected at ±(1, 0, 1).
+
+    Since ch(I_n) = ch(O) - n ch(pt) and the action is linear,
+    Phi(I_n) = Phi(O) - n Phi(pt): the image (r, f, t) is M[:, 0] -
+    n M[:, -1], read in int, and its Mukai vector is (r, f, t + r).  The
+    sign rule is sign_normalized's: the first nonzero entry of (r, f, s)
+    is positive.  The result equals sign_normalized(ch_to_mukai(
+    T.apply(ideal_sheaf_ch(T.source, n)))), with s a Fraction.
     """
     if flavor not in HILB_FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}; expected one of {HILB_FLAVORS}")
@@ -216,19 +232,27 @@ def hilb_moduli_vector(T: CohTransform, n: int, flavor: str) -> MukaiVector:
                 "but the reflexive family needs -12"
             )
 
-    out = T.apply(ideal_sheaf_ch(T.source, n))
-    v = sign_normalized(ch_to_mukai(out))
+    r, *f, t = [row[0] - n * row[-1] for row in T.matrix]
+    s = t + r
+    for entry in (r, *f, s):
+        if entry:
+            if entry < 0:
+                r, f, s = -r, [-x for x in f], -s
+            break
+    f = tuple(f)
 
     if n == 0:
-        expected_rs = (1, Fraction(1))
-        f_ok = v.f.is_zero
-    elif flavor == "no-cohomology":
-        expected_rs = (2 * n - 1, Fraction(-n - 1))
-        f_ok = v.f in (n * pattern, -(n * pattern))
+        expected_rs = (1, 1)
+        f_ok = not any(f)
     else:
-        expected_rs = (1 + 2 * n, Fraction(1 - 3 * n))
-        f_ok = v.f in (n * pattern, -(n * pattern))
-    if (v.r, v.s) != expected_rs or not f_ok:
+        if flavor == "no-cohomology":
+            expected_rs = (2 * n - 1, -n - 1)
+        else:
+            expected_rs = (1 + 2 * n, 1 - 3 * n)
+        nm = tuple(n * x for x in pattern.coords)
+        f_ok = pattern.lattice == T.source and f in (nm, tuple(-x for x in nm))
+    v = MukaiVector(r, DivisorClass(T.source, f), fraction(s))
+    if (r, s) != expected_rs or not f_ok:
         raise RejectionError(
             f"transformed ideal sheaf gives {v!r}, outside the predicted "
             f"{flavor} family for n = {n}"

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .lattice import DivisorClass, NSLattice, intersect
-from .linalg import exact_int, exact_rational
+from .linalg import exact_int, exact_rational, fraction
 from .record import Record
 
 __all__ = [
@@ -91,8 +91,15 @@ def mukai_to_ch(v: MukaiVector) -> ChernCharacter:
 
 
 def mukai_pairing(v: MukaiVector, w: MukaiVector) -> Fraction:
-    """The Mukai pairing <v, w> = f_v.f_w - r_v s_w - r_w s_v."""
-    return Fraction(intersect(v.f, w.f)) - v.r * w.s - w.r * v.s
+    """The Mukai pairing <v, w> = f_v.f_w - r_v s_w - r_w s_v.
+
+    With s_v = p/q and s_w = p2/q2 it is one Fraction over q q2, whose
+    numerator (f_v.f_w) q q2 - r_v p2 q - r_w p q2 is computed in int.
+    """
+    p, q = v.s.as_integer_ratio()
+    p2, q2 = w.s.as_integer_ratio()
+    num = intersect(v.f, w.f) * q * q2 - v.r * p2 * q - w.r * p * q2
+    return fraction(num, q * q2)
 
 
 def euler_chi(a: ChernCharacter, b: ChernCharacter) -> Fraction:

@@ -324,8 +324,6 @@ REJECTION_FRAGMENTS = (
     "c_1.c_3 = 3/2",
     "(c_i+c_j)^2 <= -2",
     "sum of c_i.c_j over i<j = 2",
-    "must meet each remaining",
-    "outside the two admissible",
 )
 
 

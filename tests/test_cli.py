@@ -203,6 +203,17 @@ def test_transform_apply_rejects_malformed_character(capsys):
     assert data["error"]["kind"] == "input"
 
 
+@pytest.mark.parametrize("ch", ["1,x,0", "1,0,1/0", "1,0,1/2/3"])
+def test_transform_apply_rejects_unparsable_character(capsys, ch):
+    """A non-integer coordinate, a zero denominator and a malformed ch2
+    each reach _parse_ch's parse failure."""
+    data = run_json(
+        capsys, "transform-apply", "--builder", "no-cohomology", f"--ch={ch}", expect=2,
+    )
+    assert data["error"]["kind"] == "input"
+    assert data["error"]["message"].startswith(f"cannot parse --ch value {ch!r}: ")
+
+
 def test_transform_crosscheck_agreeing(capsys):
     data = run_json(
         capsys, "transform-crosscheck", "--builder", "no-cohomology"

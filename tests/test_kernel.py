@@ -33,8 +33,10 @@ def nondegenerate_kernel(declared=(L2H,)):
 def test_classes_must_share_a_lattice():
     other = NSLattice(((-4,),))
     m = DivisorClass(other, (1,))
-    with pytest.raises(ValueError, match="different lattice"):
+    with pytest.raises(ValueError, match="kernel class c lives on a different lattice"):
         KernelSpec(a=H, b=H, c=m, d=m)
+    with pytest.raises(ValueError, match="declared vanishing class lives on a different lattice"):
+        KernelSpec(a=H, b=H, c=H, d=H, declared_vanishing=(H, m))
 
 
 def test_sufficient_verdict_with_declaration():

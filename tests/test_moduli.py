@@ -1,11 +1,13 @@
 from fractions import Fraction
+from operator import mul
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from k3fm import (
     Assumption,
+    CohTransform,
     DivisorClass,
     KernelSpec,
     MukaiVector,
@@ -27,6 +29,11 @@ from k3fm import (
     validate_reflexive,
 )
 from k3fm.cli import _json
+from k3fm.linalg import mat_mul, transpose
+from k3fm.moduli import HILB_FLAVORS
+from k3fm.mukai import ch_to_mukai, ideal_sheaf_ch, sign_normalized
+
+from helpers import class_on, lattices, unimodular_pairs
 
 WITNESS = NSLattice(((2, 1), (1, -2)))
 W_SPEC = SurfaceSpec(
@@ -284,3 +291,119 @@ def test_hilb_input_errors():
         hilb_moduli_vector(t, -1, "no-cohomology")
     with pytest.raises(ValueError, match="no kernel data"):
         hilb_moduli_vector(identity_transform(t.source), 1, "no-cohomology")
+
+
+# A lattice block carrying a kernel of each flavor's family, in block
+# coordinates: (0, 0, m, -m) on m^2 = -4, and the non-degenerate reflexive
+# kernel (-h, 3l+7h, l+h, 2l+5h) on h^2 = 2, l^2 = -12.
+FAMILY_BLOCKS = {
+    "no-cohomology": (((-4,),), ((0,), (0,), (1,), (-1,))),
+    "reflexive": (((2, 0), (0, -12)), ((-1, 0), (7, 3), (1, 1), (5, 2))),
+}
+
+
+@st.composite
+def hilb_cases(draw):
+    """A from_kernel transform on an even lattice of rank 1-6, n and a flavor.
+
+    Half the kernels are four random classes, which the pattern square
+    mostly rejects.  The other half put the flavor's family kernel on its
+    block, summed with a random lattice or none and conjugated by a random
+    unimodular change of basis, and perturb a, c and the split of b + d by
+    random classes or not at all: the pattern check then passes, and the
+    family check decides.
+    """
+    flavor = draw(st.sampled_from(HILB_FLAVORS))
+    n = draw(st.integers(0, 60))
+    if draw(st.booleans()):
+        lat = draw(lattices(max_rank=6))
+        kernel = KernelSpec(*(draw(class_on(lat)) for _ in range(4)))
+        return from_kernel(kernel), n, flavor
+    block, classes = FAMILY_BLOCKS[flavor]
+    extra = draw(st.one_of(st.none(), lattices(max_rank=6 - len(block))))
+    extra = extra.gram if extra is not None else ()
+    k, size = len(block), len(block) + len(extra)
+    gram = [[0] * size for _ in range(size)]
+    for i, row in enumerate(block):
+        gram[i][:k] = row
+    for i, row in enumerate(extra):
+        gram[k + i][k:] = row
+    # The basis change P: the Gram becomes P^T G P, a class x becomes Q x.
+    p, q = draw(unimodular_pairs(size))
+    lat = NSLattice(mat_mul(mat_mul(transpose(p), gram), p))
+    a, b, c, d = (
+        DivisorClass(lat, tuple(sum(map(mul, row, cls + (0,) * len(extra))) for row in q))
+        for cls in classes
+    )
+    zero = lat.zero()
+    x, y, z = (draw(st.one_of(st.just(zero), class_on(lat, bound=2))) for _ in range(3))
+    return from_kernel(KernelSpec(a + x, b + z, c + y, d - z)), n, flavor
+
+
+def textbook_hilb(t, n, flavor):
+    """The Hilbert-family check the long way round: T.apply on ch(I_n),
+    then ch_to_mukai and sign_normalized, against each family as a
+    DivisorClass comparison.  Returns the vector, or the rejection text."""
+    g = t.kernel.b + t.kernel.d
+    if flavor == "no-cohomology":
+        pattern, need, name = -g, -4, "kernel difference class"
+    else:
+        pattern, need, name = g, -12, "kernel pattern class"
+    if pattern.square != need:
+        return (
+            f"{name} has square {pattern.square}, but the {flavor} family needs {need}"
+        )
+    v = sign_normalized(ch_to_mukai(t.apply(ideal_sheaf_ch(t.source, n))))
+    if n == 0:
+        ok = (v.r, v.s) == (1, 1) and v.f.is_zero
+    else:
+        rs = (2 * n - 1, -n - 1) if flavor == "no-cohomology" else (1 + 2 * n, 1 - 3 * n)
+        ok = (v.r, v.s) == rs and v.f in (n * pattern, -(n * pattern))
+    if ok:
+        return v
+    return (
+        f"transformed ideal sheaf gives {v!r}, outside the predicted "
+        f"{flavor} family for n = {n}"
+    )
+
+
+def kernel_case(gram, classes, n, flavor):
+    lat = NSLattice(gram)
+    return from_kernel(KernelSpec(*(DivisorClass(lat, x) for x in classes))), n, flavor
+
+
+@settings(max_examples=300)
+@given(hilb_cases())
+# Rejected with r = 0, so the sign is read off f's first entry, not off s.
+@example(kernel_case(((-4, 0), (0, 2)), ((0, 1), (-1, -1), (0, 2), (0, 1)), 4, "no-cohomology"))
+@example(kernel_case(((2, 0), (0, -12)), ((-2, 1), (6, 2), (-1, 0), (6, 3)), 1, "reflexive"))
+# Rejected at n = 0 with (r, s) = (1, 1) but f nonzero.
+@example(kernel_case(((-4, 0), (0, 2)), ((-2, -2), (0, -2), (1, -2), (-1, 2)), 0, "no-cohomology"))
+def test_hilb_two_columns_match_the_textbook_path(case):
+    """Phi(I_n) = Phi(O) - n Phi(pt): reading M's first and last columns
+    gives what T.apply on ch(I_n) gives, accepted or rejected alike."""
+    t, n, flavor = case
+    expected = textbook_hilb(t, n, flavor)
+    if isinstance(expected, str):
+        with pytest.raises(RejectionError) as err:
+            hilb_moduli_vector(t, n, flavor)
+        assert str(err.value) == expected
+    else:
+        v = hilb_moduli_vector(t, n, flavor)
+        assert v == expected and repr(v) == repr(expected)
+        assert type(v.r) is int and type(v.s) is Fraction
+        assert set(map(type, v.f.coords)) <= {int}
+
+
+def test_hilb_kernel_on_another_lattice():
+    """A hand-built transform whose kernel lives on another lattice of the
+    same rank: f and n*m have equal coordinates but are different classes,
+    so every n > 0 is rejected, as on the textbook path."""
+    t, m = no_cohomology_transform()
+    other = CohTransform(NSLattice(((4,),)), t.matrix, kernel=t.kernel)
+    assert hilb_moduli_vector(other, 0, "no-cohomology") == textbook_hilb(other, 0, "no-cohomology")
+    for n in range(1, 4):
+        assert hilb_moduli_vector(t, n, "no-cohomology").f.coords in ((n,), (-n,))
+        with pytest.raises(RejectionError) as err:
+            hilb_moduli_vector(other, n, "no-cohomology")
+        assert str(err.value) == textbook_hilb(other, n, "no-cohomology")

@@ -14,6 +14,7 @@ from k3fm import (
     chi_sheaf,
     euler_chi,
     ideal_sheaf_ch,
+    intersect,
     line_bundle_ch,
     mukai_pairing,
     mukai_to_ch,
@@ -57,6 +58,25 @@ def test_mukai_roundtrip(c):
 def test_pairing_is_symmetric(pair):
     v, w = map(ch_to_mukai, pair)
     assert mukai_pairing(v, w) == mukai_pairing(w, v)
+
+
+@st.composite
+def mukai_vectors_on(draw, lattice):
+    """(r, f, s) with r and s drawn wide and s half-integral half the time."""
+    r = draw(st.integers(-50, 50))
+    s = Fraction(draw(st.integers(-10**6, 10**6)), draw(st.sampled_from((1, 2))))
+    return MukaiVector(r, draw(class_on(lattice, bound=20)), s)
+
+
+@given(lattices(max_rank=6).flatmap(lambda lat: st.tuples(mukai_vectors_on(lat), mukai_vectors_on(lat))))
+def test_pairing_matches_its_formula_in_fractions(pair):
+    """The pairing, one Fraction over the product of the s denominators,
+    equals f_v.f_w - r_v s_w - r_w s_v in Fraction arithmetic."""
+    v, w = pair
+    got = mukai_pairing(v, w)
+    assert got == Fraction(intersect(v.f, w.f)) - v.r * w.s - w.r * v.s
+    assert type(got) is Fraction
+    assert type(euler_chi(mukai_to_ch(v), mukai_to_ch(w))) is Fraction
 
 
 @given(lattices().flatmap(lambda lat: st.tuples(class_on(lat), class_on(lat))))

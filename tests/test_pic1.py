@@ -57,6 +57,13 @@ def test_solution_for_smallest_square():
     assert sol.det == 1
 
 
+def test_select_physical_needs_a_determinant_one_solution():
+    first, second = solve_constraints(3)
+    assert select_physical((second, first)) == first
+    with pytest.raises(ValueError, match=r"no determinant \+1 solution in the pair"):
+        select_physical((second, second))
+
+
 def test_solve_constraints_rejects_bad_n():
     for bad in (-1, "2", 1.5, True):
         with pytest.raises(ValueError):
