@@ -5,6 +5,13 @@ of finite rank with an even symmetric integer Gram matrix.  Divisor classes
 are integer coordinate vectors in the implied basis.  Everything is computed
 in exact integer arithmetic; there are no floats anywhere in this package.
 
+A DivisorClass built through its public constructor (and so through
+NSLattice.zero, basis and cls) validates its coordinates: exact integers,
+as many as the lattice rank.  Sums, differences, negatives and integer
+multiples of valid classes on one lattice are valid by closure, so those
+four operations build their result with the private DivisorClass._of and
+check only that the operands share a lattice.
+
 Geometric properties (ampleness, effectivity, vanishing of cohomology) are
 never inferred from the numbers here.  They enter the package only as
 declarations attached to a surface description, and the operations that need
@@ -14,7 +21,7 @@ declarations.
 
 from __future__ import annotations
 
-from operator import mul
+from operator import add, mul, neg, sub
 
 from .linalg import exact_int
 from .record import Record
@@ -85,8 +92,11 @@ class NSLattice(Record):
 class DivisorClass(Record):
     """An integral divisor class: integer coordinates in a fixed NSLattice basis.
 
-    Coordinates that are already a tuple of plain ints are kept as they
-    are; anything else is converted entry by entry through exact_int.
+    DivisorClass(lattice, coords) validates: coordinates that are already
+    a tuple of plain ints are kept as they are, anything else is converted
+    entry by entry through exact_int, and the length must be the lattice
+    rank.  x + y, x - y, -x and k * x are valid by closure and skip those
+    checks (see _of); they still require x and y to share a lattice.
     """
 
     __slots__ = ("lattice", "coords")
@@ -101,6 +111,15 @@ class DivisorClass(Record):
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "coords", coords)
 
+    @staticmethod
+    def _of(lattice: NSLattice, coords: tuple[int, ...]) -> DivisorClass:
+        """A class from coordinates known valid: a tuple of exactly lattice.rank
+        plain ints.  Only the closed operations below may call it."""
+        self = object.__new__(DivisorClass)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "coords", coords)
+        return self
+
     # Record's == and hash read both fields through one attrgetter call;
     # these read them directly, coords first since they differ more often.
     def __eq__(self, other):
@@ -112,25 +131,27 @@ class DivisorClass(Record):
         return hash((self.lattice, self.coords))
 
     def _require_same_lattice(self, other: DivisorClass) -> None:
-        if self.lattice != other.lattice:
+        if self.lattice is not other.lattice and self.lattice != other.lattice:
             raise LatticeMismatchError("classes belong to different lattices")
 
     def __add__(self, other: DivisorClass) -> DivisorClass:
         self._require_same_lattice(other)
-        return DivisorClass(self.lattice, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return DivisorClass._of(self.lattice, tuple(map(add, self.coords, other.coords)))
 
     def __sub__(self, other: DivisorClass) -> DivisorClass:
         self._require_same_lattice(other)
-        return DivisorClass(self.lattice, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return DivisorClass._of(self.lattice, tuple(map(sub, self.coords, other.coords)))
 
     def __neg__(self) -> DivisorClass:
-        return DivisorClass(self.lattice, tuple(-a for a in self.coords))
+        return DivisorClass._of(self.lattice, tuple(map(neg, self.coords)))
 
     def __mul__(self, scalar: int) -> DivisorClass:
-        # bool is an int subclass, but True is not a scalar.
-        if type(scalar) is bool or not isinstance(scalar, int):
-            return NotImplemented
-        return DivisorClass(self.lattice, tuple(scalar * a for a in self.coords))
+        if type(scalar) is not int:
+            # bool is an int subclass, but True is not a scalar.
+            if type(scalar) is bool or not isinstance(scalar, int):
+                return NotImplemented
+            scalar = int(scalar)
+        return DivisorClass._of(self.lattice, tuple([scalar * a for a in self.coords]))
 
     __rmul__ = __mul__
 

@@ -14,7 +14,7 @@ every sub-multiset sum and keeps those meeting the same invariants.
 from __future__ import annotations
 
 from functools import reduce
-from operator import add
+from operator import add, mul, sub
 
 from .errors import RejectionError
 from .kernel import KernelSpec
@@ -314,31 +314,45 @@ def decompose_l2h(rs: ReflexiveSurface) -> Decomposition:
 
 
 def decompose_brute_force(rs: ReflexiveSurface) -> list[Decomposition]:
-    """All valid decompositions by exhaustive sub-multiset search."""
+    """All valid decompositions by exhaustive sub-multiset search.
+
+    For every proper nonempty set of the declared occurrences, d1 sums
+    their coordinates and d2 = (sum of all occurrences) - d1; the split is
+    kept when d1^2 = d2^2 = -2 and d1.d2 = 0 on the Gram matrix.  Each
+    unordered pair appears once, as (d1, d2) with d1.coords <= d2.coords,
+    and the list is sorted by coordinates.  The search works on coordinate
+    tuples and builds classes only for the pairs it returns.
+
+    It is the oracle for decompose_l2h, so it shares none of its
+    reasoning: no curve product matrix, no case analysis, no _finish.
+    Where the case analysis rejects a configuration on a rule it takes as
+    given, this search may still find a numerical decomposition.
+    """
     curves = _check_components(rs)
-    n = len(curves)
+    lattice = rs.spec.lattice
+    gram = lattice.gram
+    rows = [c.coords for c in curves]
+    n = len(rows)
+    total = sum(curves, lattice.zero()).coords
+
+    def gram_times(x):
+        return [sum(map(mul, row, x)) for row in gram]
+
     seen = set()
-    found = []
-    for mask in range(1, 1 << n):
-        if mask == (1 << n) - 1:
-            continue
-        d1 = rs.spec.lattice.zero()
-        d2 = rs.spec.lattice.zero()
-        for i in range(n):
-            if mask & (1 << i):
-                d1 = d1 + curves[i]
-            else:
-                d2 = d2 + curves[i]
-        if d1.square != -2 or d2.square != -2 or intersect(d1, d2) != 0:
-            continue
-        key = tuple(sorted((d1.coords, d2.coords)))
-        if key in seen:
-            continue
-        seen.add(key)
-        a, b = sorted((d1, d2), key=lambda dc: dc.coords)
-        found.append(Decomposition(d1=a, d2=b))
-    found.sort(key=lambda dec: (dec.d1.coords, dec.d2.coords))
-    return found
+    for mask in range(1, (1 << n) - 1):
+        d1 = tuple(map(sum, zip(*(rows[i] for i in range(n) if mask >> i & 1))))
+        d2 = tuple(map(sub, total, d1))
+        g1 = gram_times(d1)
+        if (
+            sum(map(mul, d1, g1)) == -2
+            and sum(map(mul, d2, g1)) == 0
+            and sum(map(mul, d2, gram_times(d2))) == -2
+        ):
+            seen.add((d1, d2) if d1 <= d2 else (d2, d1))
+    return [
+        Decomposition(d1=DivisorClass(lattice, a), d2=DivisorClass(lattice, b))
+        for a, b in sorted(seen)
+    ]
 
 
 def classify_type(rs: ReflexiveSurface, dec: Decomposition) -> TypeReport:

@@ -407,12 +407,15 @@ def _form(r, x: DivisorClass, t) -> tuple:
 
 
 def _block(rank_row, ch2_row, *terms) -> Matrix:
-    """Rank row, divisor rows sum(x (x) row for x, row in terms) - I_f, ch2 row."""
-    n = len(rank_row)
-    middle = tuple(
-        tuple(sum(x.coords[i] * row[j] for x, row in terms) - (j == i + 1) for j in range(n))
-        for i in range(n - 2)
-    )
+    """Rank row, divisor rows sum(x (x) row for x, row in terms) - I_f, ch2 row.
+
+    Divisor row i is _times of the terms' i-th coordinates and their rows."""
+    classes, rows = zip(*terms)
+    middle = []
+    for i, column in enumerate(zip(*(x.coords for x in classes))):
+        row = _times(column, rows)
+        row[i + 1] -= 1
+        middle.append(tuple(row))
     return (rank_row, *middle, ch2_row)
 
 

@@ -106,3 +106,12 @@ def conjugated(q, m, p):
         return ((1, *(0,) * n, 0), *((0, *row, 0) for row in x), (0, *(0,) * n, 1))
 
     return mat_mul(mat_mul(extended(q), m), extended(p))
+
+
+def raised(compute):
+    """The type and text of the error compute raises."""
+    try:
+        compute()
+    except Exception as error:
+        return type(error), str(error)
+    raise AssertionError("no error raised")

@@ -180,3 +180,52 @@ def test_divisor_class_matches_per_entry_conversion(values, container):
     assert got == expected
     assert type(got) is tuple and all(type(x) is int for x in got)
     assert (got is coords) == (container is tuple and all(type(x) is int for x in values))
+
+
+def exact_coords(cls):
+    return type(cls.coords) is tuple and all(type(a) is int for a in cls.coords)
+
+
+@given(lattice_with_classes(2, bound=50), st.integers(-50, 50), lattices())
+def test_closed_operations_match_the_validating_constructor(data, k, other):
+    """x + y, x - y, -x and k * x skip the constructor's checks but equal the
+    class it builds from the textbook coordinates, in a tuple of exact ints;
+    mixing lattices still raises unless the Grams are equal."""
+    lat, x, y = data
+    a, b = x.coords, y.coords
+    expected = {
+        "add": tuple(s + t for s, t in zip(a, b)),
+        "sub": tuple(s - t for s, t in zip(a, b)),
+        "neg": tuple(-s for s in a),
+        "mul": tuple(k * s for s in a),
+    }
+    got = {"add": x + y, "sub": x - y, "neg": -x, "mul": k * x}
+    for name, cls in got.items():
+        assert cls == DivisorClass(lat, expected[name]), name
+        assert exact_coords(cls) and cls.lattice is lat, name
+    assert x * k == k * x
+    twin = NSLattice(lat.gram)
+    assert twin is not lat
+    y_twin = DivisorClass(twin, b)
+    assert x + y_twin == got["add"] and x - y_twin == got["sub"]
+    if other.gram != lat.gram:
+        z = other.zero()
+        for mixed in (lambda: x + z, lambda: x - z, lambda: z + x, lambda: z - x):
+            with pytest.raises(LatticeMismatchError, match="^classes belong to different lattices$"):
+                mixed()
+
+
+def test_scalar_multiple_of_an_int_subclass_is_exact():
+    class Wide(int):
+        def __mul__(self, other):
+            product = int.__mul__(self, other)
+            return product if product is NotImplemented else Wide(product)
+
+        __rmul__ = __mul__
+
+    x = DivisorClass(REFLEXIVE, (2, -3))
+    for product in (Wide(3) * x, x * Wide(3)):
+        assert product == DivisorClass(REFLEXIVE, (6, -9)) and exact_coords(product)
+    for scalar in (True, Fraction(3), 3.0, "3"):
+        with pytest.raises(TypeError):
+            scalar * x

@@ -418,6 +418,77 @@ def test_case_analysis_over_the_whole_finite_space():
     assert decomposable_rejects == RULE_REJECTS_DECOMPOSABLE
 
 
+def brute_force_by_classes(rs):
+    """decompose_brute_force as it was written on DivisorClass arithmetic: a
+    reference for the coordinate search's result list, order and dedup."""
+    if not rs.curves:
+        raise DecompositionError(
+            "no irreducible rational components are declared; "
+            "decomposition requires the degenerate case data"
+        )
+    curves = rs.curves
+    n = len(curves)
+    seen = set()
+    found = []
+    for mask in range(1, 1 << n):
+        if mask == (1 << n) - 1:
+            continue
+        d1 = rs.spec.lattice.zero()
+        d2 = rs.spec.lattice.zero()
+        for i in range(n):
+            if mask & (1 << i):
+                d1 = d1 + curves[i]
+            else:
+                d2 = d2 + curves[i]
+        if d1.square != -2 or d2.square != -2 or intersect(d1, d2) != 0:
+            continue
+        key = tuple(sorted((d1.coords, d2.coords)))
+        if key in seen:
+            continue
+        seen.add(key)
+        a, b = sorted((d1, d2), key=lambda dc: dc.coords)
+        found.append(Decomposition(d1=a, d2=b))
+    found.sort(key=lambda dec: (dec.d1.coords, dec.d2.coords))
+    return found
+
+
+def test_brute_force_matches_class_search_over_the_finite_space():
+    assert len(ENUMERATED) == 69
+    for *_, rs in ENUMERATED:
+        assert decompose_brute_force(rs) == brute_force_by_classes(rs)
+    for rs in ADMITTED + REJECTED:
+        assert decompose_brute_force(rs) == brute_force_by_classes(rs)
+    rs = validate_reflexive(standard_spec())
+    for search in (decompose_brute_force, brute_force_by_classes):
+        with pytest.raises(DecompositionError, match="^no irreducible rational components"):
+            search(rs)
+
+
+@st.composite
+def component_configurations(draw):
+    """Arguments of component_surface: one to four occurrences of up to four
+    names, degrees 0..3 and products -1..2, consistent or not.  The search
+    reads only the multiplicities and the products; the products' range
+    keeps a few draws decomposable at all."""
+    occurrences = tuple(draw(st.lists(st.sampled_from("uvwx"), min_size=1, max_size=4)))
+    names = sorted(set(occurrences))
+    degrees = {name: draw(st.integers(0, 3)) for name in names}
+    pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1 :]]
+    products = {pair: draw(st.integers(-1, 2)) for pair in pairs}
+    return occurrences, degrees, products
+
+
+@settings(max_examples=300)
+@given(component_configurations())
+def test_brute_force_matches_class_search_on_drawn_configurations(config):
+    rs = component_surface(*config)
+    found = decompose_brute_force(rs)
+    assert found == brute_force_by_classes(rs)
+    for dec in found:
+        assert dec.d1.lattice is rs.spec.lattice
+        assert all(type(a) is int for a in dec.d1.coords + dec.d2.coords)
+
+
 def test_case_analysis_reads_no_intersect(monkeypatch):
     """decompose_l2h reads one product matrix: on every admitted
     configuration it calls intersect, which DivisorClass.square also calls,

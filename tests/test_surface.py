@@ -11,7 +11,10 @@ from k3fm import (
     load_surface_spec,
     parse_class_expr,
     surface_spec_from_dict,
+    validate_reflexive,
 )
+
+from helpers import raised
 
 REFLEXIVE_DATA = {
     "rank": 2,
@@ -99,6 +102,27 @@ def test_rejects_duplicate_class_names():
     h = DivisorClass(lat, (1,))
     with pytest.raises(SurfaceSpecError, match="twice"):
         SurfaceSpec(lat, (("h", h), ("h", h)))
+
+
+def test_input_errors_of_named_classes():
+    """A class on another lattice, an unknown class name and a class mapped
+    to a non-list, pinned as they read."""
+    lat = NSLattice(((2,),))
+    other = NSLattice(((-2,),))
+    assert raised(lambda: SurfaceSpec(lat, (("h", DivisorClass(other, (1,))),))) == (
+        SurfaceSpecError,
+        "class 'h' does not live on the surface lattice",
+    )
+    assert raised(lambda: validate_reflexive(surface_spec_from_dict(REFLEXIVE_DATA), h_name="q")) == (
+        SurfaceSpecError,
+        "unknown class 'q'; declared classes: ['h', 'l', 'l2h']",
+    )
+    for value in (5, "1", {"0": 1}, None):
+        data = dict(REFLEXIVE_DATA, classes={"h": value})
+        assert raised(lambda: surface_spec_from_dict(data)) == (
+            SurfaceSpecError,
+            "class 'h' must map to a coordinate list",
+        )
 
 
 def test_declared_keeps_order_and_multiplicity():

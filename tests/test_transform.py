@@ -54,6 +54,7 @@ from helpers import (
     grid_vectors,
     kernels,
     lattices,
+    raised,
     unimodular_pairs,
 )
 
@@ -571,11 +572,19 @@ def test_from_kernel_forms_no_product_and_no_class(monkeypatch):
         monkeypatch.setattr(
             module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
         )
+    # A class is built either by the validating constructor or, for the
+    # closed operations, by _of; the spy counts both.
     real_init = DivisorClass.__init__
     monkeypatch.setattr(
         DivisorClass,
         "__init__",
         lambda self, *args: calls.append("DivisorClass") or real_init(self, *args),
+    )
+    real_of = DivisorClass._of
+    monkeypatch.setattr(
+        DivisorClass,
+        "_of",
+        staticmethod(lambda *args: calls.append("DivisorClass") or real_of(*args)),
     )
     t = from_kernel(k)
     assert calls == []
@@ -879,6 +888,28 @@ def test_closed_form_requires_labels():
     t = no_cohomology_transform(lattice, coords)
     with pytest.raises(ValueError, match="missing labels"):
         crosscheck_specialized(t, "reflexive_nondegenerate")
+
+
+def test_input_errors_of_vectors_characters_and_rank_one_block():
+    """The wrong-length and wrong-lattice input errors, pinned as they read."""
+    t = nondeg_transform()
+    other = NSLattice(((2,),))
+    wrong_length = ValueError, "coordinate vector has the wrong length for the source lattice"
+    assert raised(lambda: t.apply_vector((1, 0, 0))) == wrong_length
+    assert raised(lambda: t.apply_vector((1, 0, 0, 0, 0))) == wrong_length
+    character = ChernCharacter(1, other.zero(), Fraction(0))
+    assert raised(lambda: t.apply(character)) == (
+        ValueError,
+        "character does not live on the transform's source lattice",
+    )
+    assert raised(lambda: kernel_action_vector(t.kernel, (1, 0, 0))) == (
+        ValueError,
+        "coordinate vector has the wrong length for the kernel lattice",
+    )
+    assert raised(lambda: transform.closed_form_picard_rank_one(REFLEXIVE, 1)) == (
+        ValueError,
+        "this formula applies to rank-1 lattices only",
+    )
 
 
 def test_default_grid_sizes():
