@@ -51,6 +51,7 @@ from .pic1 import (
 from .record import Record
 from .reflexive import (
     KERNEL_VARIANTS,
+    Decomposition,
     ReflexiveSurface,
     classify_type,
     component_surface,
@@ -374,13 +375,11 @@ def _cmd_reflexive_decompose(args):
     payload = {"d1": dec.d1, "d2": dec.d2}
     if args.oracle:
         all_decs = decompose_brute_force(rs)
-        key = tuple(sorted((dec.d1.coords, dec.d2.coords)))
-        contained = any(
-            tuple(sorted((d.d1.coords, d.d2.coords))) == key for d in all_decs
-        )
+        # The oracle lists each pair once, ordered by coordinates.
+        pair = sorted((dec.d1, dec.d2), key=lambda x: x.coords)
         payload["oracle"] = {
             "decompositions": all_decs,
-            "contains_result": contained,
+            "contains_result": Decomposition(*pair) in all_decs,
         }
     return 0, payload
 

@@ -16,13 +16,14 @@ it with this engine as a matrix identity; where a block disagrees, the
 difference is reported, never patched into either side.  The difference
 is linear in the grid point, and so are its (hhat, lhat) coordinates
 delta_hat: one elimination of [H | Delta_mid] per crosscheck
-(linalg.solve_columns) gives them at every point.  The engine, the
-difference and the hat coordinates of every grid point come from one
-integer pass over the whole grid, so no point runs a product or a solve
-of its own.  The report is then built column by column: each row of
-integer results is cut to the disagreeing points and turned into
-Fractions in one map (the integral ones shared through linalg.fraction),
-and the rows are zipped into the entries.
+(linalg.solve_columns) gives them at every point.  The grid is scaled
+once, to integer numerators over one denominator, and the difference
+comes first: one integer product with the whole grid finds the
+disagreeing points, and the engine values and hat coordinates are formed
+on those columns only, so no point runs a product or a solve of its own.
+The report is built column by column: each row of integer results is
+turned into Fractions in one map (the integral ones shared through
+linalg.fraction), and the rows are zipped into the entries.
 
 Transforms are stored as integer matrices (integral on an even lattice)
 acting on rational coordinate vectors (rank, NS-basis coefficients, ch2)
@@ -576,22 +577,24 @@ def crosscheck_specialized(t: CohTransform, formula_id: str, grid=None) -> DiffR
 
     The block's matrix C is built once from the classes the transform
     labels, and the grid, any iterable of points, is scanned with the
-    integer matrix Delta = C - M.  A grid of plain ints is its own
-    numerators; otherwise every point x is scaled to integer numerators n
-    over a denominator v by linalg.scaled, which rejects any entry that is
-    not an int or a Fraction.  The numerators are the columns of one
-    integer matrix N.  M, Delta and, where the hats are labelled, the rows
-    X and R below are stacked and multiplied by N in one integer pass over
-    the grid, so no point runs a product of its own.  A point is a
-    disagreement exactly where Delta n is nonzero; it is recorded with the
-    engine value M n / v, the closed-form value (M n + Delta n) / v and
-    their difference Delta n / v.  The report is built column by column:
-    each row of products is cut to the disagreeing points once and turned
-    into Fractions by linalg.fraction, which shares the integral ones, and
-    the rows are then zipped into the entries.  For reflexive formulas,
-    when the transform names hhat and lhat, the divisor part of the
-    difference is also expressed in their basis H.  That map is linear in
-    x, so [H | Delta_mid] is eliminated once per crosscheck
+    integer matrix Delta = C - M.  The grid is scaled once, as one flat
+    vector, by linalg.scaled, which rejects any entry that is not an int
+    or a Fraction: its numerators are the columns n of one integer matrix
+    N, over one denominator v.  A grid of plain ints, as the default grid
+    and the sweep's, is its own numerators over v = 1; on a rational grid
+    every point shares the lcm of all its denominators.
+
+    The difference comes first.  A point is a disagreement exactly where
+    Delta n is nonzero, and N and Delta N are cut to those columns once;
+    the engine values M n, and the hat rows below, are formed on them
+    only.  Each disagreement is recorded with the engine value M n / v,
+    the closed-form value (M n + Delta n) / v and their difference
+    Delta n / v.  The report is built column by column: every row is
+    turned into Fractions by linalg.fraction, which shares the integral
+    ones, and the rows are zipped into the entries.  For reflexive
+    formulas, when the transform names hhat and lhat, the divisor part
+    of the difference is also expressed in their basis H.  That map is
+    linear in x, so [H | Delta_mid] is eliminated once per crosscheck
     (linalg.solve_columns) into solution rows X, residual rows R and a
     denominator d: delta_hat is X n / (d v) where R n = 0, and None where
     the difference leaves the span of H or H is degenerate.  Every entry
@@ -604,7 +607,8 @@ def crosscheck_specialized(t: CohTransform, formula_id: str, grid=None) -> DiffR
             f"unknown formula id {formula_id!r}; known: {sorted(CLOSED_FORMS)}"
         )
     grid = default_grid(t.source) if grid is None else tuple(grid)
-    if not set(map(len, grid)) <= {t.source.rank + 2}:
+    width = t.source.rank + 2
+    if not set(map(len, grid)) <= {width}:
         raise ValueError("coordinate vector has the wrong length for the source lattice")
     closed = closed_form_matrix(t, formula_id)
     delta_matrix = tuple(
@@ -612,48 +616,36 @@ def crosscheck_specialized(t: CohTransform, formula_id: str, grid=None) -> DiffR
     )
     if not grid or not any(map(any, delta_matrix)):
         return DiffReport(formula_id=formula_id, points=len(grid), entries=())
-    stack = (*t.matrix, *delta_matrix)
+    # N: one row per coordinate, one column per point, over one denominator.
+    flat, v = linalg.scaled(chain.from_iterable(grid))
+    numerators = [flat[j::width] for j in range(width)]
+    delta = [_times(row, numerators) for row in delta_matrix]
+    mask = tuple(map(any, zip(*delta)))
+    numerators = [list(compress(row, mask)) for row in numerators]
+    delta = [list(compress(row, mask)) for row in delta]
+    engine = [_times(row, numerators) for row in t.matrix]
+
+    def fractions(rows, den=v):
+        """The rows as Fractions over den, zipped into one tuple per point."""
+        return zip(*(linalg.fraction_vector(row, den) for row in rows))
+
+    delta_hats = repeat(None)
     labels = t.label_map
-    hat_map = None
     if "hhat" in labels and "lhat" in labels:
         hats = transpose((labels["hhat"].coords, labels["lhat"].coords))
         hat_map = linalg.solve_columns(hats, delta_matrix[1:-1])
-    if hat_map is not None:
-        x_rows, r_rows, d = hat_map
-        stack += (*x_rows, *r_rows)
-    # N: one row per coordinate, one column per point, and the points'
-    # denominators: one int for a grid of plain ints, else one per point.
-    if set(map(type, chain.from_iterable(grid))) <= {int}:
-        numerators, dens = tuple(zip(*grid)), 1
-    else:
-        points, dens = zip(*map(linalg.scaled, grid))
-        numerators = tuple(zip(*points))
-    n = len(t.matrix)
-    products = [_times(row, numerators) for row in stack]
-    engine, delta = products[:n], products[n : 2 * n]
-    mask = tuple(map(any, zip(*delta)))
-
-    def fractions(rows, den):
-        """The rows cut to the disagreeing points, as Fractions over den
-        (one int, or one per point), zipped into one tuple per point."""
-        if type(den) is int:
-            return zip(*(linalg.fraction_vector(compress(row, mask), den) for row in rows))
-        den = tuple(compress(den, mask))
-        return zip(*(map(linalg.fraction, compress(row, mask), den) for row in rows))
-
-    delta_hats = repeat(None)
-    if hat_map is not None:
-        hat_dens = d * dens if type(dens) is int else [d * v for v in dens]
-        delta_hats = fractions(products[2 * n : 2 * n + 2], hat_dens)
-        if r_rows:
-            outside = map(any, zip(*(compress(row, mask) for row in products[2 * n + 2 :])))
-            delta_hats = [None if off else x for x, off in zip(delta_hats, outside)]
+        if hat_map is not None:
+            x_rows, r_rows, d = hat_map
+            delta_hats = fractions([_times(row, numerators) for row in x_rows], d * v)
+            if r_rows:
+                outside = map(any, zip(*(_times(row, numerators) for row in r_rows)))
+                delta_hats = [None if off else x for x, off in zip(delta_hats, outside)]
     entries = map(
         DiffEntry,
-        fractions(numerators, dens),
-        fractions(engine, dens),
-        fractions((map(add, e, x) for e, x in zip(engine, delta)), dens),
-        fractions(delta, dens),
+        fractions(numerators),
+        fractions(engine),
+        fractions(map(add, e, x) for e, x in zip(engine, delta)),
+        fractions(delta),
         delta_hats,
     )
     return DiffReport(formula_id=formula_id, points=len(grid), entries=tuple(entries))

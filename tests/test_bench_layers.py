@@ -2,9 +2,10 @@
 
 bench/tracing.py wraps every TARGETS entry by looking it up at run time, so
 a renamed function would break `--trace 1`; the workloads read `k3fm.<name>`
-attributes and pass keywords to `k3fm.<callable>(...)`, so a removed name or
-keyword would fail the benchmark run rather than a test.  Every bench/*.py
-is read as text and parsed; nothing under bench/ is imported or written.
+attributes and call `k3fm.<callable>(...)` with positional arguments and
+keywords, so a removed name, keyword or positional parameter would fail the
+benchmark run rather than a test.  Every bench/*.py is read as text and
+parsed; nothing under bench/ is imported or written.
 """
 
 import ast
@@ -72,12 +73,17 @@ def lookup(path):
     return owner
 
 
+def bench_trees():
+    """(file name, parsed module) for every bench/*.py."""
+    for source in sorted(BENCH.glob("*.py")):
+        yield source.name, ast.parse(source.read_text(), filename=str(source))
+
+
 def bench_uses():
     """(where, path, keywords) for every k3fm attribute read in bench/*.py;
     keywords are those of the call the read is the callee of, if any."""
     uses = []
-    for source in sorted(BENCH.glob("*.py")):
-        tree = ast.parse(source.read_text(), filename=str(source))
+    for name, tree in bench_trees():
         called = {
             id(node.func): [kw.arg for kw in node.keywords if kw.arg is not None]
             for node in ast.walk(tree)
@@ -86,8 +92,17 @@ def bench_uses():
         for node in ast.walk(tree):
             path = k3fm_path(node) if isinstance(node, ast.Attribute) else ()
             if path:
-                uses.append((f"{source.name}:{node.lineno}", path, called.get(id(node), [])))
+                uses.append((f"{name}:{node.lineno}", path, called.get(id(node), [])))
     return uses
+
+
+def bench_calls():
+    """(where, path, call) for every call of a k3fm callable in bench/*.py."""
+    for name, tree in bench_trees():
+        for node in ast.walk(tree):
+            path = k3fm_path(node.func) if isinstance(node, ast.Call) else ()
+            if path:
+                yield f"{name}:{node.lineno}", path, node
 
 
 def accepts(target, keyword):
@@ -116,3 +131,26 @@ def test_bench_passes_only_keywords_k3fm_accepts():
         if not accepts(lookup(path), kw)
     ]
     assert rejected == []
+
+
+def test_bench_calls_bind_to_k3fm_signatures():
+    """Every k3fm.<callable>(...) call binds its count of positional
+    arguments and its keywords to the callable's signature.  Calls that
+    unpack *args or **kwargs are skipped, and so are exception classes,
+    which have no signature."""
+    checked, unbound = [], []
+    for where, path, call in bench_calls():
+        target = lookup(path)
+        if (
+            any(isinstance(arg, ast.Starred) for arg in call.args)
+            or any(kw.arg is None for kw in call.keywords)
+            or (inspect.isclass(target) and issubclass(target, BaseException))
+        ):
+            continue
+        checked.append(where)
+        try:
+            inspect.signature(target).bind(*call.args, **{kw.arg: kw for kw in call.keywords})
+        except (TypeError, ValueError) as exc:
+            unbound.append((where, ".".join(path), str(exc)))
+    assert checked
+    assert unbound == []

@@ -682,16 +682,17 @@ def assert_fraction_fields(report):
 
 
 def mixed_grid(data, lattice, size=12):
-    """Points of plain ints, the path the sweep and the CLI take, mixed with
-    half-integral points and points whose f-coordinates have denominators 3
-    and 6, which are scaled."""
+    """Points of plain ints, the grids the sweep and the CLI pass, mixed
+    with half-integral points and points whose f-coordinates have
+    denominators 3, 5, 6 and 7, so that the grid's one denominator differs
+    from most points' own."""
     ints = st.integers(-3, 3)
     integral = st.tuples(*(ints for _ in range(lattice.rank + 2)))
     half = st.tuples(
         ints, *(ints for _ in range(lattice.rank)), ints.map(lambda n: Fraction(n, 2))
     )
-    over_3_or_6 = st.builds(Fraction, ints, st.sampled_from((3, 6)))
-    rational_f = st.tuples(ints, *(over_3_or_6 for _ in range(lattice.rank)), ints)
+    over_3_to_7 = st.builds(Fraction, ints, st.sampled_from((3, 5, 6, 7)))
+    rational_f = st.tuples(ints, *(over_3_to_7 for _ in range(lattice.rank)), ints)
     return data.draw(st.lists(st.one_of(integral, half, rational_f), max_size=size))
 
 
@@ -700,8 +701,10 @@ class Int(int):
 
 
 def test_crosscheck_exact_number_cases():
-    """Denominators 3 and 6 make d v differ from point to point in delta_hat;
-    an int subclass counts as the int it is, and a bool is refused."""
+    """Denominators 3 and 6 give the grid one denominator v = 6, and
+    delta_hat, over d v, still reduces to different denominators from
+    point to point; an int subclass counts as the int it is, and a bool is
+    refused."""
     t = nondeg_transform()
     third, sixth = Fraction(1, 3), Fraction(-5, 6)
     grid = [
@@ -837,6 +840,35 @@ def test_crosscheck_eliminates_once_whatever_the_grid(monkeypatch, variant):
     calls.clear()
     crosscheck_specialized(t, formula_id, grid)
     assert len(calls) == once
+
+
+@pytest.mark.parametrize("rational", [False, True])
+@pytest.mark.parametrize("size", [64, 128])
+def test_crosscheck_scales_the_grid_once(monkeypatch, size, rational):
+    """The whole grid goes through linalg.scaled in one call, a grid of
+    plain ints as well as a rational one.  The general block has no hat
+    classes, so solve_columns, which scales its own input, never runs."""
+    t = CohTransform(
+        REFLEXIVE,
+        nondeg_transform().matrix,
+        labels=(("a", H), ("b", L), ("c", -H), ("d", L)),
+    )
+    rng = random.Random(size)
+    grid = [
+        tuple(
+            Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) if rational else rng.randint(-2, 2)
+            for _ in range(t.source.rank + 2)
+        )
+        for _ in range(size)
+    ]
+    calls = []
+    scaled = linalg.scaled
+    monkeypatch.setattr(linalg, "scaled", lambda v: calls.append(v) or scaled(v))
+    report = crosscheck_specialized(t, "general", grid)
+    assert not report.agree
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert report == crosscheck_by_points(t, "general", grid)
 
 
 @pytest.mark.parametrize("builder", ["reflexive-nondegenerate", "reflexive-type-i"])
