@@ -6,7 +6,8 @@ Number Theory, section 2.2).  After each pivot step every working entry is,
 up to sign, a minor of the input (Sylvester's identity below the pivots,
 Cramer's rule in the pivot rows), so each division by the previous pivot
 is exact and the entries stay integers.  Quotients are taken with //,
-never /, which would turn two ints into a float.
+never /, which would turn two ints into a float.  solve_columns is the one
+solver, on integer right-hand sides.
 
 Every number a caller passes into the package goes through exact_int (an
 int or an integral Fraction) or exact_rational (an int or a Fraction); both
@@ -35,7 +36,6 @@ __all__ = [
     "det",
     "rank",
     "inverse",
-    "solve",
     "solve_columns",
 ]
 
@@ -238,17 +238,17 @@ def inverse(m) -> Matrix:
 def solve_columns(a, b) -> tuple[Matrix, Matrix, int] | None:
     """Solve a x = b for every column of b with one elimination of [a | b].
 
-    a is an integer matrix and b a rational matrix with as many rows.
-    Returns None when the columns of a are dependent.  Otherwise returns
-    (x, r, d): integer matrices x and r with b's columns, and a nonzero
-    int d, the last pivot times the common denominator of b.  Column j of
-    b lies in the span of a's columns exactly when column j of r is zero,
-    and its solution is then column j of x over d.  Both are linear in
-    the columns: for a rational vector v, b v lies in the span exactly
-    when r v = 0, and the solution is x v / d.  Empty or ragged input
-    raises ValueError.
+    a and b are integer matrices with as many rows, each entry through
+    exact_int.  Returns None when the columns of a are dependent.
+    Otherwise returns (x, r, d): integer matrices x and r with b's
+    columns, and d, the last pivot, a nonzero int.  Column j of b lies in
+    the span of a's columns exactly when column j of r is zero, and its
+    solution is then column j of x over d.  Both are linear in the
+    columns: for a rational vector v, b v lies in the span exactly when
+    r v = 0, and the solution is x v / d.  Empty or ragged input raises
+    ValueError.
     """
-    a, b = integer_matrix(a), tuple(map(tuple, b))
+    a, b = integer_matrix(a), integer_matrix(b)
     ncols, width = len(a[0]) if a else 0, len(b[0]) if b else 0
     if (
         not ncols
@@ -258,24 +258,8 @@ def solve_columns(a, b) -> tuple[Matrix, Matrix, int] | None:
         or any(len(row) != width for row in b)
     ):
         raise ValueError("solve needs a non-empty rectangular matrix and right-hand side")
-    nums, den = scaled([x for row in b for x in row])
-    rows = [[*row, *nums[i * width : (i + 1) * width]] for i, row in enumerate(a)]
+    rows = [[*row, *rhs] for row, rhs in zip(a, b)]
     if len(_eliminate(rows, ncols)[0]) < ncols:
         return None
     x, r = (tuple(tuple(row[ncols:]) for row in part) for part in (rows[:ncols], rows[ncols:]))
-    return x, r, rows[ncols - 1][ncols - 1] * den
-
-
-def solve(a, b) -> tuple[Fraction, ...] | None:
-    """The rational x with a x = b, for an integer matrix a and rational b.
-
-    The one-column case of solve_columns.  Returns None when the columns
-    of a are dependent or b is not in their span.
-    """
-    found = solve_columns(a, [(x,) for x in b])
-    if found is None:
-        return None
-    x, r, d = found
-    if any(row[0] for row in r):
-        return None
-    return fraction_vector((row[0] for row in x), d)
+    return x, r, rows[ncols - 1][ncols - 1]

@@ -356,7 +356,12 @@ def decompose_brute_force(rs: ReflexiveSurface) -> list[Decomposition]:
 
 
 def classify_type(rs: ReflexiveSurface, dec: Decomposition) -> TypeReport:
-    """Order the halves by degree and classify the pattern (2,2) or (1,3)."""
+    """Order the halves by degree and classify the pattern (2,2) or (1,3).
+
+    Type II needs no check of d1.e = 3 for e = h - d1: with h.d1 = 1,
+    h.e = h^2 - 1 = 1 gives h^2 = 2, then e^2 = h^2 - 2 + d1^2 = -2 gives
+    d1^2 = -2, so d1.e = h.d1 - d1^2 = 3.
+    """
     d1, d2 = dec.d1, dec.d2
     if degree(d1, rs.h) > degree(d2, rs.h):
         d1, d2 = d2, d1
@@ -373,8 +378,6 @@ def classify_type(rs: ReflexiveSurface, dec: Decomposition) -> TypeReport:
             raise ReflexiveViolation(f'"e^2 = -2" fails for e = h - d_1: got {e.square}')
         if degree(e, rs.h) != 1:
             raise ReflexiveViolation(f'"h.e = 1" fails: got {degree(e, rs.h)}')
-        if intersect(d1, e) != 3:
-            raise ReflexiveViolation(f'"d_1.e = 3" fails: got {intersect(d1, e)}')
         return TypeReport("II", d1, d2, deg1, deg2, e=e)
     raise ReflexiveViolation(
         f"degree pattern ({deg1}, {deg2}) is impossible: deg(l+2h) = 4 "

@@ -595,12 +595,16 @@ def crosscheck_specialized(t: CohTransform, formula_id: str, grid=None) -> DiffR
     formulas, when the transform names hhat and lhat, the divisor part
     of the difference is also expressed in their basis H.  That map is
     linear in x, so [H | Delta_mid] is eliminated once per crosscheck
-    (linalg.solve_columns) into solution rows X, residual rows R and a
-    denominator d: delta_hat is X n / (d v) where R n = 0, and None where
+    (linalg.solve_columns) into solution rows X, residual rows R and the
+    last pivot d: delta_hat is X n / (d v) where R n = 0, and None where
     the difference leaves the span of H or H is degenerate.  Every entry
     is built here, eagerly, in grid order.  An empty entry list means
     exact agreement on the grid.  The block is built on the transform's
     one lattice, so C and M always have the same shape.
+
+    On reflexive.transform_for's transforms, in their labels, Delta (r, f, t)
+    is (0, D, 0) with D = 2 (h.f - t) lhat (nondegenerate),
+    (l.f)(l - h) - 2 (h.f)(l + 2h) (type I) or (h.f)(d2 - 3 d1) (type II).
     """
     if formula_id not in CLOSED_FORMS:
         raise ValueError(

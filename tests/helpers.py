@@ -108,6 +108,28 @@ def conjugated(q, m, p):
     return mat_mul(mat_mul(extended(q), m), extended(p))
 
 
+def fraction_solve(a, b):
+    """Reference: Gauss-Jordan over Fraction on [a | b] for one column b.
+
+    "dependent" when the columns of a are, None when b is outside their
+    span, else the solution.  It shares no code with linalg's elimination.
+    """
+    m = len(a[0])
+    rows = [[*map(Fraction, row), Fraction(x)] for row, x in zip(a, b)]
+    for j in range(m):
+        k = next((i for i in range(j, len(rows)) if rows[i][j]), None)
+        if k is None:
+            return "dependent"
+        rows[j], rows[k] = rows[k], rows[j]
+        rows[j] = [x / rows[j][j] for x in rows[j]]
+        for i, row in enumerate(rows):
+            if i != j and row[j]:
+                rows[i] = [x - row[j] * y for x, y in zip(row, rows[j])]
+    if any(row[m] for row in rows[m:]):
+        return None
+    return tuple(row[m] for row in rows[:m])
+
+
 def raised(compute):
     """The type and text of the error compute raises."""
     try:

@@ -446,6 +446,16 @@ def test_text_format(capsys):
         json.loads(out)
 
 
+def test_text_format_prints_an_empty_object_as_braces(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("K3FM_FORMAT", raising=False)
+    surface = tmp_path / "no-classes.json"
+    surface.write_text(json.dumps({"gram": [[2]], "classes": {}}))
+    out = run(capsys, "surface-validate", "--surface", str(surface), "--format", "text")
+    assert [line.split() for line in out.splitlines() if line.startswith("surface.classes")] == [
+        ["surface.classes", "{}"]
+    ]
+
+
 def test_format_env_var(capsys, monkeypatch):
     monkeypatch.setenv("K3FM_FORMAT", "text")
     out = run(capsys, "pic1", "--lsq", "4")

@@ -1,12 +1,14 @@
 import itertools
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from k3fm import linalg
+
+from helpers import fraction_solve
 
 ENTRIES = st.integers(-6, 6)
 # hhat = 2l + 5h and lhat = 5l + 12h on the standard reflexive lattice, basis (h, l).
@@ -90,54 +92,44 @@ def test_non_integral_entry_is_rejected():
     assert linalg.integer_matrix([[Fraction(-4, 2)]]) == ((-2,),)
 
 
+def column(b):
+    """The vector b as a one-column matrix."""
+    return [(x,) for x in b]
+
+
 @given(ENTRIES, ENTRIES, st.integers(1, 4))
-def test_solve_recovers_hat_coordinates(alpha, factor, den):
-    """A divisor difference alpha*hhat + (factor/den)*lhat solves back to its coordinates."""
+def test_solve_columns_recovers_hat_coordinates(alpha, factor, den):
+    """A divisor difference alpha*hhat + (factor/den)*lhat, written over den,
+    solves back to its coordinates, read as x / (d den)."""
     a = linalg.transpose((HHAT, LHAT))
-    b = [alpha * x + Fraction(factor, den) * y for x, y in zip(HHAT, LHAT)]
-    assert linalg.solve(a, b) == (alpha, Fraction(factor, den))
+    b = [den * alpha * x + factor * y for x, y in zip(HHAT, LHAT)]
+    x, r, d = linalg.solve_columns(a, column(b))
+    assert r == ()
+    assert tuple(Fraction(row[0], d * den) for row in x) == (alpha, Fraction(factor, den))
 
 
 @given(st.data())
-def test_solve_recovers_rational_solution(data):
+def test_solve_columns_recovers_rational_solution(data):
     k = data.draw(st.integers(1, 5))
     m = data.draw(st.integers(1, k))
     a = data.draw(st.lists(st.lists(ENTRIES, min_size=m, max_size=m), min_size=k, max_size=k))
     x = [Fraction(data.draw(ENTRIES), data.draw(st.integers(1, 4))) for _ in range(m)]
-    b = [sum(ai * xi for ai, xi in zip(row, x)) for row in a]
-    got = linalg.solve(a, b)
+    den = lcm(*(xi.denominator for xi in x))
+    b = [sum(ai * xi * den for ai, xi in zip(row, x)) for row in a]
+    got = linalg.solve_columns(a, column(b))
     if linalg.rank(a) < m:
         assert got is None
     else:
-        assert got == tuple(x)
+        nums, r, d = got
+        assert not any(row[0] for row in r)
+        assert [Fraction(row[0], d * den) for row in nums] == x
 
 
-def test_solve_none_outside_span_or_dependent():
-    assert linalg.solve(((1, 0), (0, 1), (0, 0)), (1, 2, 3)) is None
-    assert linalg.solve(((1, 2), (2, 4)), (1, 2)) is None
-    assert linalg.solve(((1, 0), (0, 1), (0, 0)), (1, 2, 0)) == (1, 2)
-
-
-def fraction_solve(a, b):
-    """Reference: Gauss-Jordan over Fraction on [a | b] for one column b.
-
-    "dependent" when the columns of a are, None when b is outside their
-    span, else the solution.
-    """
-    m = len(a[0])
-    rows = [[*map(Fraction, row), Fraction(x)] for row, x in zip(a, b)]
-    for j in range(m):
-        k = next((i for i in range(j, len(rows)) if rows[i][j]), None)
-        if k is None:
-            return "dependent"
-        rows[j], rows[k] = rows[k], rows[j]
-        rows[j] = [x / rows[j][j] for x in rows[j]]
-        for i, row in enumerate(rows):
-            if i != j and row[j]:
-                rows[i] = [x - row[j] * y for x, y in zip(row, rows[j])]
-    if any(row[m] for row in rows[m:]):
-        return None
-    return tuple(row[m] for row in rows[:m])
+def test_solve_columns_outside_span_or_dependent():
+    a = ((1, 0), (0, 1), (0, 0))
+    assert linalg.solve_columns(a, column((1, 2, 3))) == (((1,), (2,)), ((3,),), 1)
+    assert linalg.solve_columns(((1, 2), (2, 4)), column((1, 2))) is None
+    assert linalg.solve_columns(a, column((1, 2, 0))) == (((1,), (2,)), ((0,),), 1)
 
 
 RATIONALS = st.builds(Fraction, ENTRIES, st.integers(1, 4))
@@ -167,9 +159,12 @@ def systems(draw):
 
 @given(systems(), st.lists(RATIONALS, min_size=4, max_size=4))
 def test_solve_columns_matches_column_by_column(system, v):
-    """One elimination of [a | b] answers every column, and every combination b v."""
+    """One elimination of [a | b] answers every column, and every combination
+    b v; the rational b goes in as integer numerators over one denominator
+    den, so each solution is read over d den."""
     a, b = system
-    found = linalg.solve_columns(a, b)
+    den = lcm(*(Fraction(x).denominator for row in b for x in row))
+    found = linalg.solve_columns(a, [[int(x * den) for x in row] for row in b])
     width = len(b[0])
     bv = [sum(x * y for x, y in zip(row, v)) for row in b]
     references = [fraction_solve(a, col) for col in (*linalg.transpose(b), bv)]
@@ -183,13 +178,12 @@ def test_solve_columns_matches_column_by_column(system, v):
     assert all(len(row) == width for part in (x, r) for row in part)
     assert len(x) == len(a[0]) and len(r) == len(a) - len(a[0])
     for j, ref in enumerate(references[:width]):
-        column = [Fraction(row[j], d) for row in x]
-        assert ref == (None if any(row[j] for row in r) else tuple(column))
+        solution = [Fraction(row[j], d * den) for row in x]
+        assert ref == (None if any(row[j] for row in r) else tuple(solution))
     # Linear in the columns: b v is in the span exactly where r v = 0.
     rv = [sum(e * y for e, y in zip(row, v)) for row in r]
-    xv = tuple(sum(e * y for e, y in zip(row, v)) / d for row in x)
+    xv = tuple(sum(e * y for e, y in zip(row, v)) / (d * den) for row in x)
     assert references[-1] == (None if any(rv) else xv)
-    assert linalg.solve(a, bv) == references[-1]
 
 
 @pytest.mark.parametrize(
@@ -208,10 +202,13 @@ def test_solve_columns_rejects_empty_or_ragged_input(a, b):
         linalg.solve_columns(a, b)
 
 
-@pytest.mark.parametrize("a, b", [([], []), ([[1, 2], [3]], [1, 2]), ([[1], [2]], [1])])
-def test_solve_rejects_empty_or_ragged_input(a, b):
-    with pytest.raises(ValueError, match="non-empty rectangular"):
-        linalg.solve(a, b)
+def test_solve_columns_takes_integers_only():
+    """An integral Fraction in b is the int it equals; a fractional one is
+    refused, as a bool, float or string is, before any elimination."""
+    a = ((2, 0), (0, 1))
+    assert linalg.solve_columns(a, ((Fraction(4, 2),), (3,))) == linalg.solve_columns(a, ((2,), (3,)))
+    with pytest.raises(ValueError, match=r"^matrix entry must be an integer, got Fraction\(1, 2\)$"):
+        linalg.solve_columns(a, ((Fraction(1, 2),), (3,)))
 
 
 @given(st.integers(1, 4).flatmap(lambda k: st.tuples(
@@ -231,14 +228,15 @@ def test_mat_vec_is_exact():
 @pytest.mark.parametrize("bad", [True, False, 1.0, "1"])
 def test_scaled_rejects_non_exact_entries_among_ints(bad):
     """An all-int vector is its own numerators over 1; a bool, float or
-    string among ints is still rejected, by scaled and by its callers."""
+    string among ints is still rejected, by scaled and mat_vec, and by
+    solve_columns, which takes integer entries only."""
     assert linalg.scaled(iter((3, -4))) == ([3, -4], 1)
     message = f"^vector entry must be an integer or a Fraction, got {bad!r}$"
     with pytest.raises(ValueError, match=message):
         linalg.scaled([1, bad])
     with pytest.raises(ValueError, match=message):
         linalg.mat_vec(((1, 0), (0, 1)), (bad, 2))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"^matrix entry must be an integer, got {bad!r}$"):
         linalg.solve_columns(((1,), (0,)), ((bad,), (2,)))
 
 

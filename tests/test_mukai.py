@@ -141,3 +141,5 @@ def test_sign_normalized():
     assert sign_normalized(w) == w
     zero_r = MukaiVector(0, -L, Fraction(1))
     assert sign_normalized(zero_r) == MukaiVector(0, L, Fraction(-1))
+    zero = MukaiVector(0, 0 * L, Fraction(0))
+    assert sign_normalized(zero) is zero

@@ -655,15 +655,45 @@ def test_reflexive_pipeline_under_change_of_basis(spec, data):
 
 
 def reflexive_delta(spec):
-    """The kernel variant of a reflexive surface, and Delta = C - M for its
-    transform M and the variant's closed-form block C."""
+    """The kernel variant of a reflexive surface, its transform M, and
+    Delta = C - M for the variant's closed-form block C."""
     rs = validate_reflexive(spec)
     variant = "nondegenerate"
     if rs.degenerate:
         variant = {"I": "type-i", "II": "type-ii"}[classify_type(rs, decompose_l2h(rs)).surface_type]
     t = transform_for(rs, variant)
     closed = closed_form_matrix(t, "reflexive_" + variant.replace("-", "_"))
-    return variant, tuple(tuple(map(sub, crow, mrow)) for crow, mrow in zip(closed, t.matrix))
+    return variant, t, tuple(tuple(map(sub, crow, mrow)) for crow, mrow in zip(closed, t.matrix))
+
+
+def pairing_row(x, ch2=0):
+    """The row of the linear form (r, f, t) -> x.f + ch2 t."""
+    return (0, *(sum(map(mul, row, x.coords)) for row in x.lattice.gram), ch2)
+
+
+def stated_difference(t, variant):
+    """The stated Delta, in the classes t labels: the matrix of
+    (r, f, t) -> (0, sum of x (row . (r, f, t)), 0) over its terms (x, row).
+
+        nondegenerate  (0, 2 (h.f - t) lhat, 0)
+        type I         (0, (l.f)(l - h) - 2 (h.f)(l + 2h), 0)
+        type II        (0, (h.f)(d2 - 3 d1), 0)
+    """
+    labels = t.label_map
+    h, l = labels["h"], labels["l"]
+    if variant == "nondegenerate":
+        terms = [(2 * labels["lhat"], pairing_row(h, -1))]
+    elif variant == "type-i":
+        terms = [(l - h, pairing_row(l)), (-2 * (l + 2 * h), pairing_row(h))]
+    else:
+        terms = [(labels["d2"] - 3 * labels["d1"], pairing_row(h))]
+    width = t.source.rank + 2
+    zero = (0,) * width
+    middle = tuple(
+        tuple(sum(x.coords[i] * row[j] for x, row in terms) for j in range(width))
+        for i in range(t.source.rank)
+    )
+    return (zero, *middle, zero)
 
 
 DELTA_RANKS = {"nondegenerate": 1, "type-i": 2, "type-ii": 1}
@@ -681,13 +711,39 @@ def test_closed_form_difference_rank_and_change_of_basis(spec, data):
     """Delta = C - M has rank 1 on nondegenerate and type II surfaces and
     rank 2 on type I, and a unimodular P (x_old = P x_new) conjugates it
     by diag(1, P, 1)."""
-    variant, delta = reflexive_delta(spec)
+    variant, _, delta = reflexive_delta(spec)
     assert rank(delta) == DELTA_RANKS[variant]
     p, q = data.draw(unimodular_pairs(spec.lattice.rank))
-    moved_variant, moved = reflexive_delta(moved_spec(spec, p, q))
+    moved_variant, _, moved = reflexive_delta(moved_spec(spec, p, q))
     assert moved_variant == variant
     assert rank(moved) == DELTA_RANKS[variant]
     assert moved == conjugated(q, delta, p)
+
+
+@pytest.mark.parametrize("spec", DELTA_CASES)
+@settings(max_examples=20)
+@given(data=st.data())
+def test_closed_form_difference_is_the_stated_identity(spec, data):
+    """Delta = C - M is the stated matrix in h, l, lhat, d1 and d2, in the
+    given basis and in one drawn with a unimodular P."""
+    p, q = data.draw(unimodular_pairs(spec.lattice.rank))
+    for case in (spec, moved_spec(spec, p, q)):
+        variant, t, delta = reflexive_delta(case)
+        assert delta == stated_difference(t, variant)
+
+
+def test_closed_form_difference_is_the_stated_identity_over_the_finite_space():
+    """On each of the 33 decomposable configurations of the enumerated space."""
+    variants = Counter()
+    for *_, rs in ENUMERATED:
+        try:
+            decompose_l2h(rs)
+        except DecompositionError:
+            continue
+        variant, t, delta = reflexive_delta(rs.spec)
+        assert delta == stated_difference(t, variant)
+        variants[variant] += 1
+    assert variants == {"type-i": 13, "type-ii": 20}
 
 
 def test_brute_force_exact_for_two_components():
@@ -708,6 +764,26 @@ def test_classify_rejects_degree_patterns():
     c2 = type_ii.spec.cls("c2")
     with pytest.raises(ReflexiveViolation, match=r'^"e\^2 = -2" fails for e = h - d_1: got -6$'):
         classify_type(type_ii, Decomposition(d1=c2 - type_ii.h, d2=c2))
+
+
+def test_component_surface_needs_every_degree():
+    with pytest.raises(ValueError) as err:
+        component_surface(("a", "b"), {"a": 2})
+    assert type(err.value) is ValueError
+    assert str(err.value) == "missing degrees for components ['b']"
+
+
+def test_classify_rejects_type_ii_halves_off_a_square_2_polarization():
+    """Degrees (1, 3) and e = h - d1 of square -2, but h^2 = 4, so h.e = 3.
+    The surface is built directly: validate_reflexive would refuse h^2 = 4."""
+    lattice = NSLattice(((4, 1, 3), (1, -4, 0), (3, 0, -2)))
+    h, d1, d2 = map(lattice.basis, range(3))
+    spec = SurfaceSpec(lattice, (("h", h), ("l", d1 + d2 - 2 * h)), (Assumption("ample", "h"),))
+    rs = ReflexiveSurface(spec, h, d1 + d2 - 2 * h, True)
+    assert (h - d1).square == -2
+    with pytest.raises(ReflexiveViolation) as err:
+        classify_type(rs, Decomposition(d1=d1, d2=d2))
+    assert str(err.value) == '"h.e = 1" fails: got 3'
 
 
 def test_nondegenerate_kernel():

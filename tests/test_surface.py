@@ -105,8 +105,9 @@ def test_rejects_duplicate_class_names():
 
 
 def test_input_errors_of_named_classes():
-    """A class on another lattice, an unknown class name and a class mapped
-    to a non-list, pinned as they read."""
+    """A class on another lattice, an unknown class name, a description
+    that is no JSON object and a class mapped to a non-list, pinned as they
+    read."""
     lat = NSLattice(((2,),))
     other = NSLattice(((-2,),))
     assert raised(lambda: SurfaceSpec(lat, (("h", DivisorClass(other, (1,))),))) == (
@@ -116,6 +117,10 @@ def test_input_errors_of_named_classes():
     assert raised(lambda: validate_reflexive(surface_spec_from_dict(REFLEXIVE_DATA), h_name="q")) == (
         SurfaceSpecError,
         "unknown class 'q'; declared classes: ['h', 'l', 'l2h']",
+    )
+    assert raised(lambda: surface_spec_from_dict([1])) == (
+        SurfaceSpecError,
+        "surface description must be a JSON object",
     )
     for value in (5, "1", {"0": 1}, None):
         data = dict(REFLEXIVE_DATA, classes={"h": value})

@@ -33,7 +33,7 @@ from k3fm import (
 from k3fm import lattice as lattice_module
 from k3fm import transform
 from k3fm.cli import BUILDERS, _builder_transform, build_parser
-from k3fm.linalg import det, identity, inverse, mat_mul, mat_vec, rank, solve, transpose
+from k3fm.linalg import det, identity, inverse, mat_mul, mat_vec, rank, transpose
 from k3fm.surface import Assumption, SurfaceSpec
 from k3fm.transform import (
     CLOSED_FORMS,
@@ -51,6 +51,7 @@ from helpers import (
     characters_on,
     class_on,
     conjugated,
+    fraction_solve,
     grid_vectors,
     kernels,
     lattices,
@@ -618,7 +619,9 @@ def test_kernel_transform_under_change_of_basis(k, data):
 
 
 def crosscheck_by_points(t, formula_id, grid=None):
-    """Reference scan: the engine and the block's matrix applied at every grid point."""
+    """Reference scan: the engine and the block's matrix applied at every grid
+    point, and delta_hat by a Fraction solve of its own at each point, which
+    shares no code with linalg's elimination."""
     block = closed_form_matrix(t, formula_id)
     if grid is None:
         grid = default_grid(t.source)
@@ -634,7 +637,9 @@ def crosscheck_by_points(t, formula_id, grid=None):
         if engine == closed:
             continue
         delta = tuple(x - y for x, y in zip(closed, engine))
-        delta_hat = solve(hats, delta[1:-1]) if hats else None
+        delta_hat = fraction_solve(hats, delta[1:-1]) if hats else None
+        if delta_hat == "dependent":
+            delta_hat = None
         entries.append(DiffEntry(vec, engine, closed, delta, delta_hat))
     return DiffReport(formula_id=formula_id, points=len(grid), entries=tuple(entries))
 
@@ -824,6 +829,21 @@ def test_delta_hat_matches_point_scan(kind, data):
         assert hats[:2] == [(1, 0), None]
 
 
+@pytest.mark.parametrize("builder", ["reflexive-nondegenerate", "reflexive-type-i"])
+def test_point_scan_runs_no_elimination(monkeypatch, builder):
+    """The reference scan finds delta_hat without linalg's elimination, so it
+    does not run the code it checks."""
+    t, formula_id = builder_transform(builder), builder.replace("-", "_")
+    expected = crosscheck_specialized(t, formula_id)
+    assert any(e.delta_hat for e in expected.entries)
+
+    def refuse(*args):
+        raise AssertionError("the reference scan ran linalg._eliminate")
+
+    monkeypatch.setattr(linalg, "_eliminate", refuse)
+    assert crosscheck_by_points(t, formula_id) == expected
+
+
 @pytest.mark.parametrize("variant", ["type-i", "type-ii"])
 def test_crosscheck_eliminates_once_whatever_the_grid(monkeypatch, variant):
     """At most one elimination per crosscheck: a doubled grid runs no more."""
@@ -847,7 +867,7 @@ def test_crosscheck_eliminates_once_whatever_the_grid(monkeypatch, variant):
 def test_crosscheck_scales_the_grid_once(monkeypatch, size, rational):
     """The whole grid goes through linalg.scaled in one call, a grid of
     plain ints as well as a rational one.  The general block has no hat
-    classes, so solve_columns, which scales its own input, never runs."""
+    classes, so solve_columns never runs."""
     t = CohTransform(
         REFLEXIVE,
         nondeg_transform().matrix,
