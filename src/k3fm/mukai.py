@@ -70,10 +70,6 @@ class MukaiVector(Record):
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "s", _half_rational(s, "Mukai degree-four part"))
 
-    @property
-    def lattice(self) -> NSLattice:
-        return self.f.lattice
-
     def __neg__(self) -> MukaiVector:
         return MukaiVector(-self.r, -self.f, -self.s)
 

@@ -140,12 +140,18 @@ def brute_force_oracle(n: int, bound: int) -> list[Pic1Solution]:
     Scans c over [-bound, bound] (descending, matching solve_constraints
     order) and, for each c, derives x linearly, alpha by exact division
     from the pairing constraint and y by exact division from the third
-    image row, discarding candidates with non-integral steps or |x| above
+    image row, discarding candidates with non-integral alpha or |x| above
     the bound; every surviving candidate is re-checked against all four
     residuals.  alpha and y are derived rather than scanned because they
     grow quadratically in n while the interesting range of c and x is
     linear; the derivation is exact, so no solution with |c|, |x| within
     the bound can be missed.
+
+    y = num_y / lsq with num_y = 1 - (z-4)^2 - 2 alpha is integral whenever
+    alpha is.  With w = z - 2 = 2n+1, z num_y = w(-w^2 + 4w + 13 - 4c^2).
+    w is odd, so gcd(w, z) = 1 and w divides num_y; w^2 = 1 mod 8 makes
+    the bracket 0 mod 4, and z is odd, so 4 divides num_y.  Hence
+    lsq = 4w divides num_y.
     """
     n = exact_int(n, "n", low=0)
     bound = exact_int(bound, "bound")
@@ -164,10 +170,7 @@ def brute_force_oracle(n: int, bound: int) -> list[Pic1Solution]:
         if num_alpha % (2 * z) != 0:
             continue
         alpha = num_alpha // (2 * z)
-        num_y = 1 - (z - 4) ** 2 - 2 * alpha
-        if num_y % lsq != 0:
-            continue
-        y = num_y // lsq
+        y = (1 - (z - 4) ** 2 - 2 * alpha) // lsq
         if any(residuals(n, c, x, alpha, y)):
             continue
         found.append(Pic1Solution(n, c, x, alpha, y))

@@ -2,13 +2,15 @@
 
 The distinguished combination l+2h has square -4 and degree 4 against h;
 whether it is effective (the degenerate case) is declared input, as are
-its irreducible rational components.  The decomposition procedure
-decompose_l2h implements a complete case analysis over the declared
-components (two to four curves, possibly with one repeated), producing
-d1 + d2 = l + 2h with d1^2 = d2^2 = -2 and d1.d2 = 0, and rejecting the
-configurations the analysis shows impossible by naming the violated
-identity.  decompose_brute_force is the independent oracle: it tries
-every sub-multiset sum and keeps those meeting the same invariants.
+its irreducible rational components.  A ReflexiveSurface checks these
+relations and the component declarations when it is built, and no other
+function checks them again.  decompose_l2h implements a complete case
+analysis over the declared components (two to four curves, possibly with
+one repeated), producing d1 + d2 = l+2h with d1^2 = d2^2 = -2 and
+d1.d2 = 0; it rejects only what the lattice data alone cannot exclude:
+two distinct components meeting too often, or negatively.
+decompose_brute_force is the independent oracle: it tries every
+sub-multiset sum and keeps those meeting the same invariants.
 """
 
 from __future__ import annotations
@@ -54,31 +56,62 @@ class DecompositionError(RejectionError):
 
 
 class ReflexiveSurface(Record):
-    """A surface together with its resolved h, l classes and declared data.
+    """A surface spec with its h, l classes, valid by construction.
 
-    validate_reflexive and component_surface are the two constructors, and
-    they establish the component invariants that decomposition relies on:
-    every declared curve has square -2 and the curves sum to l+2h.
-    validate_reflexive checks them on declared data; component_surface
-    meets them by construction (its curves are basis classes of square -2,
-    and l is defined as their sum minus 2h).  Constructing the class
-    directly skips both.  decompose_l2h does not check them again: its
-    case analysis reads the curves' intersection matrix, and its proofs
-    that two patterns cannot occur rest on each curve having square -2.
-    _finish guards every split it returns, so a surface that breaks the
-    invariants is rejected, never given a wrong decomposition.
+    ReflexiveSurface(spec, h_name="h", l_name="l") resolves the two named
+    classes and checks, in this order: h^2 = 2, l^2 = -12, h.l = 0; every
+    declared irreducible rational component has square -2 and degree at
+    least 1 against h; there are two to four of them; and they sum to l+2h.
+    The first failure raises ReflexiveViolation naming it.  curves are the
+    declared components in declaration order, and degenerate records an
+    effectivity declaration on l+2h or declared components (which imply
+    it): degeneracy cannot be computed from the lattice.  These fields are
+    derived once, as Pic1Solution derives its own, so every surface that
+    exists satisfies the relations, and hat_classes, decompose_l2h and
+    classify_type rely on them without checking again.
     """
 
     __slots__ = ("spec", "h", "l", "degenerate", "curves")
 
-    def __init__(
-        self,
-        spec: SurfaceSpec,
-        h: DivisorClass,
-        l: DivisorClass,
-        degenerate: bool,
-        curves: tuple[DivisorClass, ...] = (),
-    ):
+    def __init__(self, spec: SurfaceSpec, h_name: str = "h", l_name: str = "l"):
+        h = spec.cls(h_name)
+        l = spec.cls(l_name)
+        hs = h.square
+        if hs != 2:
+            raise ReflexiveViolation(f'"{h_name}^2 = 2" fails: got {hs}')
+        ls = l.square
+        if ls != -12:
+            raise ReflexiveViolation(f'"{l_name}^2 = -12" fails: got {ls}')
+        hl = intersect(h, l)
+        if hl != 0:
+            raise ReflexiveViolation(f'"{h_name}.{l_name} = 0" fails: got {hl}')
+
+        l2h = l + 2 * h
+        curves = spec.declared("irreducible_rational")
+        for i, c in enumerate(curves, start=1):
+            if c.square != -2:
+                raise ReflexiveViolation(
+                    f"declared component {i} has square {c.square}; a rational curve needs -2"
+                )
+            if degree(c, h) < 1:
+                raise ReflexiveViolation(
+                    f"declared component {i} has degree {degree(c, h)}; "
+                    f"an irreducible curve on a polarized surface needs degree >= 1"
+                )
+        if curves:
+            if not 2 <= len(curves) <= 4:
+                raise ReflexiveViolation(
+                    f"{len(curves)} components declared; deg(l+2h) = 4 allows between 2 and 4"
+                )
+            total = spec.lattice.zero()
+            for c in curves:
+                total = total + c
+            if total != l2h:
+                raise ReflexiveViolation(
+                    f"declared components sum to {list(total.coords)}, "
+                    f"but l+2h = {list(l2h.coords)}"
+                )
+        degenerate = bool(curves) or spec.declares("effective", l2h)
         self._set(spec, h, l, degenerate, curves)
 
     @property
@@ -128,64 +161,19 @@ class TypeReport(Record):
 
 
 def validate_reflexive(spec: SurfaceSpec, h_name: str = "h", l_name: str = "l") -> ReflexiveSurface:
-    """Check the defining relations and collect the declared geometry.
-
-    Degeneracy cannot be computed from the lattice; it is read from an
-    effectivity declaration on l+2h or from declared irreducible rational
-    components (which imply effectivity of their sum).
-    """
-    h = spec.cls(h_name)
-    l = spec.cls(l_name)
-    hs = h.square
-    if hs != 2:
-        raise ReflexiveViolation(f'"{h_name}^2 = 2" fails: got {hs}')
-    ls = l.square
-    if ls != -12:
-        raise ReflexiveViolation(f'"{l_name}^2 = -12" fails: got {ls}')
-    hl = intersect(h, l)
-    if hl != 0:
-        raise ReflexiveViolation(f'"{h_name}.{l_name} = 0" fails: got {hl}')
-
-    l2h = l + 2 * h
-    curves = spec.declared("irreducible_rational")
-    for i, c in enumerate(curves, start=1):
-        if c.square != -2:
-            raise ReflexiveViolation(
-                f"declared component {i} has square {c.square}; a rational curve needs -2"
-            )
-        if degree(c, h) < 1:
-            raise ReflexiveViolation(
-                f"declared component {i} has degree {degree(c, h)}; "
-                f"an irreducible curve on a polarized surface needs degree >= 1"
-            )
-    if curves:
-        if not 2 <= len(curves) <= 4:
-            raise ReflexiveViolation(
-                f"{len(curves)} components declared; deg(l+2h) = 4 allows between 2 and 4"
-            )
-        total = spec.lattice.zero()
-        for c in curves:
-            total = total + c
-        if total != l2h:
-            raise ReflexiveViolation(
-                f"declared components sum to {list(total.coords)}, "
-                f"but l+2h = {list(l2h.coords)}"
-            )
-    degenerate = bool(curves) or spec.declares("effective", l2h)
-    return ReflexiveSurface(spec=spec, h=h, l=l, degenerate=degenerate, curves=curves)
+    """ReflexiveSurface(spec, h_name, l_name): the defining relations and the
+    declared geometry, checked; see ReflexiveSurface for the checks."""
+    return ReflexiveSurface(spec, h_name, l_name)
 
 
 def hat_classes(rs: ReflexiveSurface) -> tuple[DivisorClass, DivisorClass]:
     """The dual pair (lhat, hhat) = (5l+12h, 2l+5h).
 
-    They satisfy the same three relations as (l, h); this is implied by
-    the defining relations and re-checked here as a consistency guard.
+    They satisfy the same three relations as (l, h), which every surface
+    meets: hhat^2 = 4(-12) + 25(2) = 2, lhat^2 = 25(-12) + 144(2) = -12 and
+    hhat.lhat = 10(-12) + 60(2) = 0, each h.l term vanishing.
     """
-    lhat = 5 * rs.l + 12 * rs.h
-    hhat = 2 * rs.l + 5 * rs.h
-    if hhat.square != 2 or lhat.square != -12 or intersect(hhat, lhat) != 0:
-        raise ReflexiveViolation("hat classes fail the defining relations")
-    return lhat, hhat
+    return 5 * rs.l + 12 * rs.h, 2 * rs.l + 5 * rs.h
 
 
 def _check_components(rs: ReflexiveSurface):
@@ -198,17 +186,21 @@ def _check_components(rs: ReflexiveSurface):
 
 
 def _finish(rs: ReflexiveSurface, p, s) -> Decomposition:
-    """d1 sums the curves at the indices in s, d2 the rest; d1^2 = d2^2 = -2
-    and d1.d2 = 0 are checked as sums over p, then d1 + d2 = l+2h."""
+    """d1 sums the curves at the indices in s, d2 the rest.
+
+    d1^2 = d2^2 = -2 and d1.d2 = 0 are checked as sums over p: the one
+    post-condition of the case analysis, which no valid surface fails.
+    d1 + d2 = l+2h needs no check: s and the rest partition the curves,
+    and the surface's constructor checked that they sum to l+2h.
+    """
     t = [i for i in range(len(p)) if i not in s]
-    if [sum(p[i][j] for i in a for j in b) for a, b in ((s, s), (t, t), (s, t))] == [-2, -2, 0]:
-        d1, d2 = (reduce(add, map(rs.curves.__getitem__, part)) for part in (s, t))
-        if d1 + d2 == rs.l2h:
-            return Decomposition(d1=d1, d2=d2)
-    raise DecompositionError(
-        "case analysis produced an invalid decomposition; the declared "
-        "intersection data is inconsistent"
-    )
+    if [sum(p[i][j] for i in a for j in b) for a, b in ((s, s), (t, t), (s, t))] != [-2, -2, 0]:
+        raise DecompositionError(
+            "case analysis produced an invalid decomposition; the declared "
+            "intersection data is inconsistent"
+        )
+    d1, d2 = (reduce(add, map(rs.curves.__getitem__, part)) for part in (s, t))
+    return Decomposition(d1=d1, d2=d2)
 
 
 def decompose_l2h(rs: ReflexiveSurface) -> Decomposition:
@@ -217,43 +209,49 @@ def decompose_l2h(rs: ReflexiveSurface) -> Decomposition:
     The case analysis reads one integer matrix, P = C G C^T, the products
     of the n declared curves (one row of C per occurrence).  Each case
     names the set S of occurrences summing to d1; d2 sums the others, and
-    _finish checks the split on P.  As each P_ii = -2 and the curves sum
-    to l+2h, -4 = (l+2h)^2 = -2n + 2 sum_{i<j} P_ij, so the products over
-    i<j sum to n-2 (the sum identity, which each case checks):
+    _finish checks the split on P.  The surface guarantees 2 <= n <= 4,
+    each P_ii = -2, degrees >= 1 and that the curves sum to l+2h, so
+    -4 = (l+2h)^2 = -2n + 2 sum_{i<j} P_ij: the products over i<j sum to
+    n-2 (the sum identity), and the degrees, summing to h.(l+2h) = 4, are
+    all 1 when n = 4.
 
-      n=2: the two components are disjoint; S is the first.
-      n=3: a repeated component would force a half-integer product, so
-           the components are distinct and exactly one pair meets once;
-           S is the third component.
-      n=4: a component repeated three times, or two doubled components,
-           are impossible; each two-set sum must have square <= -2,
-           capping products of distinct components at 1.  A doubled u
-           with v, w gives S = {u, v}; four distinct components form two
-           disjoint meeting pairs (S is the first) or leave one component
-           disjoint from all others (S is that one).
+      n=2: P_12 = 0, so the two components are disjoint; S is the first.
+      n=3: a repeated component would need -2 + 2 P_ab = 1 (a, a, b) or
+           -6 = 1 (a, a, a); so the components are distinct, and once
+           their products are checked nonnegative, exactly one pair of
+           the three, summing to 1, meets once.  S is the third component.
+      n=4: a component repeated four times gives -12 = 2, three times
+           3 P_uv = 8, and two doubled ones 4 P_uv = 6.  Each two-set sum
+           must have square <= -2 (the two-set rule below), capping
+           products of distinct components at 1.  A doubled u with v, w
+           then reads -2 + 2(P_uv + P_uw) + P_vw = 2, forcing
+           P_uv = P_uw = 1, P_vw = 0, and S = {u, v}.  Four distinct
+           components have products in {0, 1} summing to 2: two meeting
+           pairs, disjoint (S is the first) or sharing a component and
+           leaving the fourth disjoint from all others (S is that one).
 
-    No input reaches a doubled u meeting v, w otherwise: the products of
-    distinct components lie in {0, 1} and P_uu = -2, so the checked sum reads
-    -2 + 2(P_uv + P_uw) + P_vw = 2, forcing P_uv = P_uw = 1, P_vw = 0.
-    Nor four distinct components in neither pattern: products in {0, 1}
-    summing to 2 make exactly two meeting pairs, disjoint or sharing a
-    component and leaving the fourth disjoint from all.  Both proofs need
-    only the checks before them and P_ii = -2; on a surface built without
-    that invariant, _finish rejects the split.
-
-    The two-set rule is taken as given, not derived.  Of the 69
-    configurations that validate with nonnegative products it rejects 36;
-    in 18 of those, each with two distinct components meeting twice,
-    decompose_brute_force still finds a numerical decomposition.
+    The two-set rule holds on every K3 surface.  Take distinct components
+    c, c' of degree 1 meeting k times and delta = h - c - c'; then
+    h.delta = 0 and delta^2 = 2k - 6.  For k = 2, delta^2 = -2, so by
+    Riemann-Roch delta or -delta is effective, of degree 0 against the
+    ample h: impossible.  For k >= 4, delta^2 > 0 with delta orthogonal to
+    h contradicts the Hodge index theorem.  For k = 3 write x, y for the
+    other two occurrences; the sum identity leaves the other five products
+    a total of -1 when x, y are distinct from c, c' and each other, forces
+    2 c.y + c'.y = -2 when x = c (and likewise for c'), and
+    c.x + c'.x = 1/2 when x = y: a pair of distinct irreducible curves
+    meeting negatively, or no integer solution.  So the rule rejects only
+    configurations that no K3 surface carries, although in 18
+    of the 69 configurations with products 0..4, each with two distinct
+    components meeting twice, the numbers alone admit a split that
+    decompose_brute_force finds.  See Huybrechts, Lectures on K3 Surfaces
+    (2016), ch. 2 and 8.
     """
     curves = _check_components(rs)
     n = len(curves)
-    if not 2 <= n <= 4:
-        raise DecompositionError(f"{n} components declared; expected between 2 and 4")
     rows = [c.coords for c in curves]
     p = mat_mul(mat_mul(rows, rs.spec.lattice.gram), transpose(rows))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    total = sum(p[i][j] for i, j in pairs)
 
     def require_nonnegative():
         for i, j in pairs:
@@ -263,48 +261,21 @@ def decompose_l2h(rs: ReflexiveSurface) -> Decomposition:
                 )
 
     if n == 2:
-        if total != 0:
-            raise DecompositionError(
-                f'"c_1.c_2 = 0" fails: got {total}; (l+2h)^2 = -4 forces disjoint halves'
-            )
         return _finish(rs, p, {0})
 
     if n == 3:
-        if len(set(rows)) < 3:
-            raise DecompositionError(
-                'a repeated component among three forces "c.c\' = 3/2", '
-                "which no integer pairing satisfies"
-            )
-        if total != 1:
-            raise DecompositionError(
-                f'"c_1.c_2 + c_2.c_3 + c_3.c_1 = 1" fails: got {total}'
-            )
         require_nonnegative()
         (i, j) = next((i, j) for i, j in pairs if p[i][j] == 1)
         return _finish(rs, p, {0, 1, 2} - {i, j})
 
-    mult = [rows.count(row) for row in rows]
-    if max(mult) >= 3:
-        raise DecompositionError(
-            'a component repeated three times forces "3c_1.c_4 = 8", '
-            "which no integer pairing satisfies"
-        )
-    if mult.count(2) == 4:
-        raise DecompositionError(
-            'two doubled components force "c_1.c_3 = 3/2", '
-            "which no integer pairing satisfies"
-        )
     for i, j in pairs:
         sq = p[i][i] + p[j][j] + 2 * p[i][j]
         if sq > -2:
             raise DecompositionError(
                 f'"(c_i+c_j)^2 <= -2" fails for components {i + 1}, {j + 1}: got {sq}'
             )
-    if total != 2:
-        raise DecompositionError(
-            f'"sum of c_i.c_j over i<j = 2" fails: got {total}'
-        )
     require_nonnegative()
+    mult = [rows.count(row) for row in rows]
     if 2 in mult:
         return _finish(rs, p, {mult.index(2), mult.index(1)})
     edges = [(i, j) for i, j in pairs if p[i][j] == 1]
@@ -325,8 +296,9 @@ def decompose_brute_force(rs: ReflexiveSurface) -> list[Decomposition]:
 
     It is the oracle for decompose_l2h, so it shares none of its
     reasoning: no curve product matrix, no case analysis, no _finish.
-    Where the case analysis rejects a configuration on a rule it takes as
-    given, this search may still find a numerical decomposition.
+    Where the case analysis rejects a configuration by the two-set rule,
+    which rests on ampleness and not on the numbers alone, this search may
+    still find a numerical decomposition.
     """
     curves = _check_components(rs)
     lattice = rs.spec.lattice
@@ -358,9 +330,10 @@ def decompose_brute_force(rs: ReflexiveSurface) -> list[Decomposition]:
 def classify_type(rs: ReflexiveSurface, dec: Decomposition) -> TypeReport:
     """Order the halves by degree and classify the pattern (2,2) or (1,3).
 
-    Type II needs no check of d1.e = 3 for e = h - d1: with h.d1 = 1,
-    h.e = h^2 - 1 = 1 gives h^2 = 2, then e^2 = h^2 - 2 + d1^2 = -2 gives
-    d1^2 = -2, so d1.e = h.d1 - d1^2 = 3.
+    The halves are any Decomposition a caller passes, so deg(d1) >= 1 and,
+    for type II, e^2 = -2 for e = h - d1 are checked.  Neither h.e = 1 nor
+    d1.e = 3 needs a check: h.e = h^2 - h.d1 = 2 - 1 = 1, and
+    e^2 = h^2 - 2 h.d1 + d1^2 = -2 gives d1^2 = -2, so d1.e = h.d1 - d1^2 = 3.
     """
     d1, d2 = dec.d1, dec.d2
     if degree(d1, rs.h) > degree(d2, rs.h):
@@ -376,8 +349,6 @@ def classify_type(rs: ReflexiveSurface, dec: Decomposition) -> TypeReport:
         e = rs.h - d1
         if e.square != -2:
             raise ReflexiveViolation(f'"e^2 = -2" fails for e = h - d_1: got {e.square}')
-        if degree(e, rs.h) != 1:
-            raise ReflexiveViolation(f'"h.e = 1" fails: got {degree(e, rs.h)}')
         return TypeReport("II", d1, d2, deg1, deg2, e=e)
     raise ReflexiveViolation(
         f"degree pattern ({deg1}, {deg2}) is impossible: deg(l+2h) = 4 "
@@ -458,10 +429,19 @@ def component_surface(
     repeated class; degrees gives each distinct component's degree against
     h; products gives pairwise intersection numbers between distinct
     components (unordered name pairs, default 0).  The basis is (h, the
-    distinct components); l is defined as the occurrence sum minus 2h, so
-    the configuration is reflexive-consistent exactly when the occurrence
-    sum has square -4 and degree 4.
+    distinct components) and l is defined as the occurrence sum minus 2h.
+    The surface is built through validate_reflexive, so an inconsistent
+    configuration raises ReflexiveViolation.  With degrees summing to 4, h.l
+    is 0 and l^2 = (occurrence sum)^2 - 8, so the configuration is
+    consistent exactly when the occurrence sum has square -4 and every
+    degree is at least 1; otherwise the message names "l^2 = -12" or the
+    first component of degree below 1.
     """
+    return validate_reflexive(_component_spec(occurrences, degrees, products))
+
+
+def _component_spec(occurrences, degrees, products) -> SurfaceSpec:
+    """The surface spec component_surface validates, consistent or not."""
     products = dict(products or {})
     names: list[str] = []
     for name in occurrences:
@@ -496,6 +476,4 @@ def component_surface(
     named += [(name, classes[name]) for name in names]
     assumptions = [Assumption("ample", "h"), Assumption("effective", "l2h")]
     assumptions += [Assumption("irreducible_rational", name) for name in occurrences]
-    spec = SurfaceSpec(lattice, tuple(named), tuple(assumptions))
-    curves = tuple(classes[name] for name in occurrences)
-    return ReflexiveSurface(spec=spec, h=h, l=l, degenerate=True, curves=curves)
+    return SurfaceSpec(lattice, tuple(named), tuple(assumptions))

@@ -186,7 +186,7 @@ RECORDS = [
     (
         ReflexiveSurface,
         lambda: type_ii()[0],
-        "spec h l degenerate curves=()",
+        "spec h_name='h' l_name='l'",
         ["spec", "h", "l", "degenerate", "curves"],
         (),
     ),

@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import Counter
 from operator import mul, sub
 from pathlib import Path
@@ -39,10 +40,10 @@ from k3fm import (
 from k3fm import lattice, reflexive
 from k3fm.cli import _json
 from k3fm.linalg import mat_mul, rank, transpose
-from k3fm.reflexive import KERNEL_VARIANTS
+from k3fm.reflexive import KERNEL_VARIANTS, _component_spec
 from k3fm.transform import closed_form_matrix
 
-from helpers import conjugated, unimodular_pairs
+from helpers import conjugated, raised, unimodular_pairs
 
 SURFACES = Path(__file__).resolve().parent.parent / "surfaces"
 
@@ -82,9 +83,12 @@ def test_hat_classes():
 
 
 def test_hat_classes_guard():
-    rs = validate_reflexive(standard_spec())
-    with pytest.raises(ReflexiveViolation, match="^hat classes fail the defining relations$"):
-        hat_classes(ReflexiveSurface(rs.spec, rs.h, rs.h, False))
+    """hat_classes checks nothing: a surface whose hat classes would fail
+    the relations, here one with l = h, cannot be built."""
+    assert raised(lambda: ReflexiveSurface(standard_spec(), "h", "h")) == (
+        ReflexiveViolation,
+        '"h^2 = -12" fails: got 2',
+    )
 
 
 @pytest.mark.parametrize(
@@ -124,9 +128,8 @@ def test_declared_component_square_checked():
 
 
 def test_declared_component_degree_checked():
-    rs = component_surface(("c1", "c2"), {"c1": 0, "c2": 4})
     with pytest.raises(ReflexiveViolation, match="degree >= 1"):
-        validate_reflexive(rs.spec)
+        component_surface(("c1", "c2"), {"c1": 0, "c2": 4})
 
 
 def independent_curve_spec(curve_count):
@@ -183,12 +186,17 @@ def test_decompose_two_disjoint_components():
     assert report.e is None
 
 
+def refused(l_square):
+    """What construction raises for a configuration whose degrees sum to 4:
+    l^2 = (occurrence sum)^2 - 8 fails to be -12."""
+    return ReflexiveViolation, f'"l^2 = -12" fails: got {l_square}'
+
+
 def test_decompose_two_meeting_components_rejected():
-    rs = component_surface(
-        ("c1", "c2"), {"c1": 2, "c2": 2}, {("c1", "c2"): 1}
-    )
-    with pytest.raises(DecompositionError, match='"c_1.c_2 = 0" fails: got 1'):
-        decompose_l2h(rs)
+    """(c1+c2)^2 = -2: no surface has two meeting components."""
+    assert raised(
+        lambda: component_surface(("c1", "c2"), {"c1": 2, "c2": 2}, {("c1", "c2"): 1})
+    ) == refused(-10)
 
 
 def test_decompose_three_components_type_i():
@@ -216,13 +224,12 @@ def test_decompose_three_components_type_ii():
 
 
 def test_decompose_three_rejections():
-    repeated = component_surface(("a", "a", "b"), {"a": 1, "b": 2})
-    with pytest.raises(DecompositionError, match="c.c' = 3/2"):
-        decompose_l2h(repeated)
-
-    disjoint = component_surface(("a", "b", "c"), {"a": 1, "b": 1, "c": 2})
-    with pytest.raises(DecompositionError, match="= 1\" fails: got 0"):
-        decompose_l2h(disjoint)
+    """A repeated component and three disjoint ones are refused at
+    construction; a negative product is the case analysis's to reject."""
+    assert raised(lambda: component_surface(("a", "a", "b"), {"a": 1, "b": 2})) == refused(-18)
+    assert raised(
+        lambda: component_surface(("a", "b", "c"), {"a": 1, "b": 1, "c": 2})
+    ) == refused(-14)
 
     negative = component_surface(
         ("a", "b", "c"),
@@ -270,13 +277,11 @@ def test_decompose_four_isolated_component():
 
 
 def test_decompose_four_rejections():
-    triple = component_surface(("u", "u", "u", "v"), {"u": 1, "v": 1})
-    with pytest.raises(DecompositionError, match="3c_1.c_4 = 8"):
-        decompose_l2h(triple)
-
-    doubled = component_surface(("u", "u", "v", "v"), {"u": 1, "v": 1})
-    with pytest.raises(DecompositionError, match="c_1.c_3 = 3/2"):
-        decompose_l2h(doubled)
+    """A tripled component, two doubled ones and four disjoint ones are
+    refused at construction; two components meeting twice are the
+    two-set rule's to reject."""
+    assert raised(lambda: component_surface(("u", "u", "u", "v"), {"u": 1, "v": 1})) == refused(-28)
+    assert raised(lambda: component_surface(("u", "u", "v", "v"), {"u": 1, "v": 1})) == refused(-24)
 
     crossing = component_surface(
         ("a", "b", "c", "d"),
@@ -286,11 +291,9 @@ def test_decompose_four_rejections():
     with pytest.raises(DecompositionError, match=r"\(c_i\+c_j\)\^2 <= -2"):
         decompose_l2h(crossing)
 
-    disjoint = component_surface(
-        ("a", "b", "c", "d"), {"a": 1, "b": 1, "c": 1, "d": 1}
-    )
-    with pytest.raises(DecompositionError, match="over i<j = 2\" fails: got 0"):
-        decompose_l2h(disjoint)
+    assert raised(
+        lambda: component_surface(("a", "b", "c", "d"), {"a": 1, "b": 1, "c": 1, "d": 1})
+    ) == refused(-16)
 
 
 def test_decompose_requires_components():
@@ -299,35 +302,17 @@ def test_decompose_requires_components():
         decompose_l2h(rs)
 
 
-TYPE_I_SURFACE = component_surface(("c1", "c2"), {"c1": 2, "c2": 2})
-
-
 @pytest.mark.parametrize(
-    "rs, message",
+    "config, message",
     [
-        (component_surface(("c1",), {"c1": 4}), "1 components declared; expected between 2 and 4"),
-        (
-            component_surface(tuple("abcde"), dict.fromkeys("abcde", 1)),
-            "5 components declared; expected between 2 and 4",
-        ),
-        # l shifted by h: the curves no longer sum to l+2h.
-        (
-            ReflexiveSurface(
-                TYPE_I_SURFACE.spec,
-                TYPE_I_SURFACE.h,
-                TYPE_I_SURFACE.l + TYPE_I_SURFACE.h,
-                True,
-                TYPE_I_SURFACE.curves,
-            ),
-            "case analysis produced an invalid decomposition; "
-            "the declared intersection data is inconsistent",
-        ),
+        ((("c1",), {"c1": 4}), '"l^2 = -12" fails: got -10'),
+        ((tuple("abcde"), dict.fromkeys("abcde", 1)), '"l^2 = -12" fails: got -22'),
     ],
 )
-def test_decompose_guards(rs, message):
-    with pytest.raises(DecompositionError) as err:
-        decompose_l2h(rs)
-    assert str(err.value) == message
+def test_decompose_guards(config, message):
+    """decompose_l2h has no check of the component count: one or five
+    components are refused at construction."""
+    assert raised(lambda: component_surface(*config)) == (ReflexiveViolation, message)
 
 
 def restricted_growth_strings(n):
@@ -343,7 +328,7 @@ def enumerated_configurations():
     """Every configuration of 2 to 4 occurrences whose components have degree
     >= 1, summing to 4 over the occurrences, and products 0..4 between
     distinct components, that has (l+2h)^2 = -4: yields (occurrences,
-    degrees, products, surface), the surface through validate_reflexive."""
+    degrees, products, surface), the surface from component_surface."""
     for n in (2, 3, 4):
         for labels in restricted_growth_strings(n):
             names = "uvwx"[: max(labels) + 1]
@@ -365,7 +350,7 @@ def enumerated_configurations():
                         dict(zip(names, degrees)),
                         {(names[i], names[j]): p for p, (i, j) in zip(products, pairs)},
                     )
-                    yield occurrences, degrees, products, validate_reflexive(rs.spec)
+                    yield occurrences, degrees, products, rs
 
 
 ENUMERATED = list(enumerated_configurations())
@@ -418,6 +403,41 @@ def test_case_analysis_over_the_whole_finite_space():
     assert decomposable_rejects == RULE_REJECTS_DECOMPOSABLE
 
 
+def ampleness_witnesses(rs):
+    """The pairs of distinct components c, c' (occurrence numbers i < j)
+    whose delta = h - c - c' has h.delta = 0 and delta^2 = -2 or
+    delta^2 > 0, with k = c.c': by Riemann-Roch +-delta would be an
+    effective class of degree 0, or delta would break the Hodge index
+    theorem, so no K3 surface carries the pair."""
+    found = []
+    for (i, c), (j, c2) in itertools.combinations(enumerate(rs.curves, start=1), 2):
+        delta = rs.h - c - c2
+        if c != c2 and intersect(rs.h, delta) == 0 and (delta.square == -2 or delta.square > 0):
+            assert delta.square == 2 * intersect(c, c2) - 6
+            found.append((i, j, intersect(c, c2)))
+    return found
+
+
+def test_two_set_rule_rejects_exactly_the_configurations_ampleness_excludes():
+    """Each of the 36 configurations the two-set rule rejects has a pair
+    that ampleness or the Hodge index theorem excludes (30 meeting twice,
+    6 four times), and the message names its first such pair; none of the
+    33 admitted configurations has one."""
+    meetings = Counter()
+    for *_, rs in ENUMERATED:
+        witnesses = ampleness_witnesses(rs)
+        try:
+            decompose_l2h(rs)
+        except DecompositionError as error:
+            i, j, k = witnesses[0]
+            assert str(error) == f'"(c_i+c_j)^2 <= -2" fails for components {i}, {j}: got {2 * k - 4}'
+            meetings[k] += 1
+        else:
+            assert witnesses == []
+            meetings["admitted"] += 1
+    assert meetings == {2: 30, 4: 6, "admitted": 33}
+
+
 def brute_force_by_classes(rs):
     """decompose_brute_force as it was written on DivisorClass arithmetic: a
     reference for the coordinate search's result list, order and dedup."""
@@ -456,7 +476,7 @@ def test_brute_force_matches_class_search_over_the_finite_space():
     assert len(ENUMERATED) == 69
     for *_, rs in ENUMERATED:
         assert decompose_brute_force(rs) == brute_force_by_classes(rs)
-    for rs in ADMITTED + REJECTED:
+    for rs in ADMITTED:
         assert decompose_brute_force(rs) == brute_force_by_classes(rs)
     rs = validate_reflexive(standard_spec())
     for search in (decompose_brute_force, brute_force_by_classes):
@@ -478,15 +498,47 @@ def component_configurations(draw):
     return occurrences, degrees, products
 
 
+def consistent(occurrences, degrees, products):
+    """Whether a configuration has 2 to 4 occurrences, degrees >= 1 summing
+    to 4 and an occurrence sum of square -4: the surfaces that exist."""
+    mult = Counter(occurrences)
+    square = -2 * sum(m * m for m in mult.values()) + 2 * sum(
+        p * mult[u] * mult[v] for (u, v), p in products.items()
+    )
+    return (
+        2 <= len(occurrences) <= 4
+        and min(degrees.values()) >= 1
+        and sum(m * degrees[u] for u, m in mult.items()) == 4
+        and square == -4
+    )
+
+
 @settings(max_examples=300)
 @given(component_configurations())
 def test_brute_force_matches_class_search_on_drawn_configurations(config):
+    """An inconsistent draw is refused at construction.  On a consistent one
+    the searches agree, and decompose_l2h finds one of their splits or
+    rejects by the two-set rule or a negative product."""
+    if not consistent(*config):
+        with pytest.raises(ReflexiveViolation):
+            component_surface(*config)
+        return
     rs = component_surface(*config)
     found = decompose_brute_force(rs)
     assert found == brute_force_by_classes(rs)
     for dec in found:
         assert dec.d1.lattice is rs.spec.lattice
         assert all(type(a) is int for a in dec.d1.coords + dec.d2.coords)
+    try:
+        dec = decompose_l2h(rs)
+    except DecompositionError as error:
+        assert re.fullmatch(
+            r'"\(c_i\+c_j\)\^2 <= -2" fails for components \d, \d: got \d+'
+            r"|distinct components \d and \d meet in -\d+ < 0",
+            str(error),
+        )
+    else:
+        assert pair_key(dec) in {pair_key(other) for other in found}
 
 
 def test_case_analysis_reads_no_intersect(monkeypatch):
@@ -536,6 +588,28 @@ ADMITTED = [
 
 
 @pytest.mark.parametrize("rs", ADMITTED)
+def test_finish_rejects_a_perturbed_product_matrix(rs, monkeypatch):
+    """No surface reaches _finish's rejection.  With P_11 of the product
+    matrix P = (C G) C^T lowered by 2, every case still picks its split and
+    the half holding the first curve fails its square."""
+    products = []
+
+    def perturbed(a, b):
+        product = mat_mul(a, b)
+        products.append(product)
+        if len(products) == 2:
+            product = ((product[0][0] - 2, *product[0][1:]), *product[1:])
+        return product
+
+    monkeypatch.setattr(reflexive, "mat_mul", perturbed)
+    assert raised(lambda: decompose_l2h(rs)) == (
+        DecompositionError,
+        "case analysis produced an invalid decomposition; "
+        "the declared intersection data is inconsistent",
+    )
+
+
+@pytest.mark.parametrize("rs", ADMITTED)
 def test_case_analysis_contained_in_brute_force(rs):
     dec = decompose_l2h(rs)
     assert dec.d1 + dec.d2 == rs.l2h
@@ -545,17 +619,19 @@ def test_case_analysis_contained_in_brute_force(rs):
     assert pair_key(dec) in keys
 
 
+# Configurations with an occurrence sum of square other than -4, each with
+# the l^2 that construction reports.
 REJECTED = [
-    component_surface(("c1", "c2"), {"c1": 2, "c2": 2}, {("c1", "c2"): 1}),
-    component_surface(("a", "a", "b"), {"a": 1, "b": 2}),
-    component_surface(("u", "u", "u", "v"), {"u": 1, "v": 1}),
-    component_surface(("a", "b", "c", "d"), {"a": 1, "b": 1, "c": 1, "d": 1}),
+    ((("c1", "c2"), {"c1": 2, "c2": 2}, {("c1", "c2"): 1}), -10),
+    ((("a", "a", "b"), {"a": 1, "b": 2}, None), -18),
+    ((("u", "u", "u", "v"), {"u": 1, "v": 1}, None), -28),
+    ((("a", "b", "c", "d"), {"a": 1, "b": 1, "c": 1, "d": 1}, None), -16),
 ]
 
 
-def test_brute_force_empty_on_rejected_configurations():
-    for rs in REJECTED:
-        assert decompose_brute_force(rs) == []
+def test_construction_refuses_rejected_configurations():
+    for config, l_square in REJECTED:
+        assert raised(lambda: component_surface(*config)) == refused(l_square)
 
 
 def test_classify_type_orders_halves_by_degree():
@@ -628,7 +704,8 @@ def reflexive_verdicts(spec, old):
 BASIS_CASES = [
     standard_spec(),
     *(load_surface_spec(path) for path in sorted(SURFACES.glob("*.json"))),
-    *(rs.spec for rs in ADMITTED + REJECTED),
+    *(rs.spec for rs in ADMITTED),
+    *(_component_spec(*config) for config, _ in REJECTED),
     component_surface(
         ("a", "b", "c"),
         {"a": 1, "b": 1, "c": 2},
@@ -773,17 +850,14 @@ def test_component_surface_needs_every_degree():
     assert str(err.value) == "missing degrees for components ['b']"
 
 
-def test_classify_rejects_type_ii_halves_off_a_square_2_polarization():
+def test_type_ii_halves_off_a_square_2_polarization_are_refused():
     """Degrees (1, 3) and e = h - d1 of square -2, but h^2 = 4, so h.e = 3.
-    The surface is built directly: validate_reflexive would refuse h^2 = 4."""
+    classify_type does not check h.e = 1, as no such surface can be built."""
     lattice = NSLattice(((4, 1, 3), (1, -4, 0), (3, 0, -2)))
     h, d1, d2 = map(lattice.basis, range(3))
     spec = SurfaceSpec(lattice, (("h", h), ("l", d1 + d2 - 2 * h)), (Assumption("ample", "h"),))
-    rs = ReflexiveSurface(spec, h, d1 + d2 - 2 * h, True)
-    assert (h - d1).square == -2
-    with pytest.raises(ReflexiveViolation) as err:
-        classify_type(rs, Decomposition(d1=d1, d2=d2))
-    assert str(err.value) == '"h.e = 1" fails: got 3'
+    assert (h - d1).square == -2 and degree(h - d1, h) == 3
+    assert raised(lambda: ReflexiveSurface(spec)) == (ReflexiveViolation, '"h^2 = 2" fails: got 4')
 
 
 def test_nondegenerate_kernel():
