@@ -12,6 +12,11 @@ each with its JSON report on stdout and nothing on stderr.
 _BUILDER_TABLE is the one place that says which closed-form formula each
 builder is crosschecked against and which builder options it reads.  An
 option that the command or its builder does not read is an input error.
+
+Each run builds the subparser of the command it names and no other, from
+that command's row of _ARGUMENTS, so a fresh process pays for one of the
+twelve.  The parse, the --help text and every argument error are still
+the full parser's; build_parser says why.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import RejectionError
 from .kernel import (
@@ -79,9 +83,14 @@ from .transform import (
 __all__ = ["main", "BUILDERS"]
 
 
-class _Builder(NamedTuple):
-    formula: str  # the CLOSED_FORMS block transform-crosscheck compares with
-    reads: frozenset[str]  # the builder options (argparse dests) it reads
+class _Builder(Record):
+    """A builder's row: formula is the CLOSED_FORMS block transform-crosscheck
+    compares it with, reads the builder options (argparse dests) it reads."""
+
+    __slots__ = ("formula", "reads")
+
+    def __init__(self, formula: str, reads: frozenset[str]):
+        self._set(formula, reads)
 
 
 _REFLEXIVE_READS = frozenset({"surface", "variant", "h_name", "l_name"})
@@ -473,25 +482,104 @@ _COMMANDS = {
 }
 
 
-def _add_surface(sub, required=True):
-    sub.add_argument("--surface", required=required, help="path to a surface JSON file")
+def _arg(*flags, **kwargs):
+    """One add_argument call, as data."""
+    return flags, kwargs
 
 
-def _add_h_l_names(sub):
-    sub.add_argument("--h-name", help="declared name of the degree-2 class")
-    sub.add_argument("--l-name", help="declared name of the square -12 class")
-
-
-def _add_builder(sub):
-    sub.add_argument("--builder", choices=BUILDERS, required=True)
-    _add_surface(sub, required=False)
-    _add_h_l_names(sub)
-    sub.add_argument(
+_SURFACE_HELP = "path to a surface JSON file"
+_SURFACE = _arg("--surface", required=True, help=_SURFACE_HELP)
+_OPTIONAL_SURFACE = _arg("--surface", help=_SURFACE_HELP)
+_H_L_NAMES = (
+    _arg("--h-name", help="declared name of the degree-2 class"),
+    _arg("--l-name", help="declared name of the square -12 class"),
+)
+_BUILDER_ARGS = (
+    _arg("--builder", choices=BUILDERS, required=True),
+    _OPTIONAL_SURFACE,
+    *_H_L_NAMES,
+    _arg(
         "--m-class",
         default=None,
         help="class expression for the no-cohomology builder (default: m)",
-    )
-    sub.add_argument("--lsq", type=int, default=None, help="generator square for builder pic1")
+    ),
+    _arg("--lsq", type=int, default=None, help="generator square for builder pic1"),
+)
+_FORMAT = _arg(
+    "--format",
+    choices=("json", "text"),
+    default=None,
+    help="output format (default: $K3FM_FORMAT or json)",
+)
+
+# command name -> its arguments in --help order; _FORMAT follows them in every
+# command.  The --vanishing default list is shared by every parse: argparse
+# appends to a copy, and _cmd_kernel_check only reads it.
+_ARGUMENTS = {
+    "surface-validate": (
+        _SURFACE,
+        _arg("--reflexive", action="store_true", help="also check the h, l relations"),
+        *_H_L_NAMES,
+    ),
+    "chi": (_SURFACE, _arg("--class", dest="class_expr", required=True, help="class expression")),
+    "kernel-check": (
+        _SURFACE,
+        *(_arg(f"--{field}", required=True, help=f"class expression for {field}") for field in "abcd"),
+        _arg(
+            "--vanishing",
+            action="append",
+            default=[],
+            help="extra declared no-cohomology class (repeatable)",
+        ),
+    ),
+    "transform-apply": (
+        *_BUILDER_ARGS,
+        _arg("--ch", required=True, help="input character: r,f...,t"),
+    ),
+    "transform-crosscheck": (
+        *_BUILDER_ARGS,
+        _arg("--formula", choices=sorted(CLOSED_FORMS), default=None),
+        _arg("--max-entries", type=int, default=5, help="mismatch entries to show"),
+    ),
+    "pic1": (
+        _arg("--lsq", type=int, required=True, help="square of the ample generator"),
+        _arg("--oracle", action="store_true", help="run the brute-force search"),
+        _arg("--bound", type=int, default=None, help="oracle scan bound"),
+    ),
+    "reflexive-decompose": (
+        _SURFACE,
+        *_H_L_NAMES,
+        _arg("--oracle", action="store_true", help="also run the exhaustive search"),
+    ),
+    "reflexive-classify": (_SURFACE, *_H_L_NAMES),
+    "reflexive-kernel": (
+        _arg("--variant", choices=KERNEL_VARIANTS, required=True),
+        _OPTIONAL_SURFACE,
+        *_H_L_NAMES,
+    ),
+    "hilb-moduli": (
+        _arg("--n", type=int, required=True, help="number of points"),
+        _arg("--flavor", choices=HILB_FLAVORS, required=True),
+        _OPTIONAL_SURFACE,
+        *_H_L_NAMES,
+        _arg("--variant", choices=KERNEL_VARIANTS, default=None),
+        _arg("--m-class", default=None, help="no-cohomology class expression"),
+    ),
+    "strata": (
+        _SURFACE,
+        _arg("--l", required=True, help="class expression for l"),
+        _arg("--m", required=True, help="class expression for m"),
+        _arg("--h", required=True, help="class expression for the polarization"),
+        _arg("--z", type=int, required=True, help="stratum length"),
+        _arg("--a", default=None, help="window bound for the gap predicate"),
+    ),
+    "primitive-check": (
+        _SURFACE,
+        _arg("--h", required=True, help="class expression for the ample generator"),
+        _arg("--n", type=int, required=True, help="multiplier, at least 2"),
+        _arg("--l", default=None, help="class expression for l (default n*h)"),
+    ),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -501,91 +589,28 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The k3fm parser, with the subparser of command only if command names one.
+
+    main passes its first argument.  When that is no command name (there is
+    none, an option such as --help, or an unknown word) every subparser is
+    built, as --help and the invalid-choice message list them all.  When it
+    is one, an argv that starts with it parses exactly as under the full
+    parser: the top level has no argument but -h and the subparsers action,
+    so argparse hands everything after the name to that one subparser
+    either way; the subparser's prog ("k3fm <name>") comes from the usage
+    prefix fixed before any subparser is added; and leftover arguments are
+    refused by the same top-level parser.
+    """
     parser = _Parser(
         prog="k3fm",
         description="Exact computations with rank-2 kernel transforms on K3 lattices.",
     )
     action = parser.add_subparsers(dest="command", required=True)
-    subs = {name: action.add_parser(name, help=text) for name, (text, _) in _COMMANDS.items()}
-
-    sub = subs["surface-validate"]
-    _add_surface(sub)
-    sub.add_argument("--reflexive", action="store_true", help="also check the h, l relations")
-    _add_h_l_names(sub)
-
-    sub = subs["chi"]
-    _add_surface(sub)
-    sub.add_argument("--class", dest="class_expr", required=True, help="class expression")
-
-    sub = subs["kernel-check"]
-    _add_surface(sub)
-    for field in ("a", "b", "c", "d"):
-        sub.add_argument(f"--{field}", required=True, help=f"class expression for {field}")
-    sub.add_argument(
-        "--vanishing",
-        action="append",
-        default=[],
-        help="extra declared no-cohomology class (repeatable)",
-    )
-
-    sub = subs["transform-apply"]
-    _add_builder(sub)
-    sub.add_argument("--ch", required=True, help="input character: r,f...,t")
-
-    sub = subs["transform-crosscheck"]
-    _add_builder(sub)
-    sub.add_argument("--formula", choices=sorted(CLOSED_FORMS), default=None)
-    sub.add_argument("--max-entries", type=int, default=5, help="mismatch entries to show")
-
-    sub = subs["pic1"]
-    sub.add_argument("--lsq", type=int, required=True, help="square of the ample generator")
-    sub.add_argument("--oracle", action="store_true", help="run the brute-force search")
-    sub.add_argument("--bound", type=int, default=None, help="oracle scan bound")
-
-    sub = subs["reflexive-decompose"]
-    _add_surface(sub)
-    _add_h_l_names(sub)
-    sub.add_argument("--oracle", action="store_true", help="also run the exhaustive search")
-
-    sub = subs["reflexive-classify"]
-    _add_surface(sub)
-    _add_h_l_names(sub)
-
-    sub = subs["reflexive-kernel"]
-    sub.add_argument("--variant", choices=KERNEL_VARIANTS, required=True)
-    _add_surface(sub, required=False)
-    _add_h_l_names(sub)
-
-    sub = subs["hilb-moduli"]
-    sub.add_argument("--n", type=int, required=True, help="number of points")
-    sub.add_argument("--flavor", choices=HILB_FLAVORS, required=True)
-    _add_surface(sub, required=False)
-    _add_h_l_names(sub)
-    sub.add_argument("--variant", choices=KERNEL_VARIANTS, default=None)
-    sub.add_argument("--m-class", default=None, help="no-cohomology class expression")
-
-    sub = subs["strata"]
-    _add_surface(sub)
-    sub.add_argument("--l", required=True, help="class expression for l")
-    sub.add_argument("--m", required=True, help="class expression for m")
-    sub.add_argument("--h", required=True, help="class expression for the polarization")
-    sub.add_argument("--z", type=int, required=True, help="stratum length")
-    sub.add_argument("--a", default=None, help="window bound for the gap predicate")
-
-    sub = subs["primitive-check"]
-    _add_surface(sub)
-    sub.add_argument("--h", required=True, help="class expression for the ample generator")
-    sub.add_argument("--n", type=int, required=True, help="multiplier, at least 2")
-    sub.add_argument("--l", default=None, help="class expression for l (default n*h)")
-
-    for sub in subs.values():
-        sub.add_argument(
-            "--format",
-            choices=("json", "text"),
-            default=None,
-            help="output format (default: $K3FM_FORMAT or json)",
-        )
+    for name in (command,) if command in _COMMANDS else _COMMANDS:
+        sub = action.add_parser(name, help=_COMMANDS[name][0])
+        for flags, kwargs in (*_ARGUMENTS[name], _FORMAT):
+            sub.add_argument(*flags, **kwargs)
     return parser
 
 
@@ -597,11 +622,12 @@ def _resolve_format(args) -> str:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     command = None  # reported as null when the arguments do not parse
     fmt = "json"  # the report of an unsupported format is itself JSON
     error = None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         command = args.command
         fmt = _resolve_format(args)
         status, payload = _COMMANDS[command][1](args)

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -794,3 +795,77 @@ def test_fuzz_argv_always_ends_in_a_report(tmp_path, monkeypatch, data):
         assert lines["ok"] == ("true" if status == 0 else "false")
     else:
         assert json.loads(out.getvalue())["ok"] is (status == 0)
+
+
+def parse_outcome(parser, argv):
+    """What parsing argv gives: the Namespace's fields, the ValueError
+    message, or the SystemExit code with what was printed (help)."""
+    out = io.StringIO()
+    try:
+        with redirect_stdout(out):
+            return "namespace", vars(parser.parse_args(argv))
+    except ValueError as error:
+        return "error", str(error)
+    except SystemExit as done:
+        return "exit", done.code, out.getvalue()
+
+
+@pytest.mark.parametrize("command", list(MINIMAL_ARGV))
+def test_subcommand_help_is_the_full_parsers(command):
+    outcome = parse_outcome(build_parser(command), [command, "-h"])
+    assert outcome[:2] == ("exit", 0)
+    assert outcome == parse_outcome(build_parser(), [command, "-h"])
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_one_subparser_parses_as_the_full_parser(data):
+    """main builds only the named command's subparser: on a minimal valid
+    invocation, perhaps less one token, plus random options, flags, help,
+    stray command names and values (as --option=value or as a separate
+    token), it gives the full parser's result."""
+    command = data.draw(st.sampled_from(list(MINIMAL_ARGV)))
+    argv = [command, *MINIMAL_ARGV[command]]
+    if len(argv) > 1 and data.draw(st.booleans()):
+        del argv[data.draw(st.integers(1, len(argv) - 1))]
+    values = {**FUZZ_VALUES, "--surface": st.sampled_from((REFLEXIVE, "missing.json"))}
+    bare = (*FUZZ_FLAGS, "-h", *_COMMANDS)
+    for token in data.draw(st.lists(st.sampled_from((*bare, *values)), max_size=4)):
+        if token in bare:
+            argv.append(token)
+        elif data.draw(st.booleans()):
+            argv.append(f"{token}={data.draw(values[token])}")
+        else:
+            argv += [token, data.draw(values[token])]
+    assert parse_outcome(build_parser(command), argv) == parse_outcome(build_parser(), argv)
+
+
+@pytest.fixture
+def added_subparsers(monkeypatch):
+    """The names of the subparsers added from here on, in order."""
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    return added
+
+
+@pytest.mark.parametrize("command", list(MINIMAL_ARGV))
+def test_a_command_builds_its_own_subparser_only(capsys, monkeypatch, added_subparsers, command):
+    monkeypatch.delenv("K3FM_FORMAT", raising=False)
+    assert main([command, *MINIMAL_ARGV[command]]) == 0
+    assert added_subparsers == [command]
+
+
+@pytest.mark.parametrize("argv, status", [(["--help"], 0), ([], 2), (["frobnicate"], 2)])
+def test_without_a_command_every_subparser_is_built(capsys, added_subparsers, argv, status):
+    try:
+        got = main(argv)
+    except SystemExit as done:
+        got = done.code
+    assert got == status
+    assert added_subparsers == list(_COMMANDS)

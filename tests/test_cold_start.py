@@ -3,8 +3,8 @@
 dataclasses imports inspect, which imports ast, dis and tokenize; together
 with @dataclass's generated methods they cost a fresh process about a
 third of a bare interpreter start.  Nothing in src/k3fm may import them,
-checked statically, and a real command in a fresh interpreter must end
-without any of them loaded.
+checked statically, and a real command run through the `python -m k3fm`
+entry point in a fresh interpreter must end without any of them loaded.
 """
 
 import ast
@@ -53,9 +53,15 @@ def test_gate_ignores_relative_imports():
 
 
 def test_fresh_cli_run_loads_no_introspection():
+    """The command runs as `python -m k3fm` does: through __main__, with its
+    arguments in sys.argv, so main(argv=None) reads them there."""
     script = (
-        "import sys, k3fm.cli\n"
-        "status = k3fm.cli.main(['pic1', '--lsq', '4'])\n"
+        "import runpy, sys\n"
+        "sys.argv = ['k3fm', 'pic1', '--lsq', '4']\n"
+        "try:\n"
+        "    runpy.run_module('k3fm', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as done:\n"
+        "    status = done.code\n"
         f"print(sorted(set({BANNED!r}) & set(sys.modules)))\n"
         "sys.exit(status)\n"
     )

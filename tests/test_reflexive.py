@@ -513,16 +513,55 @@ def consistent(occurrences, degrees, products):
     )
 
 
+@st.composite
+def consistent_configurations(draw):
+    """Arguments of component_surface that a surface carries.
+
+    2 to 4 occurrences, degrees >= 1 whose sum over the occurrences is 4, and
+    products with sum_{u<v} p_uv m_u m_v = sum_u m_u^2 - 2, which is the
+    occurrence sum having square -4.  Every such configuration has two names
+    that occur once: with one name, or multiplicities (2, 1), (3, 1) or
+    (2, 2), the one product would be 3/2, 8/3 or 6/4.  So u and v occur
+    once, x may occur twice, and every product is drawn but that of (u, v),
+    which takes the remainder.
+    """
+    singles = "uvwx"[: draw(st.integers(2, 4))]
+    doubled = "xx" if len(singles) == 2 and draw(st.booleans()) else ""
+    occurrences = tuple(draw(st.permutations(singles + doubled)))
+    mult = Counter(occurrences)
+    names = sorted(mult)
+    solutions = [
+        ds
+        for ds in itertools.product(range(1, 5), repeat=len(names))
+        if sum(mult[u] * d for u, d in zip(names, ds)) == 4
+    ]
+    degrees = dict(zip(names, draw(st.sampled_from(solutions))))
+    pairs = list(itertools.combinations(names, 2))
+    products = {pair: draw(st.integers(-2, 4)) for pair in pairs[1:]}
+    rest = sum(p * mult[u] * mult[v] for (u, v), p in products.items())
+    products[pairs[0]] = sum(m * m for m in mult.values()) - 2 - rest
+    return occurrences, degrees, products
+
+
 @settings(max_examples=300)
 @given(component_configurations())
-def test_brute_force_matches_class_search_on_drawn_configurations(config):
-    """An inconsistent draw is refused at construction.  On a consistent one
-    the searches agree, and decompose_l2h finds one of their splits or
-    rejects by the two-set rule or a negative product."""
+def test_drawn_configurations_are_refused_exactly_when_inconsistent(config):
+    """A draw of any configuration is refused at construction unless it is
+    consistent, and then it builds."""
     if not consistent(*config):
         with pytest.raises(ReflexiveViolation):
             component_surface(*config)
-        return
+    else:
+        component_surface(*config)
+
+
+@settings(max_examples=300)
+@given(consistent_configurations())
+def test_brute_force_matches_class_search_on_drawn_configurations(config):
+    """On a drawn consistent configuration the searches agree, and
+    decompose_l2h finds one of their splits or rejects by the two-set rule
+    or a negative product."""
+    assert consistent(*config)
     rs = component_surface(*config)
     found = decompose_brute_force(rs)
     assert found == brute_force_by_classes(rs)
