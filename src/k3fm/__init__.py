@@ -5,159 +5,99 @@ Chern characters and Mukai vectors, kernel existence checks, the induced
 transform matrices with their Euler-pairing isometry test, the rank-1
 constraint solver, reflexive-surface decomposition, and Hilbert-scheme
 vector bookkeeping.  The command-line entry point lives in k3fm.cli.
+
+Importing k3fm loads none of its modules.  Each public name is loaded from
+its home module, listed in _EXPORTS, the first time it is read (k3fm.X,
+from k3fm import X or import *), and kept here, so a process loads only the
+modules it reads from: `python -m k3fm <command>` loads the package, cli
+and the modules that command calls, when it calls them.
 """
 
-from .errors import RejectionError
-from .kernel import (
-    KernelSpec,
-    ValidityReport,
-    check_necessary_det,
-    check_phiO_identity,
-    check_sufficient,
-    normalize_twist,
-    vanishing_covers,
-)
-from .lattice import (
-    DivisorClass,
-    LatticeMismatchError,
-    NSLattice,
-    chi_line,
-    degree,
-    intersect,
-)
-from .moduli import (
-    StrataReport,
-    check_ample_primitive,
-    es_relation,
-    hilb_moduli_vector,
-    strata_chain,
-)
-from .mukai import (
-    ChernCharacter,
-    MukaiVector,
-    ch_to_mukai,
-    chi_sheaf,
-    euler_chi,
-    ideal_sheaf_ch,
-    line_bundle_ch,
-    mukai_pairing,
-    mukai_to_ch,
-    point_ch,
-    sign_normalized,
-    twist,
-)
-from .pic1 import (
-    ExclusionWitness,
-    Pic1Solution,
-    brute_force_oracle,
-    exclusion_witness,
-    existence_test,
-    select_physical,
-    solve_constraints,
-    transform_from_solution,
-)
-from .reflexive import (
-    Decomposition,
-    DecompositionError,
-    ReflexiveSurface,
-    ReflexiveViolation,
-    TypeReport,
-    build_kernel,
-    classify_type,
-    component_surface,
-    decompose_brute_force,
-    decompose_l2h,
-    hat_classes,
-    standard_spec,
-    transform_for,
-    validate_reflexive,
-)
-from .surface import (
-    Assumption,
-    SurfaceSpec,
-    SurfaceSpecError,
-    load_surface_spec,
-    parse_class_expr,
-    surface_spec_from_dict,
-)
-from .transform import (
-    CohTransform,
-    crosscheck_specialized,
-    euler_gram,
-    from_kernel,
-    identity_transform,
-    is_mukai_isometry,
-    kernel_action_vector,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "RejectionError",
-    "KernelSpec",
-    "ValidityReport",
-    "check_necessary_det",
-    "check_phiO_identity",
-    "check_sufficient",
-    "normalize_twist",
-    "vanishing_covers",
-    "DivisorClass",
-    "LatticeMismatchError",
-    "NSLattice",
-    "chi_line",
-    "degree",
-    "intersect",
-    "StrataReport",
-    "check_ample_primitive",
-    "es_relation",
-    "hilb_moduli_vector",
-    "strata_chain",
-    "ChernCharacter",
-    "MukaiVector",
-    "ch_to_mukai",
-    "chi_sheaf",
-    "euler_chi",
-    "ideal_sheaf_ch",
-    "line_bundle_ch",
-    "mukai_pairing",
-    "mukai_to_ch",
-    "point_ch",
-    "sign_normalized",
-    "twist",
-    "ExclusionWitness",
-    "Pic1Solution",
-    "brute_force_oracle",
-    "exclusion_witness",
-    "existence_test",
-    "select_physical",
-    "solve_constraints",
-    "transform_from_solution",
-    "Decomposition",
-    "DecompositionError",
-    "ReflexiveSurface",
-    "ReflexiveViolation",
-    "TypeReport",
-    "build_kernel",
-    "classify_type",
-    "component_surface",
-    "decompose_brute_force",
-    "decompose_l2h",
-    "hat_classes",
-    "standard_spec",
-    "transform_for",
-    "validate_reflexive",
-    "Assumption",
-    "SurfaceSpec",
-    "SurfaceSpecError",
-    "load_surface_spec",
-    "parse_class_expr",
-    "surface_spec_from_dict",
-    "CohTransform",
-    "crosscheck_specialized",
-    "euler_gram",
-    "from_kernel",
-    "identity_transform",
-    "is_mukai_isometry",
-    "kernel_action_vector",
-    "__version__",
-]
+# public name -> the k3fm module that defines it, in __all__ order
+_EXPORTS = {
+    "RejectionError": "errors",
+    "KernelSpec": "kernel",
+    "ValidityReport": "kernel",
+    "check_necessary_det": "kernel",
+    "check_phiO_identity": "kernel",
+    "check_sufficient": "kernel",
+    "normalize_twist": "kernel",
+    "vanishing_covers": "kernel",
+    "DivisorClass": "lattice",
+    "LatticeMismatchError": "lattice",
+    "NSLattice": "lattice",
+    "chi_line": "lattice",
+    "degree": "lattice",
+    "intersect": "lattice",
+    "StrataReport": "moduli",
+    "check_ample_primitive": "moduli",
+    "es_relation": "moduli",
+    "hilb_moduli_vector": "moduli",
+    "strata_chain": "moduli",
+    "ChernCharacter": "mukai",
+    "MukaiVector": "mukai",
+    "ch_to_mukai": "mukai",
+    "chi_sheaf": "mukai",
+    "euler_chi": "mukai",
+    "ideal_sheaf_ch": "mukai",
+    "line_bundle_ch": "mukai",
+    "mukai_pairing": "mukai",
+    "mukai_to_ch": "mukai",
+    "point_ch": "mukai",
+    "sign_normalized": "mukai",
+    "twist": "mukai",
+    "ExclusionWitness": "pic1",
+    "Pic1Solution": "pic1",
+    "brute_force_oracle": "pic1",
+    "exclusion_witness": "pic1",
+    "existence_test": "pic1",
+    "select_physical": "pic1",
+    "solve_constraints": "pic1",
+    "transform_from_solution": "pic1",
+    "Decomposition": "reflexive",
+    "DecompositionError": "reflexive",
+    "ReflexiveSurface": "reflexive",
+    "ReflexiveViolation": "reflexive",
+    "TypeReport": "reflexive",
+    "build_kernel": "reflexive",
+    "classify_type": "reflexive",
+    "component_surface": "reflexive",
+    "decompose_brute_force": "reflexive",
+    "decompose_l2h": "reflexive",
+    "hat_classes": "reflexive",
+    "standard_spec": "reflexive",
+    "transform_for": "reflexive",
+    "validate_reflexive": "reflexive",
+    "Assumption": "surface",
+    "SurfaceSpec": "surface",
+    "SurfaceSpecError": "surface",
+    "load_surface_spec": "surface",
+    "parse_class_expr": "surface",
+    "surface_spec_from_dict": "surface",
+    "CohTransform": "transform",
+    "crosscheck_specialized": "transform",
+    "euler_gram": "transform",
+    "from_kernel": "transform",
+    "identity_transform": "transform",
+    "is_mukai_isometry": "transform",
+    "kernel_action_vector": "transform",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    """Import name's home module and keep name here (PEP 562)."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

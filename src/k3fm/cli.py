@@ -17,6 +17,14 @@ Each run builds the subparser of the command it names and no other, from
 that command's row of _ARGUMENTS, so a fresh process pays for one of the
 twelve.  The parse, the --help text and every argument error are still
 the full parser's; build_parser says why.
+
+This module imports only errors, lattice, record and surface, which every
+command or the report reads.  A handler, and each branch of
+_builder_transform, imports the library names it calls when it runs; a
+subparser whose choices a library module defines imports that module when
+it is built.  So chi and a plain surface-validate load no other k3fm
+module, and each command loads only the modules it calls: a fresh process
+does not pay to import the rest.
 """
 
 from __future__ import annotations
@@ -28,57 +36,9 @@ import sys
 from fractions import Fraction
 
 from .errors import RejectionError
-from .kernel import (
-    KernelSpec,
-    check_necessary_det,
-    check_phiO_identity,
-    check_sufficient,
-    normalize_twist,
-)
 from .lattice import DivisorClass, NSLattice, chi_line, degree
-from .moduli import (
-    HILB_FLAVORS,
-    check_ample_primitive,
-    es_relation,
-    hilb_moduli_vector,
-    strata_chain,
-)
-from .mukai import ChernCharacter, ch_to_mukai, mukai_pairing
-from .pic1 import (
-    brute_force_oracle,
-    exclusion_witness,
-    existence_test,
-    select_physical,
-    solve_constraints,
-    transform_from_solution,
-)
 from .record import Record
-from .reflexive import (
-    KERNEL_VARIANTS,
-    Decomposition,
-    ReflexiveSurface,
-    classify_type,
-    component_surface,
-    decompose_brute_force,
-    decompose_l2h,
-    hat_classes,
-    standard_spec,
-    transform_for,
-    validate_reflexive,
-)
-from .surface import (
-    Assumption,
-    SurfaceSpec,
-    load_surface_spec,
-    parse_class_expr,
-)
-from .transform import (
-    CLOSED_FORMS,
-    CohTransform,
-    crosscheck_specialized,
-    from_kernel,
-    is_mukai_isometry,
-)
+from .surface import Assumption, SurfaceSpec, load_surface_spec, parse_class_expr
 
 __all__ = ["main", "BUILDERS"]
 
@@ -164,6 +124,8 @@ def _encode(report: dict, fmt: str) -> str:
 
 
 def _parse_ch(lattice: NSLattice, text: str) -> ChernCharacter:
+    from .mukai import ChernCharacter
+
     parts = [p.strip() for p in text.split(",")]
     want = lattice.rank + 2
     if len(parts) != want:
@@ -190,6 +152,8 @@ def _default_no_cohomology_spec() -> SurfaceSpec:
 
 def _pic1_n(lsq: int) -> int:
     """The n of the rank-1 solution for generator square lsq, or a rejection."""
+    from .pic1 import existence_test
+
     n = existence_test(lsq)
     if n is None:
         raise RejectionError(
@@ -208,6 +172,8 @@ def _reject_given(args, options, why: str):
 
 def _reflexive_surface(args) -> ReflexiveSurface:
     """validate_reflexive on --surface, with --h-name and --l-name if given."""
+    from .reflexive import validate_reflexive
+
     names = {k: v for k in ("h_name", "l_name") if (v := getattr(args, k)) is not None}
     return validate_reflexive(load_surface_spec(args.surface), **names)
 
@@ -226,8 +192,13 @@ def _builder_transform(args, name: str | None = None) -> CohTransform:
     if name == "pic1":
         if args.lsq is None:
             raise ValueError("builder pic1 requires --lsq")
+        from .pic1 import select_physical, solve_constraints, transform_from_solution
+
         return transform_from_solution(select_physical(solve_constraints(_pic1_n(args.lsq))))
     if name == "no-cohomology":
+        from .kernel import KernelSpec
+        from .transform import from_kernel
+
         if args.surface is None:
             spec = _default_no_cohomology_spec()
         else:
@@ -243,6 +214,8 @@ def _builder_transform(args, name: str | None = None) -> CohTransform:
             target=spec,
         )
         return from_kernel(kernel, labels=(("m", m),))
+    from .reflexive import component_surface, standard_spec, transform_for, validate_reflexive
+
     variant = name.removeprefix("reflexive-")
     if args.surface is not None:
         rs = _reflexive_surface(args)
@@ -263,6 +236,8 @@ def _cmd_surface_validate(args):
     if not args.reflexive:
         _reject_given(args, ("h_name", "l_name"), "is read only with --reflexive")
         return 0, {"surface": load_surface_spec(args.surface).to_dict()}
+    from .reflexive import hat_classes
+
     rs = _reflexive_surface(args)
     lhat, hhat = hat_classes(rs)
     return 0, {
@@ -293,6 +268,14 @@ def _cmd_chi(args):
 
 
 def _cmd_kernel_check(args):
+    from .kernel import (
+        KernelSpec,
+        check_necessary_det,
+        check_phiO_identity,
+        check_sufficient,
+        normalize_twist,
+    )
+
     spec = load_surface_spec(args.surface)
     classes = [parse_class_expr(spec, expr) for expr in (args.a, args.b, args.c, args.d)]
     vanishing = [parse_class_expr(spec, expr) for expr in args.vanishing]
@@ -318,6 +301,9 @@ def _cmd_kernel_check(args):
 
 
 def _cmd_transform_apply(args):
+    from .mukai import ch_to_mukai
+    from .transform import is_mukai_isometry
+
     t = _builder_transform(args)
     ch_in = _parse_ch(t.source, args.ch)
     ch_out = t.apply(ch_in)
@@ -332,6 +318,8 @@ def _cmd_transform_apply(args):
 
 
 def _cmd_transform_crosscheck(args):
+    from .transform import crosscheck_specialized
+
     if args.max_entries < 0:
         raise ValueError(f"--max-entries must be non-negative, got {args.max_entries}")
     t = _builder_transform(args)
@@ -350,6 +338,15 @@ def _cmd_transform_crosscheck(args):
 
 
 def _cmd_pic1(args):
+    from .pic1 import (
+        brute_force_oracle,
+        exclusion_witness,
+        select_physical,
+        solve_constraints,
+        transform_from_solution,
+    )
+    from .transform import is_mukai_isometry
+
     if not args.oracle:
         _reject_given(args, ("bound",), "is read only with --oracle")
     n = _pic1_n(args.lsq)
@@ -379,6 +376,8 @@ def _cmd_pic1(args):
 
 
 def _cmd_reflexive_decompose(args):
+    from .reflexive import Decomposition, decompose_brute_force, decompose_l2h
+
     rs = _reflexive_surface(args)
     dec = decompose_l2h(rs)
     payload = {"d1": dec.d1, "d2": dec.d2}
@@ -394,11 +393,17 @@ def _cmd_reflexive_decompose(args):
 
 
 def _cmd_reflexive_classify(args):
+    from .reflexive import classify_type, decompose_l2h
+
     rs = _reflexive_surface(args)
     return 0, classify_type(rs, decompose_l2h(rs)).to_dict()
 
 
 def _cmd_reflexive_kernel(args):
+    from .kernel import check_sufficient
+    from .mukai import ChernCharacter
+    from .transform import is_mukai_isometry
+
     t = _builder_transform(args, "reflexive-" + args.variant)
     kernel = t.kernel
     report = check_sufficient(kernel)
@@ -415,6 +420,9 @@ def _cmd_reflexive_kernel(args):
 
 
 def _cmd_hilb_moduli(args):
+    from .moduli import hilb_moduli_vector
+    from .mukai import mukai_pairing
+
     if args.flavor == "no-cohomology":
         name = "no-cohomology"
     else:
@@ -429,6 +437,8 @@ def _cmd_hilb_moduli(args):
 
 
 def _cmd_strata(args):
+    from .moduli import strata_chain
+
     spec = load_surface_spec(args.surface)
     l = parse_class_expr(spec, args.l)
     m = parse_class_expr(spec, args.m)
@@ -444,6 +454,8 @@ def _cmd_strata(args):
 
 
 def _cmd_primitive_check(args):
+    from .moduli import check_ample_primitive, es_relation
+
     spec = load_surface_spec(args.surface)
     h = parse_class_expr(spec, args.h)
     l = parse_class_expr(spec, args.l) if args.l is not None else args.n * h
@@ -483,8 +495,29 @@ _COMMANDS = {
 
 
 def _arg(*flags, **kwargs):
-    """One add_argument call, as data."""
+    """One add_argument call, as data.  A callable choices is called when
+    build_parser makes the call."""
     return flags, kwargs
+
+
+# The choices a library module defines are read from it when a subparser that
+# offers them is built, so a command that offers none loads none of them.
+def _closed_forms():
+    from .transform import CLOSED_FORMS
+
+    return sorted(CLOSED_FORMS)
+
+
+def _kernel_variants():
+    from .reflexive import KERNEL_VARIANTS
+
+    return KERNEL_VARIANTS
+
+
+def _hilb_flavors():
+    from .moduli import HILB_FLAVORS
+
+    return HILB_FLAVORS
 
 
 _SURFACE_HELP = "path to a surface JSON file"
@@ -538,7 +571,7 @@ _ARGUMENTS = {
     ),
     "transform-crosscheck": (
         *_BUILDER_ARGS,
-        _arg("--formula", choices=sorted(CLOSED_FORMS), default=None),
+        _arg("--formula", choices=_closed_forms, default=None),
         _arg("--max-entries", type=int, default=5, help="mismatch entries to show"),
     ),
     "pic1": (
@@ -553,16 +586,16 @@ _ARGUMENTS = {
     ),
     "reflexive-classify": (_SURFACE, *_H_L_NAMES),
     "reflexive-kernel": (
-        _arg("--variant", choices=KERNEL_VARIANTS, required=True),
+        _arg("--variant", choices=_kernel_variants, required=True),
         _OPTIONAL_SURFACE,
         *_H_L_NAMES,
     ),
     "hilb-moduli": (
         _arg("--n", type=int, required=True, help="number of points"),
-        _arg("--flavor", choices=HILB_FLAVORS, required=True),
+        _arg("--flavor", choices=_hilb_flavors, required=True),
         _OPTIONAL_SURFACE,
         *_H_L_NAMES,
-        _arg("--variant", choices=KERNEL_VARIANTS, default=None),
+        _arg("--variant", choices=_kernel_variants, default=None),
         _arg("--m-class", default=None, help="no-cohomology class expression"),
     ),
     "strata": (
@@ -610,6 +643,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for name in (command,) if command in _COMMANDS else _COMMANDS:
         sub = action.add_parser(name, help=_COMMANDS[name][0])
         for flags, kwargs in (*_ARGUMENTS[name], _FORMAT):
+            if callable(choices := kwargs.get("choices")):
+                kwargs = {**kwargs, "choices": choices()}
             sub.add_argument(*flags, **kwargs)
     return parser
 

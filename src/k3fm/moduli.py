@@ -37,7 +37,6 @@ from .linalg import exact_int, exact_rational, fraction, rank
 from .mukai import MukaiVector
 from .record import Record
 from .surface import SurfaceSpec
-from .transform import CohTransform
 
 __all__ = [
     "LemmaReport",

@@ -11,6 +11,8 @@ d1.d2 = 0; it rejects only what the lattice data alone cannot exclude:
 two distinct components meeting too often, or negatively.
 decompose_brute_force is the independent oracle: it tries every
 sub-multiset sum and keeps those meeting the same invariants.
+build_kernel and transform_for import kernel and transform when called,
+so validating, decomposing and classifying a surface loads neither.
 """
 
 from __future__ import annotations
@@ -19,12 +21,10 @@ from functools import reduce
 from operator import add, mul, sub
 
 from .errors import RejectionError
-from .kernel import KernelSpec
 from .lattice import DivisorClass, NSLattice, degree, intersect
 from .linalg import mat_mul, transpose
 from .record import Record
 from .surface import Assumption, SurfaceSpec
-from .transform import CohTransform, from_kernel
 
 __all__ = [
     "ReflexiveViolation",
@@ -364,6 +364,8 @@ def build_kernel(rs: ReflexiveSurface, variant: str) -> KernelSpec:
     type-i / type-ii: built from the decomposition halves ordered by
     degree; the variant must match the surface's degree pattern.
     """
+    from .kernel import KernelSpec
+
     if variant not in KERNEL_VARIANTS:
         raise ValueError(f"unknown kernel variant {variant!r}; expected {KERNEL_VARIANTS}")
     h, l = rs.h, rs.l
@@ -397,6 +399,8 @@ def build_kernel(rs: ReflexiveSurface, variant: str) -> KernelSpec:
 
 def transform_for(rs: ReflexiveSurface, variant: str) -> CohTransform:
     """Kernel transform with the surface's named classes attached as labels."""
+    from .transform import from_kernel
+
     kernel = build_kernel(rs, variant)
     lhat, hhat = hat_classes(rs)
     labels = [("h", rs.h), ("l", rs.l), ("lhat", lhat), ("hhat", hhat)]

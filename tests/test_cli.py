@@ -631,11 +631,29 @@ def test_library_bug_inside_a_handler_is_internal(capsys, monkeypatch):
     def broken(n):
         raise KeyError(n)
 
-    monkeypatch.setattr("k3fm.cli.solve_constraints", broken)
+    monkeypatch.setattr("k3fm.pic1.solve_constraints", broken)
     assert main(["pic1", "--lsq", "4"]) == 3
     captured = capsys.readouterr()
     assert captured.err == ""
     assert json.loads(captured.out)["error"] == {"kind": "internal", "message": "KeyError: 0"}
+
+
+def test_failed_import_inside_a_handler_is_internal(capsys, monkeypatch):
+    """A handler imports the library module it calls when it runs; if that
+    import fails, the run still ends in an internal report, not a traceback."""
+    monkeypatch.delenv("K3FM_FORMAT", raising=False)
+    monkeypatch.setitem(sys.modules, "k3fm.pic1", None)
+    assert main(["pic1", "--lsq", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {
+        "command": "pic1",
+        "error": {
+            "kind": "internal",
+            "message": "ModuleNotFoundError: import of k3fm.pic1 halted; None in sys.modules",
+        },
+        "ok": False,
+    }
 
 
 @pytest.mark.parametrize(
