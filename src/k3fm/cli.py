@@ -13,18 +13,19 @@ _BUILDER_TABLE is the one place that says which closed-form formula each
 builder is crosschecked against and which builder options it reads.  An
 option that the command or its builder does not read is an input error.
 
-Each run builds the subparser of the command it names and no other, from
-that command's row of _ARGUMENTS, so a fresh process pays for one of the
-twelve.  The parse, the --help text and every argument error are still
-the full parser's; build_parser says why.
+_COMMANDS is the one place that states each command: its help, its handler
+and its arguments.  Each run builds the subparser of the command it names
+and no other, so a fresh process pays for one of the twelve.  The parse,
+the --help text and every argument error are still the full parser's;
+build_parser says why.
 
 This module imports only errors, lattice, record and surface, which every
 command or the report reads.  A handler, and each branch of
-_builder_transform, imports the library names it calls when it runs; a
-subparser whose choices a library module defines imports that module when
-it is built.  So chi and a plain surface-validate load no other k3fm
-module, and each command loads only the modules it calls: a fresh process
-does not pay to import the rest.
+_builder_transform, imports the library names it calls when it runs; an
+argument whose choices a library module defines names them with _choices,
+which imports that module when the subparser is built.  So chi and a plain
+surface-validate load no other k3fm module, and each command loads only the
+modules it calls: a fresh process does not pay to import the rest.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from importlib import import_module
 
 from .errors import RejectionError
 from .lattice import DivisorClass, NSLattice, chi_line, degree
@@ -43,28 +45,20 @@ from .surface import Assumption, SurfaceSpec, load_surface_spec, parse_class_exp
 __all__ = ["main", "BUILDERS"]
 
 
-class _Builder(Record):
-    """A builder's row: formula is the CLOSED_FORMS block transform-crosscheck
-    compares it with, reads the builder options (argparse dests) it reads."""
-
-    __slots__ = ("formula", "reads")
-
-    def __init__(self, formula: str, reads: frozenset[str]):
-        self._set(formula, reads)
-
-
 _REFLEXIVE_READS = frozenset({"surface", "variant", "h_name", "l_name"})
 
+# builder name -> (the CLOSED_FORMS block transform-crosscheck compares it
+# with, the builder options (argparse dests) it reads)
 _BUILDER_TABLE = {
-    "no-cohomology": _Builder("no_cohomology", frozenset({"surface", "m_class"})),
-    "reflexive-nondegenerate": _Builder("reflexive_nondegenerate", _REFLEXIVE_READS),
-    "reflexive-type-i": _Builder("reflexive_type_i", _REFLEXIVE_READS),
-    "reflexive-type-ii": _Builder("reflexive_type_ii", _REFLEXIVE_READS),
-    "pic1": _Builder("picard_rank_one", frozenset({"lsq"})),
+    "no-cohomology": ("no_cohomology", frozenset({"surface", "m_class"})),
+    "reflexive-nondegenerate": ("reflexive_nondegenerate", _REFLEXIVE_READS),
+    "reflexive-type-i": ("reflexive_type_i", _REFLEXIVE_READS),
+    "reflexive-type-ii": ("reflexive_type_ii", _REFLEXIVE_READS),
+    "pic1": ("picard_rank_one", frozenset({"lsq"})),
 }
 
 BUILDERS = tuple(_BUILDER_TABLE)
-_BUILDER_OPTIONS = sorted(frozenset().union(*(b.reads for b in _BUILDER_TABLE.values())))
+_BUILDER_OPTIONS = sorted(frozenset().union(*(reads for _, reads in _BUILDER_TABLE.values())))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +178,7 @@ def _builder_transform(args, name: str | None = None) -> CohTransform:
     Without --surface each builder works on its own default surface.
     """
     name = name or args.builder
-    reads = _BUILDER_TABLE[name].reads
+    reads = _BUILDER_TABLE[name][1]
     unread = [option for option in _BUILDER_OPTIONS if option not in reads]
     _reject_given(args, unread, f"is not read by builder {name}")
     if args.surface is None:  # --h-name and --l-name name classes of --surface
@@ -323,7 +317,7 @@ def _cmd_transform_crosscheck(args):
     if args.max_entries < 0:
         raise ValueError(f"--max-entries must be non-negative, got {args.max_entries}")
     t = _builder_transform(args)
-    formula = args.formula or _BUILDER_TABLE[args.builder].formula
+    formula = args.formula or _BUILDER_TABLE[args.builder][0]
     report = crosscheck_specialized(t, formula)
     shown = report.entries[: args.max_entries]
     return 0, {
@@ -474,50 +468,17 @@ def _cmd_primitive_check(args):
 # ---------------------------------------------------------------------------
 # parser and dispatch
 
-# command name -> (help text, handler)
-_COMMANDS = {
-    "surface-validate": ("load and validate a surface file", _cmd_surface_validate),
-    "chi": ("Euler characteristic of a line bundle class", _cmd_chi),
-    "kernel-check": ("existence conditions for a kernel quadruple", _cmd_kernel_check),
-    "transform-apply": ("apply a built transform to a character", _cmd_transform_apply),
-    "transform-crosscheck": (
-        "compare a transform against its closed-form block",
-        _cmd_transform_crosscheck,
-    ),
-    "pic1": ("rank-1 existence test and constraint solver", _cmd_pic1),
-    "reflexive-decompose": ("split l+2h into two -2 classes", _cmd_reflexive_decompose),
-    "reflexive-classify": ("degree pattern of the decomposition", _cmd_reflexive_classify),
-    "reflexive-kernel": ("kernel and transform for a variant", _cmd_reflexive_kernel),
-    "hilb-moduli": ("Mukai vector of a transformed ideal sheaf", _cmd_hilb_moduli),
-    "strata": ("slope inequality chain report", _cmd_strata),
-    "primitive-check": ("exclusion test for l = n*h polarizations", _cmd_primitive_check),
-}
-
-
 def _arg(*flags, **kwargs):
     """One add_argument call, as data.  A callable choices is called when
     build_parser makes the call."""
     return flags, kwargs
 
 
-# The choices a library module defines are read from it when a subparser that
-# offers them is built, so a command that offers none loads none of them.
-def _closed_forms():
-    from .transform import CLOSED_FORMS
-
-    return sorted(CLOSED_FORMS)
-
-
-def _kernel_variants():
-    from .reflexive import KERNEL_VARIANTS
-
-    return KERNEL_VARIANTS
-
-
-def _hilb_flavors():
-    from .moduli import HILB_FLAVORS
-
-    return HILB_FLAVORS
+def _choices(module: str, name: str):
+    """A choices callable: sorted(name) of the k3fm module, imported when
+    build_parser adds the argument, so a command that offers none of them
+    loads no module for them."""
+    return lambda: sorted(getattr(import_module(f".{module}", __package__), name))
 
 
 _SURFACE_HELP = "path to a surface JSON file"
@@ -545,17 +506,21 @@ _FORMAT = _arg(
     help="output format (default: $K3FM_FORMAT or json)",
 )
 
-# command name -> its arguments in --help order; _FORMAT follows them in every
-# command.  The --vanishing default list is shared by every parse: argparse
-# appends to a copy, and _cmd_kernel_check only reads it.
-_ARGUMENTS = {
-    "surface-validate": (
+# command name -> (help text, handler, arguments in --help order); _FORMAT
+# follows the arguments in every command.  The --vanishing default list is
+# shared by every parse: argparse appends to a copy, and _cmd_kernel_check
+# only reads it.
+_COMMANDS = {
+    "surface-validate": ("load and validate a surface file", _cmd_surface_validate, (
         _SURFACE,
         _arg("--reflexive", action="store_true", help="also check the h, l relations"),
         *_H_L_NAMES,
-    ),
-    "chi": (_SURFACE, _arg("--class", dest="class_expr", required=True, help="class expression")),
-    "kernel-check": (
+    )),
+    "chi": ("Euler characteristic of a line bundle class", _cmd_chi, (
+        _SURFACE,
+        _arg("--class", dest="class_expr", required=True, help="class expression"),
+    )),
+    "kernel-check": ("existence conditions for a kernel quadruple", _cmd_kernel_check, (
         _SURFACE,
         *(_arg(f"--{field}", required=True, help=f"class expression for {field}") for field in "abcd"),
         _arg(
@@ -564,54 +529,59 @@ _ARGUMENTS = {
             default=[],
             help="extra declared no-cohomology class (repeatable)",
         ),
-    ),
-    "transform-apply": (
+    )),
+    "transform-apply": ("apply a built transform to a character", _cmd_transform_apply, (
         *_BUILDER_ARGS,
         _arg("--ch", required=True, help="input character: r,f...,t"),
-    ),
+    )),
     "transform-crosscheck": (
-        *_BUILDER_ARGS,
-        _arg("--formula", choices=_closed_forms, default=None),
-        _arg("--max-entries", type=int, default=5, help="mismatch entries to show"),
+        "compare a transform against its closed-form block", _cmd_transform_crosscheck, (
+            *_BUILDER_ARGS,
+            _arg("--formula", choices=_choices("transform", "CLOSED_FORMS"), default=None),
+            _arg("--max-entries", type=int, default=5, help="mismatch entries to show"),
+        ),
     ),
-    "pic1": (
+    "pic1": ("rank-1 existence test and constraint solver", _cmd_pic1, (
         _arg("--lsq", type=int, required=True, help="square of the ample generator"),
         _arg("--oracle", action="store_true", help="run the brute-force search"),
         _arg("--bound", type=int, default=None, help="oracle scan bound"),
-    ),
-    "reflexive-decompose": (
+    )),
+    "reflexive-decompose": ("split l+2h into two -2 classes", _cmd_reflexive_decompose, (
         _SURFACE,
         *_H_L_NAMES,
         _arg("--oracle", action="store_true", help="also run the exhaustive search"),
-    ),
-    "reflexive-classify": (_SURFACE, *_H_L_NAMES),
-    "reflexive-kernel": (
-        _arg("--variant", choices=_kernel_variants, required=True),
+    )),
+    "reflexive-classify": ("degree pattern of the decomposition", _cmd_reflexive_classify, (
+        _SURFACE,
+        *_H_L_NAMES,
+    )),
+    "reflexive-kernel": ("kernel and transform for a variant", _cmd_reflexive_kernel, (
+        _arg("--variant", choices=_choices("reflexive", "KERNEL_VARIANTS"), required=True),
         _OPTIONAL_SURFACE,
         *_H_L_NAMES,
-    ),
-    "hilb-moduli": (
+    )),
+    "hilb-moduli": ("Mukai vector of a transformed ideal sheaf", _cmd_hilb_moduli, (
         _arg("--n", type=int, required=True, help="number of points"),
-        _arg("--flavor", choices=_hilb_flavors, required=True),
+        _arg("--flavor", choices=_choices("moduli", "HILB_FLAVORS"), required=True),
         _OPTIONAL_SURFACE,
         *_H_L_NAMES,
-        _arg("--variant", choices=_kernel_variants, default=None),
+        _arg("--variant", choices=_choices("reflexive", "KERNEL_VARIANTS"), default=None),
         _arg("--m-class", default=None, help="no-cohomology class expression"),
-    ),
-    "strata": (
+    )),
+    "strata": ("slope inequality chain report", _cmd_strata, (
         _SURFACE,
         _arg("--l", required=True, help="class expression for l"),
         _arg("--m", required=True, help="class expression for m"),
         _arg("--h", required=True, help="class expression for the polarization"),
         _arg("--z", type=int, required=True, help="stratum length"),
         _arg("--a", default=None, help="window bound for the gap predicate"),
-    ),
-    "primitive-check": (
+    )),
+    "primitive-check": ("exclusion test for l = n*h polarizations", _cmd_primitive_check, (
         _SURFACE,
         _arg("--h", required=True, help="class expression for the ample generator"),
         _arg("--n", type=int, required=True, help="multiplier, at least 2"),
         _arg("--l", default=None, help="class expression for l (default n*h)"),
-    ),
+    )),
 }
 
 
@@ -641,8 +611,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     action = parser.add_subparsers(dest="command", required=True)
     for name in (command,) if command in _COMMANDS else _COMMANDS:
-        sub = action.add_parser(name, help=_COMMANDS[name][0])
-        for flags, kwargs in (*_ARGUMENTS[name], _FORMAT):
+        help_text, _, arguments = _COMMANDS[name]
+        sub = action.add_parser(name, help=help_text)
+        for flags, kwargs in (*arguments, _FORMAT):
             if callable(choices := kwargs.get("choices")):
                 kwargs = {**kwargs, "choices": choices()}
             sub.add_argument(*flags, **kwargs)

@@ -134,6 +134,10 @@ def exclusion_witness(pair: tuple[Pic1Solution, Pic1Solution]) -> ExclusionWitne
     return ExclusionWitness(slope=slope, threshold=threshold, excluded=slope > threshold)
 
 
+# The largest bound brute_force_oracle scans: 2 * 10^6 + 1 values of c.
+MAX_ORACLE_BOUND = 10**6
+
+
 def brute_force_oracle(n: int, bound: int) -> list[Pic1Solution]:
     """Independent search for all constraint solutions.
 
@@ -145,7 +149,8 @@ def brute_force_oracle(n: int, bound: int) -> list[Pic1Solution]:
     residuals.  alpha and y are derived rather than scanned because they
     grow quadratically in n while the interesting range of c and x is
     linear; the derivation is exact, so no solution with |c|, |x| within
-    the bound can be missed.
+    the bound can be missed.  A bound below 4n + 8 is inconclusive and one
+    above MAX_ORACLE_BOUND too long to scan: both are ValueErrors.
 
     y = num_y / lsq with num_y = 1 - (z-4)^2 - 2 alpha is integral whenever
     alpha is.  With w = z - 2 = 2n+1, z num_y = w(-w^2 + 4w + 13 - 4c^2).
@@ -159,6 +164,8 @@ def brute_force_oracle(n: int, bound: int) -> list[Pic1Solution]:
         raise ValueError(
             f"bound {bound} is inconclusive for n = {n}; need at least {4 * n + 8}"
         )
+    if bound > MAX_ORACLE_BOUND:
+        raise ValueError(f"bound {bound} is more than the {MAX_ORACLE_BOUND} allowed")
     lsq = 4 * (2 * n + 1)
     z = 2 * n + 3
     found = []

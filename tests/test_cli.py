@@ -614,7 +614,8 @@ def test_internal_error_exits_three_with_a_report(capsys, monkeypatch, command):
     def broken(args):
         raise TypeError("unsupported operand")
 
-    monkeypatch.setitem(_COMMANDS, command, (_COMMANDS[command][0], broken))
+    help_text, _, arguments = _COMMANDS[command]
+    monkeypatch.setitem(_COMMANDS, command, (help_text, broken, arguments))
     assert main([command, *MINIMAL_ARGV[command]]) == 3
     captured = capsys.readouterr()
     assert captured.err == ""
@@ -651,6 +652,25 @@ def test_failed_import_inside_a_handler_is_internal(capsys, monkeypatch):
         "error": {
             "kind": "internal",
             "message": "ModuleNotFoundError: import of k3fm.pic1 halted; None in sys.modules",
+        },
+        "ok": False,
+    }
+
+
+def test_failed_import_while_choices_are_built_is_internal(capsys, monkeypatch):
+    """The --formula choices are read from k3fm.transform when the subparser
+    is built, before the command is known to the report; if that import
+    fails, the run ends in an internal report with a null command."""
+    monkeypatch.delenv("K3FM_FORMAT", raising=False)
+    monkeypatch.setitem(sys.modules, "k3fm.transform", None)
+    assert main(["transform-crosscheck", "--builder", "pic1", "--lsq", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {
+        "command": None,
+        "error": {
+            "kind": "internal",
+            "message": "ModuleNotFoundError: import of k3fm.transform halted; None in sys.modules",
         },
         "ok": False,
     }
@@ -703,6 +723,25 @@ def test_oversized_default_grid_is_input_error(capsys, monkeypatch, tmp_path):
         "kind": "input",
         "message": "the default grid of a rank-20 lattice has 31381059609 points, "
         "more than the 1000000 allowed",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["--lsq", "4", "--bound", "1000001"], 1000001),
+        (["--lsq", "8000000004"], 4000000020),  # the default bound, 4n + 20
+    ],
+)
+def test_oversized_oracle_bound_is_input_error(capsys, argv, bound):
+    """pic1 --oracle refuses a bound above MAX_ORACLE_BOUND, given or
+    default, before it scans: a default bound of 4 * 10^9 would scan for
+    over an hour."""
+    data = run_json(capsys, "pic1", *argv, "--oracle", expect=2)
+    assert data == {
+        "command": "pic1",
+        "error": {"kind": "input", "message": f"bound {bound} is more than the 1000000 allowed"},
+        "ok": False,
     }
 
 

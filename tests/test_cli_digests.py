@@ -7,7 +7,9 @@ every closed-form formula, every reflexive-kernel variant, both hilb-moduli
 flavours with every variant, the pic1 existence rejection through both
 commands that reach it, and the report shapes of strata with its lemma,
 the type I classification, a failing and a no-cohomology kernel-check, the
-type II reflexive validation and the pic1 oracle.  The commands run
+type II reflexive validation and the pic1 oracle, the invalid-choice reports
+of --formula, --variant and --flavor, and the --help text of the program and
+of every command (its exit status is the SystemExit code).  The commands run
 in-process through cli.main from the repository root, with K3FM_FORMAT
 unset, so a changed byte or status in any of them fails here.
 """
@@ -236,6 +238,40 @@ DIGESTS = {
         (0, "2edec67b071528cdfbee06310b01d2bc4f7a2b5ab22f3da169445d77bee77f73"),
     ("pic1", "--lsq", "28", "--oracle", "--bound", "40", "--format", "text"):
         (0, "d1cc3a5808a1b7a69a6164c5dcfce7a3358bff0e1b29bf44d4c3e00dd63e0a48"),
+    # the invalid-choice report of each option whose choices a library module defines
+    ("transform-crosscheck", "--builder", "pic1", "--lsq", "4", "--formula", "nope"):
+        (2, "211649260cf58e5b715d18d22d31e0f8a9b6b85c8a3dbe9f4734ba59acf08d34"),
+    ("reflexive-kernel", "--variant", "nope"):
+        (2, "2d948ffe54a4cd79157188dc3676da277705e872bad99aa271225f1d5fb6d065"),
+    ("hilb-moduli", "--n", "1", "--flavor", "nope"):
+        (2, "943dad282bed1cf29e5c24859caa39134248558870efa8f1ef2d00bfd77baeca"),
+    # --help of the program and of every command, at 80 columns
+    ("--help",):
+        (0, "b67c3a02013024f5fac7600e428bf738f6cebd35c65add6c7b6e2bf842f672c1"),
+    ("surface-validate", "--help"):
+        (0, "aede26b45b04ae0dafea3672676d526676b4274a6cebebbe644a850c2e2db639"),
+    ("chi", "--help"):
+        (0, "11c3f65a0c87e816c3beb0ad127135e45d94747cc47ea2580d74aa33e6c344e1"),
+    ("kernel-check", "--help"):
+        (0, "dbf5bfbbcffbb5de1312e19ad734cc277e0428bcb07038ee4d139a25b4fc9fc4"),
+    ("transform-apply", "--help"):
+        (0, "dc5963763f658ad281699f22ffe166ad86a96eec2b27517f93e7dd4e91b4ef16"),
+    ("transform-crosscheck", "--help"):
+        (0, "01ae07e6276ef83a8143a1a53fd7f15673762c3c7e43247e71e48382d4cdd355"),
+    ("pic1", "--help"):
+        (0, "2ff4b6c59c9bc30abe12d7e8dff0aee93070c36fc54cbef217faa8c0ab881103"),
+    ("reflexive-decompose", "--help"):
+        (0, "a1912397fc546444c120cd20f69251f4f7a6cb4e9e23b59ac5bba03d74206d6d"),
+    ("reflexive-classify", "--help"):
+        (0, "78d3a58876fc1ba746efc3e48a8a7001b7bc9bb104de01243073f7ed24c5c472"),
+    ("reflexive-kernel", "--help"):
+        (0, "044e09df42ecccbddd8e6648b751697ca3202df61f9f7d07c93c35d30f45a7c5"),
+    ("hilb-moduli", "--help"):
+        (0, "52783ffb7ee3317a544e4c6380ecb7010cf921e40f6610742e28516d0ce373c5"),
+    ("strata", "--help"):
+        (0, "31b3c5ee49e71897da546a277bc1af91fe4cf0bbe0c5129972b4a21ece7fa106"),
+    ("primitive-check", "--help"):
+        (0, "4ce04232a93e15637a9cdedf098ee10316f948537beb6ed09f4697973d5bc85c"),
 }
 
 
@@ -243,6 +279,10 @@ DIGESTS = {
 def test_cli_stdout_and_status_are_unchanged(argv, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     monkeypatch.delenv("K3FM_FORMAT", raising=False)
-    status = main(list(argv))
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal width
+    try:
+        status = main(list(argv))
+    except SystemExit as done:  # --help prints and exits
+        status = done.code
     out = capsys.readouterr().out
     assert (status, sha256(out.encode()).hexdigest()) == DIGESTS[argv]

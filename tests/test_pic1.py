@@ -11,13 +11,14 @@ from k3fm import (
     exclusion_witness,
     existence_test,
     is_mukai_isometry,
+    pic1,
     select_physical,
     solve_constraints,
     transform_from_solution,
 )
 from k3fm.cli import _json
 from k3fm.linalg import det
-from k3fm.pic1 import Pic1Solution, residuals
+from k3fm.pic1 import MAX_ORACLE_BOUND, Pic1Solution, residuals
 
 
 def key(sol):
@@ -136,6 +137,21 @@ def test_oracle_rejects_inconclusive_bound():
     with pytest.raises(ValueError, match="inconclusive"):
         brute_force_oracle(3, 4 * 3 + 7)
     assert len(brute_force_oracle(3, 4 * 3 + 8)) == 2
+
+
+def test_oracle_rejects_a_bound_above_the_cap(monkeypatch):
+    """A bound above MAX_ORACLE_BOUND is refused before the scan starts,
+    also where 4n + 8, the least conclusive bound, is itself above it."""
+    too_many = f"bound {MAX_ORACLE_BOUND + 1} is more than the {MAX_ORACLE_BOUND} allowed"
+    with pytest.raises(ValueError, match=too_many):
+        brute_force_oracle(0, MAX_ORACLE_BOUND + 1)
+    n = 10**9
+    with pytest.raises(ValueError, match=f"bound {4 * n + 20} is more than"):
+        brute_force_oracle(n, 4 * n + 20)
+    monkeypatch.setattr(pic1, "MAX_ORACLE_BOUND", 40)
+    assert len(brute_force_oracle(3, 40)) == 2
+    with pytest.raises(ValueError, match="bound 41 is more than the 40 allowed"):
+        brute_force_oracle(3, 41)
 
 
 def forced_unknowns(n, c):
