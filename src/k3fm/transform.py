@@ -34,6 +34,8 @@ A kernel transform M = B alpha^T + D gamma^T - T_e is a rank-two update of
 the twist T_e, so from_kernel keeps those factors, and they serve its
 determinant and inverse in O(n^2) (matrix determinant lemma and Woodbury
 identity); every other transform uses the Bareiss elimination of linalg.
+M and M^-1 are both built row by row from the factors, with the twist's
+few nonzero entries subtracted in place, so no twist matrix is formed.
 The Euler pairing in these coordinates has Gram matrix
 
     [[2, 0, 1],
@@ -92,10 +94,10 @@ class CohTransform(Record):
     raises ValueError, and the matrix must be (rank+2)x(rank+2).
     kernel and labels are provenance for reporting, numerically_valid and
     closed-form lookups, and do not take part in equality; an inverse
-    carries neither.  _rank_two, set only by from_kernel, holds the
-    factors of the matrix, from which determinant() and inverse() are
-    computed without an n x n product, and the isometry lemma's verdict,
-    which is_mukai_isometry returns; no other transform carries it.
+    carries neither.  _rank_two, set only by from_kernel through _of,
+    holds the factors of the matrix, from which determinant() and inverse()
+    are computed without an n x n product, and the isometry lemma's
+    verdict, which is_mukai_isometry returns; no other transform has it.
     """
 
     __slots__ = ("source", "matrix", "kernel", "labels", "_rank_two")
@@ -107,7 +109,6 @@ class CohTransform(Record):
         matrix: Matrix,
         kernel: KernelSpec | None = None,
         labels: tuple[tuple[str, object], ...] = (),
-        _rank_two: _RankTwoUpdate | None = None,
     ):
         matrix = integer_matrix(matrix)
         n = source.rank + 2
@@ -117,7 +118,17 @@ class CohTransform(Record):
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "kernel", kernel)
         object.__setattr__(self, "labels", tuple(labels))
-        object.__setattr__(self, "_rank_two", _rank_two)
+        object.__setattr__(self, "_rank_two", None)
+
+    @classmethod
+    def _of(cls, source, matrix, kernel=None, labels=(), rank_two=None) -> CohTransform:
+        """A transform without __init__'s checks.  Only from_kernel and the
+        factored inverse() may call it: _rank_two_rows builds their matrices
+        from int factors, so by closure of int arithmetic each is a tuple of
+        source.rank + 2 tuples of as many plain ints."""
+        self = object.__new__(cls)
+        self._set(source, matrix, kernel, labels, rank_two)
+        return self
 
     @property
     def label_map(self) -> dict:
@@ -139,10 +150,8 @@ class CohTransform(Record):
     def inverse(self) -> "CohTransform":
         """The inverse map; ValueError unless the determinant is +-1."""
         if self._rank_two is not None:
-            matrix = self._rank_two.inverse()
-        else:
-            matrix = linalg.inverse(self.matrix)
-        return CohTransform(self.source, matrix)
+            return CohTransform._of(self.source, self._rank_two.inverse())
+        return CohTransform(self.source, linalg.inverse(self.matrix))
 
     def apply_vector(self, vec) -> tuple[Fraction, ...]:
         if len(vec) != self.source.rank + 2:
@@ -206,14 +215,24 @@ def _half_square(x, gx) -> int:
     return sum(map(mul, x, gx)) // 2
 
 
-def _twist(x, gx, half_x2) -> Matrix:
-    """T_x, the twist by the class x: rows (1, 0, 0), (x_i, unit_i, 0) and
-    (x^2/2, (G x)^T, 1)."""
-    return (
-        (1, *(0,) * len(x), 0),
-        *((xi, *unit, 0) for xi, unit in zip(x, linalg.identity(len(x)))),
-        (half_x2, *gx, 1),
-    )
+def _rank_two_rows(x, y, sign: int, e, ge, half_e2) -> Matrix:
+    """The rows of X Y^T - T_{sign e} for int columns x, rows y, sign = +-1.
+
+    T_{sign e} has rows (1, 0, 0), (sign e_i, unit_i, 0) and
+    (e^2/2, sign (G e)^T, 1); those entries are subtracted in place from
+    each row of X Y^T, which is one list comprehension.
+    """
+    (x0, x1), (y0, y1) = x, y
+    column = (0, *(sign * ei for ei in e), half_e2)
+    rows = []
+    for i, (p, q, c) in enumerate(zip(x0, x1, column)):
+        row = [p * s + q * t for s, t in zip(y0, y1)]
+        row[0] -= c
+        row[i] -= 1
+        rows.append(row)
+    last = rows[-1]
+    last[1:-1] = [z - sign * g for z, g in zip(last[1:-1], ge)]
+    return tuple(map(tuple, rows))
 
 
 class _RankTwoUpdate(Record):
@@ -227,7 +246,8 @@ class _RankTwoUpdate(Record):
     the 2x2 matrix K = I - V^T T_{-e} U the matrix determinant lemma gives
     det M = (-1)^n det K, and the Woodbury identity (Hager, SIAM Review 31,
     1989) gives M^{-1} = -T_{-e} - (T_{-e} U K^{-1}) (V^T T_{-e}), all in
-    int and in O(n^2).  With chi(x) = 2 + x^2/2, the Euler characteristic
+    int and in O(n^2); both are built row by row by _rank_two_rows, with no
+    twist matrix.  With chi(x) = 2 + x^2/2, the Euler characteristic
     of O(x), and s = a + b - c - d,
 
         K = [[-1 - s^2/2, -chi(a - c)], [-chi(b - d), -1]],
@@ -256,11 +276,7 @@ class _RankTwoUpdate(Record):
         object.__setattr__(self, "isometry", isometry)
 
     def matrix(self) -> Matrix:
-        (big_b, big_d), (alpha, gamma) = self.u, self.v
-        return tuple(
-            tuple(bi * x + di * y - z for x, y, z in zip(alpha, gamma, row))
-            for bi, di, row in zip(big_b, big_d, _twist(self.e, self.ge, self.half_e2))
-        )
+        return _rank_two_rows(self.u, self.v, 1, self.e, self.ge, self.half_e2)
 
     def _untwist(self, x) -> tuple[int, ...]:
         """T_{-e} x: r, f - r e, t - (G e).f + r e^2/2."""
@@ -301,16 +317,15 @@ class _RankTwoUpdate(Record):
                 f"matrix has determinant {self.determinant()}; "
                 "only determinant +-1 has an integral inverse"
             )
-        # The columns of T_{-e} U K^{-1}, with K^{-1} = det K * adj K because
-        # det K = +-1 is its own inverse, and the rows of V^T T_{-e}.
-        p0 = tuple(det_k * (k11 * x - k10 * y) for x, y in zip(w0, w1))
-        p1 = tuple(det_k * (k00 * y - k01 * x) for x, y in zip(w0, w1))
-        r0, r1 = map(self._twist_form, self.v)
-        untwist = _twist(tuple(-x for x in self.e), tuple(-x for x in self.ge), self.half_e2)
-        return tuple(
-            tuple(-z - pi * x - qi * y for x, y, z in zip(r0, r1, row))
-            for pi, qi, row in zip(p0, p1, untwist)
+        # M^{-1} = X Y^T - T_{-e}: the columns X = -T_{-e} U K^{-1}, with
+        # K^{-1} = det K * adj K since det K = +-1, and the rows Y = V^T T_{-e}.
+        m00, m01, m10, m11 = (det_k * k for k in (-k11, k01, k10, -k00))
+        x = (
+            tuple(m00 * s + m10 * t for s, t in zip(w0, w1)),
+            tuple(m01 * s + m11 * t for s, t in zip(w0, w1)),
         )
+        y = tuple(map(self._twist_form, self.v))
+        return _rank_two_rows(x, y, -1, self.e, self.ge, self.half_e2)
 
 
 def from_kernel(kernel: KernelSpec, labels: tuple = ()) -> CohTransform:
@@ -320,11 +335,13 @@ def from_kernel(kernel: KernelSpec, labels: tuple = ()) -> CohTransform:
     is M = B alpha^T + D gamma^T - T_e (see _RankTwoUpdate for the
     factors).  Every x^2/2 is an integer because the lattice is even.
     kernel_action_vector stays the reference the tests check this matrix
-    against.  The factors are kept on the transform, and its determinant
-    and inverse come from them; its isometry verdict is the lemma of
-    is_mukai_isometry, read off G a, ..., G d in O(n).  G a, G b, G c and
-    G d are row dot products with the Gram, so no matrix product is formed
-    and no DivisorClass is built.
+    against.  M is built row by row from the factors, without a twist
+    matrix or a re-check of its ints.  The factors are kept on the
+    transform, and its determinant and inverse come from them; its
+    isometry verdict is the lemma of is_mukai_isometry, read off
+    G a, ..., G d in O(n).  G a, G b, G c and G d are row dot products
+    with the Gram, so no matrix product is formed and no DivisorClass is
+    built.
 
     The kernel's four classes are attached as labels a, b, c, d, ahead of
     the given labels.
@@ -345,13 +362,7 @@ def from_kernel(kernel: KernelSpec, labels: tuple = ()) -> CohTransform:
         isometry=square_ac == -4 and tuple(map(add, ga, gb)) == ge,
     )
     auto = (("a", kernel.a), ("b", kernel.b), ("c", kernel.c), ("d", kernel.d))
-    return CohTransform(
-        source=lat,
-        matrix=update.matrix(),
-        kernel=kernel,
-        labels=auto + tuple(labels),
-        _rank_two=update,
-    )
+    return CohTransform._of(lat, update.matrix(), kernel, auto + tuple(labels), update)
 
 
 def is_mukai_isometry(t: CohTransform) -> bool:

@@ -130,7 +130,7 @@ RECORDS = [
     (
         CohTransform,
         transform,
-        "source matrix kernel=None labels=() _rank_two=None",
+        "source matrix kernel=None labels=()",
         ["source", "matrix", "kernel", "labels", "_rank_two"],
         ("kernel", "labels", "_rank_two"),
     ),

@@ -344,9 +344,21 @@ def outcome(compute):
 
 
 def assert_factored_matches_bareiss(t):
+    """The factored determinant and inverse match Bareiss, and the matrices
+    from_kernel and the factored inverse() build without __init__'s checks
+    are (rank+2)x(rank+2) tuples of int that __init__ accepts unchanged."""
     assert t._rank_two is not None
     assert t.determinant() == det(t.matrix)
     assert outcome(lambda: t.inverse().matrix) == outcome(lambda: inverse(t.matrix))
+    assert CohTransform(t.source, t.matrix) == t
+    n = t.source.rank + 2
+    matrices = [t.matrix]
+    if t.determinant() in (1, -1):
+        matrices.append(t.inverse().matrix)
+    for m in matrices:
+        assert type(m) is tuple and len(m) == n
+        assert all(type(row) is tuple and len(row) == n for row in m)
+        assert all(type(x) is int for row in m for x in row)
 
 
 @settings(max_examples=200)
@@ -592,6 +604,33 @@ def test_from_kernel_forms_no_product_and_no_class(monkeypatch):
     assert (k.a - k.c).square == -4
     assert calls == ["DivisorClass", "intersect"]
     assert t.numerically_valid
+
+
+def test_factored_matrices_build_no_identity_and_no_recheck(monkeypatch):
+    """from_kernel and the factored inverse() build no identity or twist
+    matrix and re-check no entry; the counters do see the public
+    constructor's check and identity_transform."""
+    k = ladder_kernel(8)
+    calls = []
+    patched = (
+        (linalg, "identity"),
+        (linalg, "integer_matrix"),
+        (transform, "integer_matrix"),
+        (linalg, "exact_int"),
+    )
+    for module, name in patched:
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
+        )
+    t = from_kernel(k)
+    ti = t.inverse()
+    assert calls == []
+    assert mat_mul(t.matrix, ti.matrix) == identity(10)
+    CohTransform(t.source, ti.matrix)
+    assert calls == ["integer_matrix"]
+    identity_transform(t.source)
+    assert calls == ["integer_matrix", "identity", "integer_matrix"]
 
 
 @given(st.one_of(lemma_kernels(), any_kernels), st.data())
