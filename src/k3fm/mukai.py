@@ -48,9 +48,7 @@ class ChernCharacter(Record):
     __slots__ = ("r", "f", "t")
 
     def __init__(self, r: int, f: DivisorClass, t: Fraction):
-        object.__setattr__(self, "r", exact_int(r, "rank"))
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "t", _half_rational(t, "ch_2"))
+        self._set(exact_int(r, "rank"), f, _half_rational(t, "ch_2"))
 
     @property
     def lattice(self) -> NSLattice:
@@ -66,9 +64,7 @@ class MukaiVector(Record):
     __slots__ = ("r", "f", "s")
 
     def __init__(self, r: int, f: DivisorClass, s: Fraction):
-        object.__setattr__(self, "r", exact_int(r, "rank"))
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "s", _half_rational(s, "Mukai degree-four part"))
+        self._set(exact_int(r, "rank"), f, _half_rational(s, "Mukai degree-four part"))
 
     def __neg__(self) -> MukaiVector:
         return MukaiVector(-self.r, -self.f, -self.s)
@@ -115,7 +111,9 @@ def twist(c: ChernCharacter, x: DivisorClass) -> ChernCharacter:
 
 
 def sign_normalized(v: MukaiVector) -> MukaiVector:
-    """v or -v, whichever has its first nonzero entry of (r, f, s) positive."""
+    """v or -v, whichever has its first nonzero entry of (r, f, s) positive.
+
+    The tests' reference for the int engine in moduli.hilb_moduli_vector."""
     for entry in (v.r, *v.f.coords, v.s):
         if entry > 0:
             return v

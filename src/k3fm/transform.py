@@ -91,13 +91,14 @@ class CohTransform(Record):
     lattice: every transform maps its lattice to itself.
 
     Construction converts every entry to int once; a non-integral entry
-    raises ValueError, and the matrix must be (rank+2)x(rank+2).
-    kernel and labels are provenance for reporting, numerically_valid and
-    closed-form lookups, and do not take part in equality; an inverse
-    carries neither.  _rank_two, set only by from_kernel through _of,
-    holds the factors of the matrix, from which determinant() and inverse()
-    are computed without an n x n product, and the isometry lemma's
-    verdict, which is_mukai_isometry returns; no other transform has it.
+    raises ValueError, the matrix must be (rank+2)x(rank+2), and a kernel
+    must live on the source lattice.  kernel and labels are provenance for
+    reporting, numerically_valid and closed-form lookups, and do not take
+    part in equality; an inverse carries neither.  _rank_two, set only by
+    from_kernel through _of, holds the factors of the matrix, from which
+    determinant() and inverse() are computed without an n x n product, and
+    the isometry lemma's verdict, which is_mukai_isometry returns; no other
+    transform has it.
     """
 
     __slots__ = ("source", "matrix", "kernel", "labels", "_rank_two")
@@ -114,18 +115,17 @@ class CohTransform(Record):
         n = source.rank + 2
         if len(matrix) != n or any(len(r) != n for r in matrix):
             raise ValueError(f"transform matrix must be {n}x{n} for this lattice")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "labels", tuple(labels))
-        object.__setattr__(self, "_rank_two", None)
+        if kernel is not None and kernel.lattice != source:
+            raise ValueError("kernel does not live on the transform's source lattice")
+        self._set(source, matrix, kernel, tuple(labels), None)
 
     @classmethod
     def _of(cls, source, matrix, kernel=None, labels=(), rank_two=None) -> CohTransform:
         """A transform without __init__'s checks.  Only from_kernel and the
         factored inverse() may call it: _rank_two_rows builds their matrices
         from int factors, so by closure of int arithmetic each is a tuple of
-        source.rank + 2 tuples of as many plain ints."""
+        source.rank + 2 tuples of as many plain ints.  The source is the
+        kernel's lattice in from_kernel, and the inverse carries no kernel."""
         self = object.__new__(cls)
         self._set(source, matrix, kernel, labels, rank_two)
         return self
@@ -175,9 +175,7 @@ def vector_to_ch(lattice: NSLattice, vec: tuple[Fraction, ...]) -> ChernCharacte
     coords = vec[1:-1]
     if any(x.denominator != 1 for x in coords):
         raise ValueError("first-Chern-class coordinates are not integral")
-    return ChernCharacter(
-        int(r), DivisorClass(lattice, tuple(int(x) for x in coords)), vec[-1]
-    )
+    return ChernCharacter(r, DivisorClass(lattice, coords), vec[-1])
 
 
 def identity_transform(lattice: NSLattice) -> CohTransform:
@@ -268,12 +266,7 @@ class _RankTwoUpdate(Record):
         half_e2: int,
         isometry: bool,
     ):
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "ge", ge)
-        object.__setattr__(self, "half_e2", half_e2)
-        object.__setattr__(self, "isometry", isometry)
+        self._set(u, v, e, ge, half_e2, isometry)
 
     def matrix(self) -> Matrix:
         return _rank_two_rows(self.u, self.v, 1, self.e, self.ge, self.half_e2)
@@ -532,6 +525,7 @@ class DiffEntry(Record):
         delta: tuple[Fraction, ...],
         delta_hat: tuple[Fraction, Fraction] | None = None,
     ):
+        # Per-field sets, not _set (see record.py): 52 entries per reflexive-sweep operation
         object.__setattr__(self, "input", input)
         object.__setattr__(self, "engine", engine)
         object.__setattr__(self, "closed_form", closed_form)

@@ -168,8 +168,7 @@ MIXED_COORDS = st.one_of(
 def test_divisor_class_matches_per_entry_conversion(values, container):
     """Coordinates of int, bool, integral and non-integral Fraction, as a
     tuple, a list or an iterator, of the right length or not: the class
-    stores the entry-by-entry conversion, or raises its error.  A tuple of
-    plain ints is stored as the same object."""
+    stores the entry-by-entry conversion, or raises its error."""
     expected = divisor_class_by_entries(REFLEXIVE, values)
     coords = container(values)
     try:
@@ -179,7 +178,6 @@ def test_divisor_class_matches_per_entry_conversion(values, container):
         return
     assert got == expected
     assert type(got) is tuple and all(type(x) is int for x in got)
-    assert (got is coords) == (container is tuple and all(type(x) is int for x in values))
 
 
 def exact_coords(cls):

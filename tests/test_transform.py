@@ -312,6 +312,18 @@ def test_matrix_must_be_square_on_the_lattice(rows):
         CohTransform(NSLattice(((-4,),)), rows)
 
 
+def test_kernel_must_live_on_the_source_lattice():
+    """A kernel on another lattice is refused when the transform is built,
+    whatever the ranks; a kernel on an equal lattice is accepted."""
+    m = NSLattice(((-4,),)).basis(0)
+    k = KernelSpec(a=-m, b=-m, c=m, d=m)
+    for other, size in ((NSLattice(((2, 0), (0, -12))), 4), (NSLattice(((4,),)), 3)):
+        with pytest.raises(ValueError, match="kernel does not live on the transform's source lattice"):
+            CohTransform(other, identity(size), kernel=k)
+    t = CohTransform(NSLattice(((-4,),)), from_kernel(k).matrix, kernel=k)
+    assert t == from_kernel(k) and t.kernel is k
+
+
 @pytest.mark.parametrize("scale", [2, -2])
 def test_inverse_needs_unit_determinant(scale):
     lattice = NSLattice(((-4,),))
@@ -609,7 +621,7 @@ def test_from_kernel_forms_no_product_and_no_class(monkeypatch):
 def test_factored_matrices_build_no_identity_and_no_recheck(monkeypatch):
     """from_kernel and the factored inverse() build no identity or twist
     matrix and re-check no entry; the counters do see the public
-    constructor's check and identity_transform."""
+    constructor's check, one exact_int per entry, and identity_transform."""
     k = ladder_kernel(8)
     calls = []
     patched = (
@@ -627,10 +639,11 @@ def test_factored_matrices_build_no_identity_and_no_recheck(monkeypatch):
     ti = t.inverse()
     assert calls == []
     assert mat_mul(t.matrix, ti.matrix) == identity(10)
+    checked = ["integer_matrix", *["exact_int"] * 100]
     CohTransform(t.source, ti.matrix)
-    assert calls == ["integer_matrix"]
+    assert calls == checked
     identity_transform(t.source)
-    assert calls == ["integer_matrix", "identity", "integer_matrix"]
+    assert calls == [*checked, "identity", *checked]
 
 
 @given(st.one_of(lemma_kernels(), any_kernels), st.data())
