@@ -31,11 +31,15 @@ of one lattice.  A rank-2 transform of this kind exists only when Y is
 isomorphic to X (the paper's negative-twisted-determinant theorem), so
 each transform maps its lattice to itself and carries that one lattice.
 A kernel transform M = B alpha^T + D gamma^T - T_e is a rank-two update of
-the twist T_e, so from_kernel keeps those factors, and they serve its
-determinant and inverse in O(n^2) (matrix determinant lemma and Woodbury
-identity); every other transform uses the Bareiss elimination of linalg.
-M and M^-1 are both built row by row from the factors, with the twist's
-few nonzero entries subtracted in place, so no twist matrix is formed.
+the twist T_e by e = c + d.  from_kernel keeps those factors and the 2x2
+matrix K of the matrix determinant lemma, which is closed form in three
+squares, s^2, (a - c)^2 and (b - d)^2 with s = a + b - c - d: the
+determinant, (-1)^n det K, costs O(1), and the inverse is the Woodbury
+rank-two update of T_{-e}, whose factors inverse() reads off the stored
+ones in O(n) (see _RankTwoUpdate); every other transform uses the
+Bareiss elimination of linalg.  M and M^-1 are both built row by row from
+their factors in O(n^2), with the twist's few nonzero entries subtracted
+in place, so no twist matrix is formed.
 The Euler pairing in these coordinates has Gram matrix
 
     [[2, 0, 1],
@@ -218,13 +222,20 @@ def _rank_two_rows(x, y, sign: int, e, ge, half_e2) -> Matrix:
 
     T_{sign e} has rows (1, 0, 0), (sign e_i, unit_i, 0) and
     (e^2/2, sign (G e)^T, 1); those entries are subtracted in place from
-    each row of X Y^T, which is one list comprehension.
+    each row of X Y^T, which is one list comprehension.  A row whose
+    coefficient in x0 or x1 is 0 skips that product; about a third of the
+    rows have one when the kernel's classes have entries in {-1, 0, 1}.
     """
     (x0, x1), (y0, y1) = x, y
     column = (0, *(sign * ei for ei in e), half_e2)
     rows = []
     for i, (p, q, c) in enumerate(zip(x0, x1, column)):
-        row = [p * s + q * t for s, t in zip(y0, y1)]
+        if not p:
+            row = [q * t for t in y1]
+        elif not q:
+            row = [p * s for s in y0]
+        else:
+            row = [p * s + q * t for s, t in zip(y0, y1)]
         row[0] -= c
         row[i] -= 1
         rows.append(row)
@@ -234,28 +245,37 @@ def _rank_two_rows(x, y, sign: int, e, ge, half_e2) -> Matrix:
 
 
 class _RankTwoUpdate(Record):
-    """The factors of a kernel transform M = U V^T - T_e.
+    """The factors of a kernel transform M = U V^T - T_e, and its 2x2 K.
 
-    u holds the columns B = (1, b, b^2/2) and D = (1, d, d^2/2), the
-    characters ch(B) and ch(D); v holds the linear forms
-    alpha = (2 + a^2/2, G a, 1) and gamma = (2 + c^2/2, G c, 1), which give
-    chi(F*A) and chi(F*C); T_e twists by e = c + d, with ge = G e and
-    half_e2 = e^2/2.  T_{-e} = T_e^{-1} acts on a vector in O(n), so with
-    the 2x2 matrix K = I - V^T T_{-e} U the matrix determinant lemma gives
-    det M = (-1)^n det K, and the Woodbury identity (Hager, SIAM Review 31,
-    1989) gives M^{-1} = -T_{-e} - (T_{-e} U K^{-1}) (V^T T_{-e}), all in
-    int and in O(n^2); both are built row by row by _rank_two_rows, with no
-    twist matrix.  With chi(x) = 2 + x^2/2, the Euler characteristic
-    of O(x), and s = a + b - c - d,
+    Write l_x = ch O(x) = (1, x, x^2/2), E for the Euler Gram and
+    chi(x) = 2 + x^2/2 for the Euler characteristic of O(x).  u holds the
+    columns l_b and l_d, the characters ch(B) and ch(D); v holds the
+    linear forms alpha = E l_{-a} = (2 + a^2/2, G a, 1) and
+    gamma = E l_{-c}, which give chi(F*A) and chi(F*C); T_e twists by
+    e = c + d, with ge = G e and half_e2 = e^2/2.  Two twist identities:
+
+      - T_e l_x = l_{x+e}: T_e maps (1, x, x^2/2) to
+        (1, x + e, x^2/2 + e.x + e^2/2), whose last entry is (x + e)^2/2.
+      - T_{-e}^T E = E T_e: a twist preserves the Euler pairing
+        (Huybrechts 2006, ch. 5), T_{-e}^T E T_{-e} = E; multiply on the
+        right by T_{-e}^{-1} = T_e.
+
+    So T_{-e} U = (l_{b-e}, l_{-c}) and V^T T_{-e} = (E l_{e-a}, E l_d)^T,
+    and with chi(l_x, l_y) = l_x^T E l_y = 2 + (x - y)^2/2 and
+    s = a + b - c - d, the 2x2 matrix K = I - V^T T_{-e} U is
 
         K = [[-1 - s^2/2, -chi(a - c)], [-chi(b - d), -1]],
 
-    so det M = (-1)^n (1 + s^2/2 - chi(a - c) chi(b - d)).  isometry is the
-    verdict of the lemma proved in is_mukai_isometry,
-    (a - c)^2 = -4 and G (a + b - c - d) = 0.
+    which from_kernel stores as k.  The matrix determinant lemma gives
+    det M = (-1)^n det K, in O(1), and the Woodbury identity (Hager, SIAM
+    Review 31, 1989) gives M^{-1} = -T_{-e} - (T_{-e} U K^{-1}) (V^T T_{-e}),
+    whose factors inverse() reads off u, v and e in O(n); both M and M^{-1}
+    are built row by row by _rank_two_rows, in int and with no twist
+    matrix.  isometry is the verdict of the lemma proved in
+    is_mukai_isometry, (a - c)^2 = -4 and G (a + b - c - d) = 0.
     """
 
-    __slots__ = ("u", "v", "e", "ge", "half_e2", "isometry")
+    __slots__ = ("u", "v", "e", "ge", "half_e2", "k", "isometry")
 
     def __init__(
         self,
@@ -264,61 +284,45 @@ class _RankTwoUpdate(Record):
         e: tuple[int, ...],
         ge: tuple[int, ...],
         half_e2: int,
+        k: tuple[tuple[int, int], tuple[int, int]],
         isometry: bool,
     ):
-        self._set(u, v, e, ge, half_e2, isometry)
+        self._set(u, v, e, ge, half_e2, k, isometry)
 
     def matrix(self) -> Matrix:
         return _rank_two_rows(self.u, self.v, 1, self.e, self.ge, self.half_e2)
 
-    def _untwist(self, x) -> tuple[int, ...]:
-        """T_{-e} x: r, f - r e, t - (G e).f + r e^2/2."""
-        r, *f, t = x
-        return (
-            r,
-            *(fi - r * ei for fi, ei in zip(f, self.e)),
-            t - sum(map(mul, self.ge, f)) + r * self.half_e2,
-        )
-
-    def _twist_form(self, y) -> tuple[int, ...]:
-        """The linear form y^T T_{-e}, as a row."""
-        p, *q, s = y
-        return (
-            p - sum(map(mul, self.e, q)) + s * self.half_e2,
-            *(qi - s * gi for qi, gi in zip(q, self.ge)),
-            s,
-        )
-
-    def _k(self):
-        """T_{-e} U as two columns, K = I - V^T T_{-e} U, and det K."""
-        w = tuple(map(self._untwist, self.u))
-        (k00, k01), (k10, k11) = (
-            tuple(int(i == j) - sum(map(mul, form, col)) for j, col in enumerate(w))
-            for i, form in enumerate(self.v)
-        )
-        return w, ((k00, k01), (k10, k11)), k00 * k11 - k01 * k10
-
     def determinant(self) -> int:
+        (k00, k01), (k10, k11) = self.k
         # n = rank + 2, so (-1)^n = (-1)^rank.
-        return (-1) ** len(self.e) * self._k()[2]
+        return (-1) ** len(self.e) * (k00 * k11 - k01 * k10)
 
     def inverse(self) -> Matrix:
         """M^{-1}; ValueError, as linalg.inverse raises it, unless det M = +-1."""
-        (w0, w1), ((k00, k01), (k10, k11)), det_k = self._k()
+        (k00, k01), (k10, k11) = self.k
+        det_k = k00 * k11 - k01 * k10
         if det_k not in (1, -1):
             raise ValueError(
                 f"matrix has determinant {self.determinant()}; "
                 "only determinant +-1 has an integral inverse"
             )
+        e, ge, half_e2 = self.e, self.ge, self.half_e2
+        (_, *b, half_b2), (_, *d, half_d2) = self.u
+        (chi_a, *ga, _), (chi_c, *gc, _) = self.v
+        # T_{-e} U = (l_{b-e}, l_{-c}) and V^T T_{-e} = (E l_{e-a}, E l_d)^T,
+        # with c = e - d and G d = G e - G c.
+        w0 = (1, *map(sub, b, e), half_b2 - sum(map(mul, b, ge)) + half_e2)
+        w1 = (1, *map(sub, d, e), chi_c - 2)
+        y0 = (chi_a - sum(map(mul, e, ga)) + half_e2, *map(sub, ga, ge), 1)
+        y1 = (2 + half_d2, *map(sub, gc, ge), 1)
         # M^{-1} = X Y^T - T_{-e}: the columns X = -T_{-e} U K^{-1}, with
-        # K^{-1} = det K * adj K since det K = +-1, and the rows Y = V^T T_{-e}.
+        # K^{-1} = det K * adj K since det K = +-1.
         m00, m01, m10, m11 = (det_k * k for k in (-k11, k01, k10, -k00))
         x = (
             tuple(m00 * s + m10 * t for s, t in zip(w0, w1)),
             tuple(m01 * s + m11 * t for s, t in zip(w0, w1)),
         )
-        y = tuple(map(self._twist_form, self.v))
-        return _rank_two_rows(x, y, -1, self.e, self.ge, self.half_e2)
+        return _rank_two_rows(x, (y0, y1), -1, e, ge, half_e2)
 
 
 def from_kernel(kernel: KernelSpec, labels: tuple = ()) -> CohTransform:
@@ -329,12 +333,14 @@ def from_kernel(kernel: KernelSpec, labels: tuple = ()) -> CohTransform:
     factors).  Every x^2/2 is an integer because the lattice is even.
     kernel_action_vector stays the reference the tests check this matrix
     against.  M is built row by row from the factors, without a twist
-    matrix or a re-check of its ints.  The factors are kept on the
+    matrix or a re-check of its ints.  The factors and K are kept on the
     transform, and its determinant and inverse come from them; its
-    isometry verdict is the lemma of is_mukai_isometry, read off
-    G a, ..., G d in O(n).  G a, G b, G c and G d are row dot products
-    with the Gram, so no matrix product is formed and no DivisorClass is
-    built.
+    isometry verdict is the lemma of is_mukai_isometry, read off the Gram
+    products in O(n).  Three Gram products G a, G c and G e are row dot
+    products with the Gram, and a fourth, G s with s = a + b - c - d, is
+    formed only when s != 0 (a product of a zero class is the class
+    itself); G b = G e - G a + G s and G d = G e - G c follow in O(n).  No
+    matrix product is formed and no DivisorClass is built.
 
     The kernel's four classes are attached as labels a, b, c, d, ahead of
     the given labels.
@@ -342,17 +348,23 @@ def from_kernel(kernel: KernelSpec, labels: tuple = ()) -> CohTransform:
     lat = kernel.lattice
     a, b, c, d = (x.coords for x in (kernel.a, kernel.b, kernel.c, kernel.d))
     e = tuple(map(add, c, d))
-    ga, gb, gc, gd = (tuple(sum(map(mul, row, x)) for row in lat.gram) for x in (a, b, c, d))
-    ge = tuple(map(add, gc, gd))
-    # The lemma of is_mukai_isometry: (a - c)^2 = -4 and G a + G b = G e.
+    s = tuple(map(sub, map(add, a, b), e))
+    ga, gc, ge, gs = (
+        tuple(sum(map(mul, row, x)) for row in lat.gram) if any(x) else x for x in (a, c, e, s)
+    )
+    gb = tuple(map(add, map(sub, ge, ga), gs))
+    gd = tuple(map(sub, ge, gc))
     square_ac = sum(map(mul, map(sub, a, c), map(sub, ga, gc)))
+    square_bd = sum(map(mul, map(sub, b, d), map(sub, gb, gd)))
     update = _RankTwoUpdate(
         u=((1, *b, _half_square(b, gb)), (1, *d, _half_square(d, gd))),
         v=((2 + _half_square(a, ga), *ga, 1), (2 + _half_square(c, gc), *gc, 1)),
         e=e,
         ge=ge,
         half_e2=_half_square(e, ge),
-        isometry=square_ac == -4 and tuple(map(add, ga, gb)) == ge,
+        k=((-1 - _half_square(s, gs), -2 - square_ac // 2), (-2 - square_bd // 2, -1)),
+        # The lemma of is_mukai_isometry: (a - c)^2 = -4 and G s = 0.
+        isometry=square_ac == -4 and not any(gs),
     )
     auto = (("a", kernel.a), ("b", kernel.b), ("c", kernel.c), ("d", kernel.d))
     return CohTransform._of(lat, update.matrix(), kernel, auto + tuple(labels), update)
@@ -372,7 +384,7 @@ def is_mukai_isometry(t: CohTransform) -> bool:
         (a - c)^2 = -4  and  G (a + b - c - d) = 0,
 
     the lattice shadow of the paper's criterion chi(O(a - c)) = 0 (Huybrechts
-    2006, ch. 5, 10).  from_kernel reads it in O(n) off G a, ..., G d, so
+    2006, ch. 5, 10).  from_kernel reads it in O(n) off its Gram products, so
     no n x n product is formed.  Proof: write l_x = ch O(x) = (1, x, x^2/2),
     e = c + d and chi for the Euler form, which is symmetric, is preserved
     by every twist and has chi(l_x, l_y) = 2 + (x - y)^2/2.  Then

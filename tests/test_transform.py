@@ -561,15 +561,24 @@ def test_factored_isometry_forms_no_dense_product(monkeypatch):
         assert set(calls) == {"mat_mul", "euler_gram"}
 
 
+def radical_excess_kernel():
+    """a + b - c - d = -e_0, in the radical of the degenerate Gram diag(0, -4)."""
+    lattice = NSLattice(((0, 0), (0, -4)))
+    a, b, c, d = map(lattice.cls, ((1, -3), (-1, 3), (1, -4), (0, 4)))
+    return KernelSpec(a=a, b=b, c=c, d=d)
+
+
 def test_numerically_valid_keeps_the_paper_condition_on_a_degenerate_gram():
     """a + b - c - d = -e_0 lies in the radical of G, so the transform is an
     isometry, yet a + b != c + d: the two verdicts differ, as only a
     degenerate Gram allows."""
-    lattice = NSLattice(((0, 0), (0, -4)))
-    a, b, c, d = map(lattice.cls, ((1, -3), (-1, 3), (1, -4), (0, 4)))
-    t = from_kernel(KernelSpec(a=a, b=b, c=c, d=d))
+    t = from_kernel(radical_excess_kernel())
     assert is_mukai_isometry(t) and dense_isometry(t)
     assert not t.numerically_valid
+    # s != 0 with s^2 = 0: the factored inverse is reached off a + b = c + d.
+    assert t.determinant() == 1
+    assert_factored_matches_bareiss(t)
+    assert_factors_match_dense_twist(t)
 
 
 @settings(max_examples=300)
@@ -644,6 +653,95 @@ def test_factored_matrices_build_no_identity_and_no_recheck(monkeypatch):
     assert calls == checked
     identity_transform(t.source)
     assert calls == [*checked, "identity", *checked]
+
+
+def dense_untwist(lattice, e):
+    """T_{-e} as a dense matrix: (r, f, t) maps to
+    (r, f - r e, t - (G e).f + r e^2/2)."""
+    ge = mat_vec(lattice.gram, e)
+    n = len(e)
+    middle = [(-ei, *(int(i == j) for j in range(n)), 0) for i, ei in enumerate(e)]
+    half_e2 = sum(map(operator.mul, e, ge)) // 2
+    return ((1, *[0] * n, 0), *middle, (half_e2, *(-g for g in ge), 1))
+
+
+def assert_factors_match_dense_twist(t):
+    """The stored K is I - V^T T_{-e} U, and the factors inverse() hands to
+    _rank_two_rows are X = -T_{-e} U K^{-1} and Y^T = V^T T_{-e}, all
+    against a dense T_{-e} and U = (l_b, l_d), V = (E l_{-a}, E l_{-c})
+    written out from the kernel's classes."""
+    k, update = t.kernel, t._rank_two
+
+    def ch(x):
+        return (1, *x.coords, x.square // 2)
+
+    euler = euler_gram(t.source)
+    u = transpose((ch(k.b), ch(k.d)))
+    v = transpose([mat_vec(euler, ch(-x)) for x in (k.a, k.c)])
+    untwist = dense_untwist(t.source, (k.c + k.d).coords)
+    k_dense = tuple(
+        tuple(int(i == j) - x for j, x in enumerate(row))
+        for i, row in enumerate(mat_mul(transpose(v), mat_mul(untwist, u)))
+    )
+    assert update.k == k_dense
+    if det(k_dense) not in (1, -1):
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        seen = []
+        real = transform._rank_two_rows
+        patch.setattr(
+            transform, "_rank_two_rows", lambda *args: seen.append(args) or real(*args)
+        )
+        t.inverse()
+    ((x, y, sign, *_),) = seen
+    x_dense = mat_mul(mat_mul(untwist, u), inverse(k_dense))
+    assert transpose(x) == tuple(tuple(-z for z in row) for row in x_dense)
+    assert y == mat_mul(transpose(v), untwist)
+    assert sign == -1
+
+
+@settings(max_examples=200)
+@given(st.one_of(any_kernels, lemma_kernels()))
+def test_stored_k_and_inverse_factors_match_a_dense_twist(k):
+    assert_factors_match_dense_twist(from_kernel(k))
+
+
+class CountedGram(tuple):
+    """A Gram matrix that records every row read from it."""
+
+    def __new__(cls, gram, reads):
+        self = super().__new__(cls, gram)
+        self.reads = reads
+        return self
+
+    def __iter__(self):
+        for row in super().__iter__():
+            self.reads.append(row)
+            yield row
+
+    def __getitem__(self, index):
+        self.reads.append(index)
+        return super().__getitem__(index)
+
+
+def test_from_kernel_forms_three_gram_products_or_four_when_s_is_nonzero():
+    """G a, G c and G e are formed, and G s only when s = a + b - c - d != 0;
+    a zero class needs no product.  determinant() and inverse() read no
+    Gram row."""
+    valid, again = ladder_kernel(20), ladder_kernel(20)
+    off = KernelSpec(a=again.a, b=again.b, c=again.c, d=again.d + again.lattice.basis(0))
+    m = DivisorClass(NSLattice(((-4,),)), (1,))
+    no_cohomology = KernelSpec(a=m.lattice.zero(), b=m.lattice.zero(), c=m, d=-m)
+    cases = ((valid, 3), (off, 4), (radical_excess_kernel(), 4), (no_cohomology, 1))
+    for k, products in cases:
+        reads = []
+        object.__setattr__(k.lattice, "gram", CountedGram(k.lattice.gram, reads))
+        t = from_kernel(k)
+        assert len(reads) == products * k.lattice.rank
+        reads.clear()
+        assert t.determinant() == det(t.matrix)
+        assert outcome(lambda: t.inverse().matrix) == outcome(lambda: inverse(t.matrix))
+        assert reads == []
 
 
 @given(st.one_of(lemma_kernels(), any_kernels), st.data())
