@@ -198,16 +198,8 @@ def _builder_transform(args, name: str | None = None) -> CohTransform:
         else:
             spec = load_surface_spec(args.surface)
         m = parse_class_expr(spec, "m" if args.m_class is None else args.m_class)
-        kernel = KernelSpec(
-            a=spec.lattice.zero(),
-            b=spec.lattice.zero(),
-            c=m,
-            d=-m,
-            declared_vanishing=spec.declared("no_cohomology"),
-            source=spec,
-            target=spec,
-        )
-        return from_kernel(kernel, labels=(("m", m),))
+        zero = spec.lattice.zero()
+        return from_kernel(KernelSpec.on(spec, zero, zero, m, -m), labels=(("m", m),))
     from .reflexive import component_surface, standard_spec, transform_for, validate_reflexive
 
     variant = name.removeprefix("reflexive-")
@@ -273,12 +265,7 @@ def _cmd_kernel_check(args):
     spec = load_surface_spec(args.surface)
     classes = [parse_class_expr(spec, expr) for expr in (args.a, args.b, args.c, args.d)]
     vanishing = [parse_class_expr(spec, expr) for expr in args.vanishing]
-    kernel = KernelSpec(
-        *classes,
-        declared_vanishing=(*spec.declared("no_cohomology"), *vanishing),
-        source=spec,
-        target=spec,
-    )
+    kernel = KernelSpec.on(spec, *classes, vanishing=vanishing)
     report = check_sufficient(kernel)
     normalized = normalize_twist(kernel)
     payload = {

@@ -41,7 +41,10 @@ class KernelSpec(Record):
 
     declared_vanishing lists classes whose line bundles are declared to have
     no cohomology; it feeds condition (3) of check_sufficient.  source and
-    target are context only and take no part in equality.
+    target are context only and take no part in equality.  A kernel on a
+    surface is built by on, the one place that writes that context and
+    reads the surface's no-cohomology declarations; normalize_twist copies
+    it from the kernel it twists.
     """
 
     __slots__ = ("a", "b", "c", "d", "declared_vanishing", "source", "target")
@@ -66,6 +69,13 @@ class KernelSpec(Record):
             if dc.lattice != lat:
                 raise ValueError("declared vanishing class lives on a different lattice")
         self._set(a, b, c, d, declared_vanishing, source, target)
+
+    @classmethod
+    def on(cls, spec: SurfaceSpec, a, b, c, d, vanishing=()) -> KernelSpec:
+        """The kernel (a, b, c, d) from the surface spec to itself: source and
+        target are spec, and the declared vanishing is the surface's
+        no_cohomology declarations in order, then the given classes."""
+        return cls(a, b, c, d, (*spec.declared("no_cohomology"), *vanishing), spec, spec)
 
     @property
     def lattice(self):

@@ -72,7 +72,9 @@ def exact_rational(value, what: str) -> Fraction:
 # it is asked for and evicts nothing, so past the bound a value is built
 # fresh.  Read through the dict's own __getitem__, which calls __missing__
 # only on a miss, it costs less per lookup than an lru_cache.  It pays:
-# 120 integral values take 4.5 us from it, 50 us fresh (97 calls per sweep op).
+# 120 integral values take 4.5 us from it, 50 us fresh (97 calls per sweep op),
+# and bench/run.py's reflexive-sweep op_p50_ref reads 0.357 with it, 0.647
+# with Fraction in its place (medians of 4 alternating pairs, 8 s runs).
 _INTEGRAL_BOUND = 2048
 
 

@@ -186,9 +186,4 @@ def brute_force_oracle(n: int, bound: int) -> list[Pic1Solution]:
 
 def transform_from_solution(sol: Pic1Solution) -> CohTransform:
     """Lift a scalar solution to a transform over the rank-1 lattice."""
-    lattice = NSLattice(((sol.lsq,),))
-    return CohTransform(
-        source=lattice,
-        matrix=sol.matrix,
-        labels=(("n", sol.n),),
-    )
+    return CohTransform(NSLattice(((sol.lsq,),)), sol.matrix, labels=(("n", sol.n),))

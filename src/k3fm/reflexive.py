@@ -389,12 +389,7 @@ def build_kernel(rs: ReflexiveSurface, variant: str) -> KernelSpec:
             classes = (d1 - h, h - d1, d2 - h, h - d2)
         else:
             classes = (d1 - h, d2 - 2 * d1 + h, d2 - h, h - d1)
-    return KernelSpec(
-        *classes,
-        declared_vanishing=rs.spec.declared("no_cohomology"),
-        source=rs.spec,
-        target=rs.spec,
-    )
+    return KernelSpec.on(rs.spec, *classes)
 
 
 def transform_for(rs: ReflexiveSurface, variant: str) -> CohTransform:

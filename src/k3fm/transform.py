@@ -95,41 +95,38 @@ class CohTransform(Record):
     lattice: every transform maps its lattice to itself.
 
     Construction converts every entry to int once; a non-integral entry
-    raises ValueError, the matrix must be (rank+2)x(rank+2), and a kernel
-    must live on the source lattice.  kernel and labels are provenance for
-    reporting, numerically_valid and closed-form lookups, and do not take
-    part in equality; an inverse carries neither.  _rank_two, set only by
-    from_kernel through _of, holds the factors of the matrix, from which
-    determinant() and inverse() are computed without an n x n product, and
-    the isometry lemma's verdict, which is_mukai_isometry returns; no other
-    transform has it.
+    raises ValueError, and the matrix must be (rank+2)x(rank+2).  labels
+    name classes for closed-form lookups and assert nothing about the
+    matrix.  kernel and _rank_two are written only by from_kernel, through
+    _of, so a transform has a kernel exactly when its matrix is that
+    kernel's action on the kernel's lattice; every other transform, an
+    inverse included, has neither.  _rank_two holds the factors of the
+    matrix, from which determinant() and inverse() are computed without an
+    n x n product, and the isometry lemma's verdict, which
+    is_mukai_isometry returns.  kernel, labels and _rank_two are
+    provenance and do not take part in equality.
     """
 
     __slots__ = ("source", "matrix", "kernel", "labels", "_rank_two")
     _compare = ("source", "matrix")
 
     def __init__(
-        self,
-        source: NSLattice,
-        matrix: Matrix,
-        kernel: KernelSpec | None = None,
-        labels: tuple[tuple[str, object], ...] = (),
+        self, source: NSLattice, matrix: Matrix, labels: tuple[tuple[str, object], ...] = ()
     ):
         matrix = integer_matrix(matrix)
         n = source.rank + 2
         if len(matrix) != n or any(len(r) != n for r in matrix):
             raise ValueError(f"transform matrix must be {n}x{n} for this lattice")
-        if kernel is not None and kernel.lattice != source:
-            raise ValueError("kernel does not live on the transform's source lattice")
-        self._set(source, matrix, kernel, tuple(labels), None)
+        self._set(source, matrix, None, tuple(labels), None)
 
     @classmethod
     def _of(cls, source, matrix, kernel=None, labels=(), rank_two=None) -> CohTransform:
-        """A transform without __init__'s checks.  Only from_kernel and the
-        factored inverse() may call it: _rank_two_rows builds their matrices
-        from int factors, so by closure of int arithmetic each is a tuple of
-        source.rank + 2 tuples of as many plain ints.  The source is the
-        kernel's lattice in from_kernel, and the inverse carries no kernel."""
+        """A transform without __init__'s checks; the only writer of kernel
+        and _rank_two.  Only from_kernel, which passes the kernel, its lattice
+        and the factors, and the factored inverse(), which passes neither,
+        call it: _rank_two_rows builds both matrices from int factors, so by
+        closure of int arithmetic each is a tuple of source.rank + 2 tuples
+        of as many plain ints."""
         self = object.__new__(cls)
         self._set(source, matrix, kernel, labels, rank_two)
         return self
@@ -343,7 +340,8 @@ def from_kernel(kernel: KernelSpec, labels: tuple = ()) -> CohTransform:
     matrix product is formed and no DivisorClass is built.
 
     The kernel's four classes are attached as labels a, b, c, d, ahead of
-    the given labels.
+    the given labels.  This is the only way a transform gets a kernel: the
+    result's kernel is the given one, its source the kernel's lattice.
     """
     lat = kernel.lattice
     a, b, c, d = (x.coords for x in (kernel.a, kernel.b, kernel.c, kernel.d))

@@ -1,3 +1,6 @@
+from operator import attrgetter
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,18 +9,32 @@ from k3fm import (
     DivisorClass,
     KernelSpec,
     NSLattice,
+    RejectionError,
+    build_kernel,
     check_necessary_det,
     check_phiO_identity,
     check_sufficient,
     chi_line,
+    load_surface_spec,
     normalize_twist,
+    parse_class_expr,
+    validate_reflexive,
     vanishing_covers,
 )
-
-from k3fm.cli import _json
+from k3fm import kernel as kernel_module
+from k3fm.cli import (
+    _builder_transform,
+    _cmd_kernel_check,
+    _default_no_cohomology_spec,
+    _json,
+    build_parser,
+)
+from k3fm.reflexive import KERNEL_VARIANTS
 
 from helpers import SQUARE_MINUS_4, class_on, kernels, lattice_with_classes, lattices
 
+SURFACES = Path(__file__).resolve().parent.parent / "surfaces"
+REFLEXIVE_FILE = str(SURFACES / "reflexive.json")
 REFLEXIVE = NSLattice(((2, 0), (0, -12)))
 H = DivisorClass(REFLEXIVE, (1, 0))
 L = DivisorClass(REFLEXIVE, (0, 1))
@@ -173,3 +190,90 @@ def test_phi_o_identity_requires_all_conditions(k):
         and vanishing_covers(k, k.c)
     )
     assert accepted == shape_ok
+
+
+# KernelSpec.on: the one place that builds a kernel on a surface.  Each
+# test below builds, by hand, the kernel that a former call site built,
+# and compares every field, source and target included, which == ignores.
+all_fields = attrgetter(*KernelSpec.__slots__)
+
+
+def by_hand(spec, a, b, c, d, vanishing=()):
+    declared = (*spec.declared("no_cohomology"), *vanishing)
+    return KernelSpec(a, b, c, d, declared_vanishing=declared, source=spec, target=spec)
+
+
+def test_on_puts_the_surface_declarations_first_then_the_extras():
+    spec = load_surface_spec(REFLEXIVE_FILE)
+    h, l = spec.cls("h"), spec.cls("l")
+    classes = (-h, 3 * l + 7 * h, l + h, 2 * l + 5 * h)
+    k = KernelSpec.on(spec, *classes, vanishing=(h, l))
+    assert all_fields(k) == all_fields(by_hand(spec, *classes, (h, l)))
+    assert k.declared_vanishing == (spec.cls("l2h"), h, l)
+    assert k.source is k.target is spec
+    bare = KernelSpec.on(spec, *classes)
+    assert bare.declared_vanishing == (spec.cls("l2h"),)
+    assert bare.source is bare.target is spec
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["--surface", REFLEXIVE_FILE, "--m-class", "l+2h"]],
+    ids=["default surface", "reflexive.json l+2h"],
+)
+def test_no_cohomology_builder_kernel_is_on_its_surface(argv):
+    args = build_parser().parse_args(["transform-crosscheck", "--builder", "no-cohomology", *argv])
+    k = _builder_transform(args).kernel
+    spec = _default_no_cohomology_spec() if not argv else load_surface_spec(REFLEXIVE_FILE)
+    m = parse_class_expr(spec, "m" if not argv else "l+2h")
+    zero = spec.lattice.zero()
+    assert all_fields(k) == all_fields(by_hand(spec, zero, zero, m, -m))
+    assert k.declared_vanishing == (m,)
+    assert k.source is k.target
+
+
+def test_kernel_check_kernel_is_on_its_surface(monkeypatch):
+    """kernel-check's kernel carries the surface's declarations, then each
+    --vanishing class in the order given."""
+    seen = []
+
+    def recording(kernel):
+        seen.append(kernel)
+        return check_sufficient(kernel)
+
+    monkeypatch.setattr(kernel_module, "check_sufficient", recording)
+    argv = [
+        "kernel-check", "--surface", REFLEXIVE_FILE,
+        "--a=-h", "--b", "3l+7h", "--c", "l+h", "--d", "2l+5h",
+        "--vanishing", "h", "--vanishing", "l-h",
+    ]
+    status, payload = _cmd_kernel_check(build_parser().parse_args(argv))
+    assert status == 0 and payload["report"]["verdict"] == "sufficient"
+    k = seen[0]
+    spec = load_surface_spec(REFLEXIVE_FILE)
+    h, l = spec.cls("h"), spec.cls("l")
+    expected = by_hand(spec, -h, 3 * l + 7 * h, l + h, 2 * l + 5 * h, (h, l - h))
+    assert all_fields(k) == all_fields(expected)
+    assert k.declared_vanishing == (spec.cls("l2h"), h, l - h)
+    assert k.source is k.target
+
+
+def test_reflexive_kernels_are_on_their_surface():
+    """build_kernel, for every variant on every bundled surface: the variant
+    the surface admits is built on it, and the others are rejected."""
+    built = []
+    for path in sorted(SURFACES.glob("*.json")):
+        rs = validate_reflexive(load_surface_spec(path))
+        for variant in KERNEL_VARIANTS:
+            try:
+                k = build_kernel(rs, variant)
+            except RejectionError:
+                continue
+            built.append((path.name, variant))
+            assert all_fields(k) == all_fields(by_hand(rs.spec, k.a, k.b, k.c, k.d))
+            assert k.source is k.target is rs.spec
+    assert built == [
+        ("reflexive-type-i.json", "type-i"),
+        ("reflexive-type-ii.json", "type-ii"),
+        ("reflexive.json", "nondegenerate"),
+    ]

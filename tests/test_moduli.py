@@ -29,7 +29,7 @@ from k3fm import (
     validate_reflexive,
 )
 from k3fm.cli import _json
-from k3fm.linalg import mat_mul, transpose
+from k3fm.linalg import identity, mat_mul, transpose
 from k3fm.moduli import HILB_FLAVORS
 from k3fm.mukai import ch_to_mukai, ideal_sheaf_ch, sign_normalized
 
@@ -395,14 +395,20 @@ def test_hilb_two_columns_match_the_textbook_path(case):
         assert set(map(type, v.f.coords)) <= {int}
 
 
-def test_hilb_kernel_on_another_lattice():
-    """A hand-built transform whose kernel lives on another lattice of the
-    same rank is refused when it is built, so hilb_moduli_vector never sees
-    a kernel off the transform's lattice."""
+def test_hilb_sees_only_kernels_from_from_kernel():
+    """A hand-built transform cannot carry a kernel, on another lattice or
+    with a matrix that is not the kernel's action, so hilb_moduli_vector
+    never reads a kernel that its matrix does not come from: a hand-built
+    matrix is an input error, never a rejection."""
     t, _ = no_cohomology_transform()
-    with pytest.raises(ValueError) as err:
-        CohTransform(NSLattice(((4,),)), t.matrix, kernel=t.kernel)
-    assert type(err.value) is ValueError
-    assert str(err.value) == "kernel does not live on the transform's source lattice"
+    for lattice, matrix in ((NSLattice(((4,),)), t.matrix), (t.source, identity(3))):
+        with pytest.raises(TypeError):
+            CohTransform(lattice, matrix, kernel=t.kernel)
+        bare = CohTransform(lattice, matrix)
+        with pytest.raises(ValueError) as err:
+            hilb_moduli_vector(bare, 1, "no-cohomology")
+        assert type(err.value) is ValueError
+        assert str(err.value) == "transform carries no kernel data; the flavor check needs b and d"
+    assert hilb_moduli_vector(t, 1, "no-cohomology") == MukaiVector(1, -t.kernel.c, -2)
     for n in range(1, 4):
         assert hilb_moduli_vector(t, n, "no-cohomology").f.coords in ((n,), (-n,))

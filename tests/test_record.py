@@ -130,7 +130,7 @@ RECORDS = [
     (
         CohTransform,
         transform,
-        "source matrix kernel=None labels=()",
+        "source matrix labels=()",
         ["source", "matrix", "kernel", "labels", "_rank_two"],
         ("kernel", "labels", "_rank_two"),
     ),

@@ -34,6 +34,7 @@ from k3fm import lattice as lattice_module
 from k3fm import transform
 from k3fm.cli import BUILDERS, _builder_transform, build_parser
 from k3fm.linalg import det, identity, inverse, mat_mul, mat_vec, rank, transpose
+from k3fm.pic1 import existence_test, select_physical, solve_constraints, transform_from_solution
 from k3fm.surface import Assumption, SurfaceSpec
 from k3fm.transform import (
     CLOSED_FORMS,
@@ -312,16 +313,25 @@ def test_matrix_must_be_square_on_the_lattice(rows):
         CohTransform(NSLattice(((-4,),)), rows)
 
 
-def test_kernel_must_live_on_the_source_lattice():
-    """A kernel on another lattice is refused when the transform is built,
-    whatever the ranks; a kernel on an equal lattice is accepted."""
+def test_only_from_kernel_gives_a_transform_a_kernel():
+    """The constructor takes no kernel, by keyword or position, on any
+    lattice and with any matrix, its kernel's action included; the
+    transform built from the same matrix and labels has no kernel."""
     m = NSLattice(((-4,),)).basis(0)
-    k = KernelSpec(a=-m, b=-m, c=m, d=m)
-    for other, size in ((NSLattice(((2, 0), (0, -12))), 4), (NSLattice(((4,),)), 3)):
-        with pytest.raises(ValueError, match="kernel does not live on the transform's source lattice"):
-            CohTransform(other, identity(size), kernel=k)
-    t = CohTransform(NSLattice(((-4,),)), from_kernel(k).matrix, kernel=k)
-    assert t == from_kernel(k) and t.kernel is k
+    k = KernelSpec(a=m.lattice.zero(), b=m.lattice.zero(), c=m, d=-m, declared_vanishing=(m,))
+    cases = (
+        (NSLattice(((2, 0), (0, -12))), identity(4)),
+        (NSLattice(((4,),)), identity(3)),
+        (m.lattice, identity(3)),
+        (m.lattice, from_kernel(k).matrix),
+    )
+    for lattice, matrix in cases:
+        with pytest.raises(TypeError, match="kernel"):
+            CohTransform(lattice, matrix, kernel=k)
+        with pytest.raises(TypeError):
+            CohTransform(lattice, matrix, (), k)
+    t = CohTransform(m.lattice, from_kernel(k).matrix, labels=(("m", m),))
+    assert t == from_kernel(k) and t.kernel is None and t._rank_two is None
 
 
 @pytest.mark.parametrize("scale", [2, -2])
@@ -393,6 +403,30 @@ def test_factored_determinant_and_inverse_match_bareiss(k):
         assert ti._rank_two is None
         assert ti.determinant() == det(ti.matrix) == t.determinant()
         assert ti.inverse().matrix == t.matrix
+
+
+@given(any_kernels)
+def test_from_kernel_carries_its_kernel_and_nothing_else_does(k):
+    """from_kernel's transform carries the very kernel it was built from, on
+    the kernel's lattice; its inverse, like every transform built without
+    from_kernel, carries none."""
+    t = from_kernel(k)
+    assert t.kernel is k and t.source is k.lattice
+    if t.determinant() in (1, -1):
+        assert t.inverse().kernel is None
+    bare = CohTransform(t.source, t.matrix, labels=t.labels)
+    assert bare.kernel is None
+    if bare.determinant() in (1, -1):
+        assert bare.inverse().kernel is None
+    assert identity_transform(k.lattice).kernel is None
+
+
+@pytest.mark.parametrize("lsq", [4, 12, 20])
+def test_pic1_transforms_carry_no_kernel(lsq):
+    sol = select_physical(solve_constraints(existence_test(lsq)))
+    t = transform_from_solution(sol)
+    assert t.kernel is None and t._rank_two is None
+    assert t.inverse().kernel is None
 
 
 def ladder_kernel(rank):
