@@ -74,7 +74,10 @@ class KernelSpec(Record):
     def on(cls, spec: SurfaceSpec, a, b, c, d, vanishing=()) -> KernelSpec:
         """The kernel (a, b, c, d) from the surface spec to itself: source and
         target are spec, and the declared vanishing is the surface's
-        no_cohomology declarations in order, then the given classes."""
+        no_cohomology declarations in order, then the given classes.
+        ValueError unless the classes live on the surface's lattice."""
+        if a.lattice != spec.lattice:
+            raise ValueError("kernel classes live on a different lattice from the surface's")
         return cls(a, b, c, d, (*spec.declared("no_cohomology"), *vanishing), spec, spec)
 
     @property

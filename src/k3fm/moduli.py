@@ -200,7 +200,8 @@ def hilb_moduli_vector(T: CohTransform, n: int, flavor: str) -> MukaiVector:
     output ±(2n-1, n*m, -n-1); flavor "reflexive" expects a square -12
     class g with output ±(1+2n, n*g, 1-3n).  A transform whose kernel
     does not fit the flavor, or whose output leaves the family, is
-    rejected.  n = 0 is the structure sheaf, expected at ±(1, 0, 1).
+    rejected.  n = 0 is the structure sheaf, where both families give
+    ±(1, 0, 1).
 
     Since ch(I_n) = ch(O) - n ch(pt) and the action is linear,
     Phi(I_n) = Phi(O) - n Phi(pt): the image (r, f, t) is M[:, 0] -
@@ -242,18 +243,16 @@ def hilb_moduli_vector(T: CohTransform, n: int, flavor: str) -> MukaiVector:
             break
     f = tuple(f)
 
-    if n == 0:
-        expected_rs = (1, 1)
-        f_ok = not any(f)
+    if flavor == "no-cohomology":
+        expected_rs = (2 * n - 1, -n - 1)
     else:
-        if flavor == "no-cohomology":
-            expected_rs = (2 * n - 1, -n - 1)
-        else:
-            expected_rs = (1 + 2 * n, 1 - 3 * n)
-        nm = tuple(n * x for x in pattern.coords)
-        f_ok = f in (nm, tuple(-x for x in nm))
+        expected_rs = (1 + 2 * n, 1 - 3 * n)
+    if expected_rs[0] < 0:
+        # Normalized as the image is; only n = 0 here: -(1, 1).
+        expected_rs = (-expected_rs[0], -expected_rs[1])
+    nm = tuple(n * x for x in pattern.coords)
     v = MukaiVector(r, DivisorClass(T.source, f), fraction(s))
-    if (r, s) != expected_rs or not f_ok:
+    if (r, s) != expected_rs or f not in (nm, tuple(-x for x in nm)):
         raise RejectionError(
             f"transformed ideal sheaf gives {v!r}, outside the predicted "
             f"{flavor} family for n = {n}"

@@ -336,9 +336,9 @@ def classify_type(rs: ReflexiveSurface, dec: Decomposition) -> TypeReport:
     e^2 = h^2 - 2 h.d1 + d1^2 = -2 gives d1^2 = -2, so d1.e = h.d1 - d1^2 = 3.
     """
     d1, d2 = dec.d1, dec.d2
-    if degree(d1, rs.h) > degree(d2, rs.h):
-        d1, d2 = d2, d1
     deg1, deg2 = degree(d1, rs.h), degree(d2, rs.h)
+    if deg1 > deg2:
+        d1, d2, deg1, deg2 = d2, d1, deg2, deg1
     if deg1 < 1:
         raise ReflexiveViolation(
             f"deg(d_1) = {deg1}; an effective component needs positive degree"

@@ -31,15 +31,13 @@ of one lattice.  A rank-2 transform of this kind exists only when Y is
 isomorphic to X (the paper's negative-twisted-determinant theorem), so
 each transform maps its lattice to itself and carries that one lattice.
 A kernel transform M = B alpha^T + D gamma^T - T_e is a rank-two update of
-the twist T_e by e = c + d.  from_kernel keeps those factors and the 2x2
-matrix K of the matrix determinant lemma, which is closed form in three
-squares, s^2, (a - c)^2 and (b - d)^2 with s = a + b - c - d: the
-determinant, (-1)^n det K, costs O(1), and the inverse is the Woodbury
-rank-two update of T_{-e}, whose factors inverse() reads off the stored
-ones in O(n) (see _RankTwoUpdate); every other transform uses the
-Bareiss elimination of linalg.  M and M^-1 are both built row by row from
-their factors in O(n^2), with the twist's few nonzero entries subtracted
-in place, so no twist matrix is formed.
+the twist T_e by e = c + d.  from_kernel keeps those factors exactly on
+an isometry, the case of an equivalence, where the determinant is
+(-1)^rank and the inverse is the dual kernel's transform, its factors
+read off the stored ones in O(n) (see _RankTwoUpdate); every other
+transform uses the Bareiss elimination of linalg.  M and M^-1 are both
+built row by row from their factors in O(n^2), with the twist's few
+nonzero entries subtracted in place, so no twist matrix is formed.
 The Euler pairing in these coordinates has Gram matrix
 
     [[2, 0, 1],
@@ -49,7 +47,7 @@ The Euler pairing in these coordinates has Gram matrix
 and a transform is an equivalence-induced map only if it preserves it,
 M^T E M = E (Huybrechts, Fourier-Mukai Transforms in Algebraic Geometry,
 2006, ch. 5).  is_mukai_isometry tests that product on every transform
-without factors.  A kernel transform is an isometry exactly when
+without a kernel.  A kernel transform is an isometry exactly when
 (a - c)^2 = -4 and G (a + b - c - d) = 0, a lemma that its docstring
 proves; from_kernel decides it in O(n) from the Gram products it forms.
 """
@@ -101,10 +99,11 @@ class CohTransform(Record):
     _of, so a transform has a kernel exactly when its matrix is that
     kernel's action on the kernel's lattice; every other transform, an
     inverse included, has neither.  _rank_two holds the factors of the
-    matrix, from which determinant() and inverse() are computed without an
-    n x n product, and the isometry lemma's verdict, which
-    is_mukai_isometry returns.  kernel, labels and _rank_two are
-    provenance and do not take part in equality.
+    matrix exactly when the kernel is an isometry, so the determinant is
+    (-1)^rank and inverse() builds the dual kernel's matrix without an
+    n x n product (see _RankTwoUpdate); every other transform takes the
+    Bareiss path.  kernel, labels and _rank_two are provenance and do not
+    take part in equality.
     """
 
     __slots__ = ("source", "matrix", "kernel", "labels", "_rank_two")
@@ -123,10 +122,10 @@ class CohTransform(Record):
     def _of(cls, source, matrix, kernel=None, labels=(), rank_two=None) -> CohTransform:
         """A transform without __init__'s checks; the only writer of kernel
         and _rank_two.  Only from_kernel, which passes the kernel, its lattice
-        and the factors, and the factored inverse(), which passes neither,
-        call it: _rank_two_rows builds both matrices from int factors, so by
-        closure of int arithmetic each is a tuple of source.rank + 2 tuples
-        of as many plain ints."""
+        and, on an isometry, the factors, and the factored inverse(), which
+        passes neither, call it: _rank_two_rows builds both matrices from
+        int factors, so by closure of int arithmetic each is a tuple of
+        source.rank + 2 tuples of as many plain ints."""
         self = object.__new__(cls)
         self._set(source, matrix, kernel, labels, rank_two)
         return self
@@ -145,7 +144,7 @@ class CohTransform(Record):
 
     def determinant(self) -> int:
         if self._rank_two is not None:
-            return self._rank_two.determinant()
+            return (-1) ** self.source.rank
         return linalg.det(self.matrix)
 
     def inverse(self) -> "CohTransform":
@@ -242,7 +241,7 @@ def _rank_two_rows(x, y, sign: int, e, ge, half_e2) -> Matrix:
 
 
 class _RankTwoUpdate(Record):
-    """The factors of a kernel transform M = U V^T - T_e, and its 2x2 K.
+    """The factors of an isometric kernel transform M = U V^T - T_e.
 
     Write l_x = ch O(x) = (1, x, x^2/2), E for the Euler Gram and
     chi(x) = 2 + x^2/2 for the Euler characteristic of O(x).  u holds the
@@ -259,20 +258,23 @@ class _RankTwoUpdate(Record):
 
     So T_{-e} U = (l_{b-e}, l_{-c}) and V^T T_{-e} = (E l_{e-a}, E l_d)^T,
     and with chi(l_x, l_y) = l_x^T E l_y = 2 + (x - y)^2/2 and
-    s = a + b - c - d, the 2x2 matrix K = I - V^T T_{-e} U is
+    s = a + b - c - d, the 2x2 matrix of the matrix determinant lemma is
+    K = I - V^T T_{-e} U = [[-1 - s^2/2, -chi(a - c)], [-chi(b - d), -1]].
 
-        K = [[-1 - s^2/2, -chi(a - c)], [-chi(b - d), -1]],
-
-    which from_kernel stores as k.  The matrix determinant lemma gives
-    det M = (-1)^n det K, in O(1), and the Woodbury identity (Hager, SIAM
-    Review 31, 1989) gives M^{-1} = -T_{-e} - (T_{-e} U K^{-1}) (V^T T_{-e}),
-    whose factors inverse() reads off u, v and e in O(n); both M and M^{-1}
-    are built row by row by _rank_two_rows, in int and with no twist
-    matrix.  isometry is the verdict of the lemma proved in
-    is_mukai_isometry, (a - c)^2 = -4 and G (a + b - c - d) = 0.
+    from_kernel keeps the factors only on an isometry, (a - c)^2 = -4 and
+    G s = 0 (the lemma of is_mukai_isometry).  There s^2 = 0 and
+    (b - d)^2 = (a - c)^2, as b - d = s - (a - c), so K = -I.  Hence
+    det M = (-1)^n det K = (-1)^rank, and M^{-1} = (T_{-e} U)(V^T T_{-e})
+    - T_{-e}: multiplied out, with V^T T_{-e} U = I - K = 2I, the product
+    is I.  That is the transform of the dual kernel (-b, b - e, -d, -c),
+    again an isometry, as the inverse of an equivalence is an equivalence
+    (Huybrechts 2006, ch. 5): it twists by -e, and its forms E l_b and
+    E l_d equal E l_{e-a} and E l_d, since e - a = b - s with G s = 0.
+    inverse() reads those factors off u, v and e in O(n); _rank_two_rows
+    builds M and M^{-1} in int, with no twist matrix.
     """
 
-    __slots__ = ("u", "v", "e", "ge", "half_e2", "k", "isometry")
+    __slots__ = ("u", "v", "e", "ge", "half_e2")
 
     def __init__(
         self,
@@ -281,45 +283,28 @@ class _RankTwoUpdate(Record):
         e: tuple[int, ...],
         ge: tuple[int, ...],
         half_e2: int,
-        k: tuple[tuple[int, int], tuple[int, int]],
-        isometry: bool,
     ):
-        self._set(u, v, e, ge, half_e2, k, isometry)
+        self._set(u, v, e, ge, half_e2)
 
     def matrix(self) -> Matrix:
         return _rank_two_rows(self.u, self.v, 1, self.e, self.ge, self.half_e2)
 
-    def determinant(self) -> int:
-        (k00, k01), (k10, k11) = self.k
-        # n = rank + 2, so (-1)^n = (-1)^rank.
-        return (-1) ** len(self.e) * (k00 * k11 - k01 * k10)
-
     def inverse(self) -> Matrix:
-        """M^{-1}; ValueError, as linalg.inverse raises it, unless det M = +-1."""
-        (k00, k01), (k10, k11) = self.k
-        det_k = k00 * k11 - k01 * k10
-        if det_k not in (1, -1):
-            raise ValueError(
-                f"matrix has determinant {self.determinant()}; "
-                "only determinant +-1 has an integral inverse"
-            )
+        """M^{-1} = (T_{-e} U)(V^T T_{-e}) - T_{-e}, the dual kernel's matrix."""
         e, ge, half_e2 = self.e, self.ge, self.half_e2
         (_, *b, half_b2), (_, *d, half_d2) = self.u
         (chi_a, *ga, _), (chi_c, *gc, _) = self.v
         # T_{-e} U = (l_{b-e}, l_{-c}) and V^T T_{-e} = (E l_{e-a}, E l_d)^T,
         # with c = e - d and G d = G e - G c.
-        w0 = (1, *map(sub, b, e), half_b2 - sum(map(mul, b, ge)) + half_e2)
-        w1 = (1, *map(sub, d, e), chi_c - 2)
-        y0 = (chi_a - sum(map(mul, e, ga)) + half_e2, *map(sub, ga, ge), 1)
-        y1 = (2 + half_d2, *map(sub, gc, ge), 1)
-        # M^{-1} = X Y^T - T_{-e}: the columns X = -T_{-e} U K^{-1}, with
-        # K^{-1} = det K * adj K since det K = +-1.
-        m00, m01, m10, m11 = (det_k * k for k in (-k11, k01, k10, -k00))
         x = (
-            tuple(m00 * s + m10 * t for s, t in zip(w0, w1)),
-            tuple(m01 * s + m11 * t for s, t in zip(w0, w1)),
+            (1, *map(sub, b, e), half_b2 - sum(map(mul, b, ge)) + half_e2),
+            (1, *map(sub, d, e), chi_c - 2),
         )
-        return _rank_two_rows(x, (y0, y1), -1, e, ge, half_e2)
+        y = (
+            (chi_a - sum(map(mul, e, ga)) + half_e2, *map(sub, ga, ge), 1),
+            (2 + half_d2, *map(sub, gc, ge), 1),
+        )
+        return _rank_two_rows(x, y, -1, e, ge, half_e2)
 
 
 def from_kernel(kernel: KernelSpec, labels: tuple = ()) -> CohTransform:
@@ -330,14 +315,15 @@ def from_kernel(kernel: KernelSpec, labels: tuple = ()) -> CohTransform:
     factors).  Every x^2/2 is an integer because the lattice is even.
     kernel_action_vector stays the reference the tests check this matrix
     against.  M is built row by row from the factors, without a twist
-    matrix or a re-check of its ints.  The factors and K are kept on the
-    transform, and its determinant and inverse come from them; its
-    isometry verdict is the lemma of is_mukai_isometry, read off the Gram
-    products in O(n).  Three Gram products G a, G c and G e are row dot
-    products with the Gram, and a fourth, G s with s = a + b - c - d, is
-    formed only when s != 0 (a product of a zero class is the class
-    itself); G b = G e - G a + G s and G d = G e - G c follow in O(n).  No
-    matrix product is formed and no DivisorClass is built.
+    matrix or a re-check of its ints.  The factors are kept on the
+    transform exactly when the isometry lemma of is_mukai_isometry holds,
+    read off the Gram products in O(n); otherwise its determinant and
+    inverse take the Bareiss path.  Three Gram products G a, G c and G e
+    are row dot products with the Gram, and a fourth, G s with
+    s = a + b - c - d, is formed only when s != 0 (a product of a zero
+    class is the class itself); G b = G e - G a + G s and G d = G e - G c
+    follow in O(n).  No matrix product is formed and no DivisorClass is
+    built.
 
     The kernel's four classes are attached as labels a, b, c, d, ahead of
     the given labels.  This is the only way a transform gets a kernel: the
@@ -353,19 +339,19 @@ def from_kernel(kernel: KernelSpec, labels: tuple = ()) -> CohTransform:
     gb = tuple(map(add, map(sub, ge, ga), gs))
     gd = tuple(map(sub, ge, gc))
     square_ac = sum(map(mul, map(sub, a, c), map(sub, ga, gc)))
-    square_bd = sum(map(mul, map(sub, b, d), map(sub, gb, gd)))
     update = _RankTwoUpdate(
         u=((1, *b, _half_square(b, gb)), (1, *d, _half_square(d, gd))),
         v=((2 + _half_square(a, ga), *ga, 1), (2 + _half_square(c, gc), *gc, 1)),
         e=e,
         ge=ge,
         half_e2=_half_square(e, ge),
-        k=((-1 - _half_square(s, gs), -2 - square_ac // 2), (-2 - square_bd // 2, -1)),
-        # The lemma of is_mukai_isometry: (a - c)^2 = -4 and G s = 0.
-        isometry=square_ac == -4 and not any(gs),
     )
+    # The lemma of is_mukai_isometry: (a - c)^2 = -4 and G s = 0.
+    isometry = square_ac == -4 and not any(gs)
     auto = (("a", kernel.a), ("b", kernel.b), ("c", kernel.c), ("d", kernel.d))
-    return CohTransform._of(lat, update.matrix(), kernel, auto + tuple(labels), update)
+    return CohTransform._of(
+        lat, update.matrix(), kernel, auto + tuple(labels), update if isometry else None
+    )
 
 
 def is_mukai_isometry(t: CohTransform) -> bool:
@@ -373,19 +359,21 @@ def is_mukai_isometry(t: CohTransform) -> bool:
 
     The defining identity is M^T E M = E (Huybrechts 2006, ch. 5), with E
     the Euler Gram of the transform's lattice, equivalent by bilinearity to
-    agreement of euler_chi on all pairs; a transform without factors
+    agreement of euler_chi on all pairs; a transform without a kernel
     (inverse results, pic1, hand-built matrices) is tested by exactly that
     product, against one Euler Gram.
 
-    A kernel transform with its factors is an isometry exactly when
+    A kernel transform is an isometry exactly when
 
         (a - c)^2 = -4  and  G (a + b - c - d) = 0,
 
     the lattice shadow of the paper's criterion chi(O(a - c)) = 0 (Huybrechts
-    2006, ch. 5, 10).  from_kernel reads it in O(n) off its Gram products, so
-    no n x n product is formed.  Proof: write l_x = ch O(x) = (1, x, x^2/2),
-    e = c + d and chi for the Euler form, which is symmetric, is preserved
-    by every twist and has chi(l_x, l_y) = 2 + (x - y)^2/2.  Then
+    2006, ch. 5, 10).  from_kernel reads it in O(n) off its Gram products
+    and keeps the factors exactly when it holds, so the verdict is whether
+    the transform has them, and no n x n product is formed.  Proof: write
+    l_x = ch O(x) = (1, x, x^2/2), e = c + d and chi for the Euler form,
+    which is symmetric, is preserved by every twist and has
+    chi(l_x, l_y) = 2 + (x - y)^2/2.  Then
 
         T_{-e} M = chi(l_{-a}, .) l_{b-e} + chi(l_{-c}, .) l_{-c} - I,
 
@@ -403,8 +391,8 @@ def is_mukai_isometry(t: CohTransform) -> bool:
     a + b - c - d in the radical, (b - d)^2 = (a - c)^2, so kappa = 0 iff
     (a - c)^2 = -4.
     """
-    if t._rank_two is not None:
-        return t._rank_two.isometry
+    if t.kernel is not None:
+        return t._rank_two is not None
     m = t.matrix
     e = euler_gram(t.source)
     return mat_mul(transpose(m), mat_mul(e, m)) == e

@@ -277,3 +277,16 @@ def test_reflexive_kernels_are_on_their_surface():
         ("reflexive-type-ii.json", "type-ii"),
         ("reflexive.json", "nondegenerate"),
     ]
+
+
+def test_on_refuses_classes_from_another_lattice():
+    """The no-cohomology kernel (0, 0, m, -m) of Gram (-4) is not on
+    reflexive-type-i.json, which declares no no_cohomology class, so no
+    declared class's lattice trips __init__'s check; on refuses it, and a
+    declaring surface refuses it with the same message."""
+    m = NSLattice(((-4,),)).basis(0)
+    zero = m.lattice.zero()
+    for name in ("reflexive-type-i.json", "reflexive.json"):
+        spec = load_surface_spec(SURFACES / name)
+        with pytest.raises(ValueError, match="different lattice from the surface's"):
+            KernelSpec.on(spec, zero, zero, m, -m)

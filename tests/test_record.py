@@ -137,8 +137,8 @@ RECORDS = [
     (
         _RankTwoUpdate,
         lambda: transform()._rank_two,
-        "u v e ge half_e2 k isometry",
-        ["u", "v", "e", "ge", "half_e2", "k", "isometry"],
+        "u v e ge half_e2",
+        ["u", "v", "e", "ge", "half_e2"],
         (),
     ),
     (

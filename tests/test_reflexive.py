@@ -186,6 +186,20 @@ def test_decompose_two_disjoint_components():
     assert report.e is None
 
 
+def test_classify_type_computes_each_degree_once(monkeypatch):
+    """Two degree computations per classification, whichever half comes
+    first: the swapped pair reports the same ordered halves."""
+    rs = component_surface(("a", "b", "c"), {"a": 1, "b": 1, "c": 2}, {("b", "c"): 1})
+    dec = decompose_l2h(rs)
+    calls = []
+    real = reflexive.degree
+    monkeypatch.setattr(reflexive, "degree", lambda *args: calls.append(args) or real(*args))
+    report = classify_type(rs, dec)
+    swapped = classify_type(rs, Decomposition(d1=dec.d2, d2=dec.d1))
+    assert len(calls) == 4
+    assert swapped == report and (report.deg_d1, report.deg_d2) == (1, 3)
+
+
 def refused(l_square):
     """What construction raises for a configuration whose degrees sum to 4:
     l^2 = (occurrence sum)^2 - 8 fails to be -12."""

@@ -365,11 +365,13 @@ def outcome(compute):
         return str(error)
 
 
-def assert_factored_matches_bareiss(t):
-    """The factored determinant and inverse match Bareiss, and the matrices
+def assert_kernel_transform_matches_bareiss(t):
+    """A kernel transform has its factors exactly when the dense product
+    finds an isometry, and is_mukai_isometry says the same; its determinant
+    and inverse, factored or not, match Bareiss, and the matrices
     from_kernel and the factored inverse() build without __init__'s checks
     are (rank+2)x(rank+2) tuples of int that __init__ accepts unchanged."""
-    assert t._rank_two is not None
+    assert (t._rank_two is not None) == dense_isometry(t) == is_mukai_isometry(t)
     assert t.determinant() == det(t.matrix)
     assert outcome(lambda: t.inverse().matrix) == outcome(lambda: inverse(t.matrix))
     assert CohTransform(t.source, t.matrix) == t
@@ -387,11 +389,11 @@ def assert_factored_matches_bareiss(t):
 @given(any_kernels)
 def test_factored_determinant_and_inverse_match_bareiss(k):
     t = from_kernel(k)
-    assert_factored_matches_bareiss(t)
+    assert_kernel_transform_matches_bareiss(t)
     rank = k.lattice.rank
     if t.numerically_valid:
-        # With s = a + b - c - d = 0, K = -[[1, chi(a - c)], [chi(b - d), 1]],
-        # and (b - d)^2 = (a - c)^2 = -4 makes both chi vanish.
+        # a + b = c + d and (a - c)^2 = -4: an isometry, so K = -I.
+        assert t._rank_two is not None
         assert t.determinant() == (-1) ** rank
     # Transforms without factors go through Bareiss and agree with the factors.
     bare = CohTransform(t.source, t.matrix)
@@ -451,15 +453,17 @@ def test_factored_path_matches_oracles_on_rank_ladder(rank):
     valid = ladder_kernel(rank)
     t = from_kernel(valid)
     assert t.determinant() == (-1) ** rank
-    assert_factored_matches_bareiss(t)
+    assert_kernel_transform_matches_bareiss(t)
     assert mat_mul(t.matrix, t.inverse().matrix) == identity(rank + 2)
     # (a - c)^2 = -16 instead of -4: s = a + b - c - d = 0 and
-    # chi(a - c) = chi(b - d) = -6, so det K = 1 - 36 = -35.
+    # chi(a - c) = chi(b - d) = -6, so by test_determinant_closed_form
+    # det M = (-1)^rank (1 - 36).  No isometry, so no factors: Bareiss.
     m = valid.a - valid.c
     broken = from_kernel(KernelSpec(a=valid.a, b=valid.b, c=valid.a - 2 * m, d=valid.b + 2 * m))
     assert not broken.numerically_valid
+    assert broken._rank_two is None
     assert broken.determinant() == -35 * (-1) ** rank
-    assert_factored_matches_bareiss(broken)
+    assert_kernel_transform_matches_bareiss(broken)
     # a = c: a + b = c + d holds, but (a - c)^2 = 0.
     same = from_kernel(KernelSpec(a=valid.a, b=valid.b, c=valid.a, d=valid.b))
     for u, isometry in ((t, True), (broken, False), (same, False)):
@@ -509,10 +513,11 @@ LEMMA_SHAPES = ("isometry", "isometry", "near", "same alpha", "free")
 @st.composite
 def lemma_kernels(draw):
     """Kernels on even lattices of rank 1-5, biased toward the edges of the
-    isometry lemma: (a, b, a - m, b + m) with m^2 = -4, the same with d off
-    by a basis class, c = a or a plus a radical class (alpha = gamma), and
-    free draws.  A degenerate Gram copies row and column 0 into row and
-    column 1, so e_0 - e_1 spans a radical."""
+    isometry lemma: (a, b, a - m, b + m) with m^2 = -4, plus a radical class
+    in d on a degenerate Gram (an isometry with a + b != c + d), the same
+    with d off by a basis class, c = a or a plus a radical class
+    (alpha = gamma), and free draws.  A degenerate Gram copies row and
+    column 0 into row and column 1, so e_0 - e_1 spans a radical."""
     gram = [list(row) for row in draw(lattices(max_rank=5)).gram]
     rank = len(gram)
     shape = draw(st.sampled_from(LEMMA_SHAPES))
@@ -528,7 +533,12 @@ def lemma_kernels(draw):
     a, b = draw(class_on(lattice)), draw(class_on(lattice))
     if with_m:
         m = lattice.basis(rank - 1)
-        extra = lattice.basis(0) if shape == "near" else lattice.zero()
+        if shape == "near":
+            extra = lattice.basis(0)
+        elif degenerate:
+            extra = draw(st.integers(-1, 1)) * (lattice.basis(0) - lattice.basis(1))
+        else:
+            extra = lattice.zero()
         return KernelSpec(a=a, b=b, c=a - m, d=b + m + extra)
     if shape == "same alpha":
         c = a
@@ -546,9 +556,9 @@ def test_kernel_transform_isometry_lemma(k):
     that is a + b = c + d, so there the verdict is numerically_valid; a
     degenerate Gram also admits a + b - c - d in its radical."""
     t = from_kernel(k)
-    assert t._rank_two is not None
     excess = k.a + k.b - k.c - k.d
     lemma = (k.a - k.c).square == -4 and not any(mat_vec(k.lattice.gram, excess.coords))
+    assert (t._rank_two is not None) == lemma
     assert is_mukai_isometry(t) == dense_isometry(t) == lemma
     if det(k.lattice.gram) != 0:
         assert t.numerically_valid == lemma
@@ -558,8 +568,8 @@ def test_kernel_transform_isometry_lemma(k):
 @given(lemma_kernels())
 def test_determinant_closed_form(k):
     """det M = (-1)^rho (1 + s^2/2 - chi(a - c) chi(b - d)) with
-    s = a + b - c - d and chi(x) = 2 + x^2/2, the determinant of the 2x2
-    matrix K in _RankTwoUpdate."""
+    s = a + b - c - d and chi(x) = 2 + x^2/2, by the matrix determinant
+    lemma det M = (-1)^rho det K with the 2x2 matrix K of _RankTwoUpdate."""
     t = from_kernel(k)
 
     def chi(x):
@@ -571,10 +581,13 @@ def test_determinant_closed_form(k):
 
 
 def test_factored_isometry_forms_no_dense_product(monkeypatch):
-    """A kernel transform with its factors is tested without mat_mul or
-    euler_gram; transforms without factors still take the dense path."""
+    """A kernel transform is tested without mat_mul or euler_gram, whether
+    it has factors or, being no isometry, none; transforms without a kernel
+    still take the dense path."""
     k = ladder_kernel(8)
     t = from_kernel(k)
+    m = k.a - k.c
+    broken = from_kernel(KernelSpec(a=k.a, b=k.b, c=k.a - 2 * m, d=k.b + 2 * m))
     others = [
         CohTransform(t.source, t.matrix),
         CohTransform(t.source, mat_mul(t.matrix, t.matrix)),
@@ -587,6 +600,7 @@ def test_factored_isometry_forms_no_dense_product(monkeypatch):
             transform, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
         )
     assert is_mukai_isometry(t)
+    assert not is_mukai_isometry(broken)
     assert calls == []
     for other in others:
         assert other._rank_two is None
@@ -611,8 +625,9 @@ def test_numerically_valid_keeps_the_paper_condition_on_a_degenerate_gram():
     assert not t.numerically_valid
     # s != 0 with s^2 = 0: the factored inverse is reached off a + b = c + d.
     assert t.determinant() == 1
-    assert_factored_matches_bareiss(t)
+    assert_kernel_transform_matches_bareiss(t)
     assert_factors_match_dense_twist(t)
+    assert_isometry_facts(t)
 
 
 @settings(max_examples=300)
@@ -699,27 +714,30 @@ def dense_untwist(lattice, e):
     return ((1, *[0] * n, 0), *middle, (half_e2, *(-g for g in ge), 1))
 
 
+def ch_column(x):
+    """l_x = ch O(x) = (1, x, x^2/2), from the class's own square."""
+    return (1, *x.coords, x.square // 2)
+
+
 def assert_factors_match_dense_twist(t):
-    """The stored K is I - V^T T_{-e} U, and the factors inverse() hands to
-    _rank_two_rows are X = -T_{-e} U K^{-1} and Y^T = V^T T_{-e}, all
+    """On an isometry K = I - V^T T_{-e} U is -I, and the factors inverse()
+    hands to _rank_two_rows are X = T_{-e} U and Y^T = V^T T_{-e}, all
     against a dense T_{-e} and U = (l_b, l_d), V = (E l_{-a}, E l_{-c})
-    written out from the kernel's classes."""
-    k, update = t.kernel, t._rank_two
-
-    def ch(x):
-        return (1, *x.coords, x.square // 2)
-
+    written out from the kernel's classes.  Off an isometry there are no
+    factors."""
+    if t._rank_two is None:
+        assert not dense_isometry(t)
+        return
+    k = t.kernel
     euler = euler_gram(t.source)
-    u = transpose((ch(k.b), ch(k.d)))
-    v = transpose([mat_vec(euler, ch(-x)) for x in (k.a, k.c)])
+    u = transpose((ch_column(k.b), ch_column(k.d)))
+    v = transpose([mat_vec(euler, ch_column(-x)) for x in (k.a, k.c)])
     untwist = dense_untwist(t.source, (k.c + k.d).coords)
     k_dense = tuple(
         tuple(int(i == j) - x for j, x in enumerate(row))
         for i, row in enumerate(mat_mul(transpose(v), mat_mul(untwist, u)))
     )
-    assert update.k == k_dense
-    if det(k_dense) not in (1, -1):
-        return
+    assert k_dense == ((-1, 0), (0, -1))
     with pytest.MonkeyPatch.context() as patch:
         seen = []
         real = transform._rank_two_rows
@@ -728,16 +746,64 @@ def assert_factors_match_dense_twist(t):
         )
         t.inverse()
     ((x, y, sign, *_),) = seen
-    x_dense = mat_mul(mat_mul(untwist, u), inverse(k_dense))
-    assert transpose(x) == tuple(tuple(-z for z in row) for row in x_dense)
+    assert transpose(x) == mat_mul(untwist, u)
     assert y == mat_mul(transpose(v), untwist)
     assert sign == -1
 
 
 @settings(max_examples=200)
 @given(st.one_of(any_kernels, lemma_kernels()))
-def test_stored_k_and_inverse_factors_match_a_dense_twist(k):
+def test_k_is_minus_identity_and_inverse_factors_match_a_dense_twist(k):
     assert_factors_match_dense_twist(from_kernel(k))
+
+
+def dense_reflection(euler, v):
+    """s_v(w) = w - chi(v, w) v as a dense matrix, chi(v, w) = v^T E w."""
+    form = [sum(map(operator.mul, v, column)) for column in zip(*euler)]
+    return tuple(
+        tuple(int(i == j) - vi * fj for j, fj in enumerate(form)) for i, vi in enumerate(v)
+    )
+
+
+def reflection_oracle(k):
+    """The transform of an isometric kernel as two spherical reflections and
+    a twist, M = -T_e s_{l(-a)} s_{l(-c)} + T_e n chi(l_{-a}, .) with
+    n = (0, s, 0) and s = a + b - c - d, all dense; it shares no code with
+    from_kernel.  chi(l_x, l_x) = 2 makes each s_v a reflection, and
+    chi(l_{-a}, l_{-c}) = 2 + (a - c)^2/2 = 0 lets the two commute."""
+    lattice = k.lattice
+    euler = euler_gram(lattice)
+    la, lc = ch_column(-k.a), ch_column(-k.c)
+    s = k.a + k.b - k.c - k.d
+    n = (0, *s.coords, 0)
+    alpha = [sum(map(operator.mul, la, column)) for column in zip(*euler)]
+    reflections = mat_mul(dense_reflection(euler, la), dense_reflection(euler, lc))
+    inner = tuple(
+        tuple(ni * aj - x for aj, x in zip(alpha, row)) for ni, row in zip(n, reflections)
+    )
+    return mat_mul(dense_untwist(lattice, (-(k.c + k.d)).coords), inner)
+
+
+def assert_isometry_facts(t):
+    """An isometric kernel transform has determinant (-1)^rank, is the
+    reflection oracle's matrix, and its inverse is the transform of the dual
+    kernel (-b, b - e, -d, -c) with e = c + d, itself factored."""
+    k = t.kernel
+    e = k.c + k.d
+    assert t.determinant() == (-1) ** k.lattice.rank
+    assert t.matrix == reflection_oracle(k)
+    dual = from_kernel(KernelSpec(a=-k.b, b=k.b - e, c=-k.d, d=-k.c))
+    assert dual._rank_two is not None
+    assert t.inverse().matrix == dual.matrix
+    assert inverse(t.matrix) == dual.matrix
+
+
+@settings(max_examples=300)
+@given(st.one_of(any_kernels, lemma_kernels()))
+def test_isometric_kernel_transform_is_reflections_with_dual_inverse(k):
+    t = from_kernel(k)
+    assume(dense_isometry(t))
+    assert_isometry_facts(t)
 
 
 class CountedGram(tuple):
