@@ -41,10 +41,12 @@ class KernelSpec(Record):
 
     declared_vanishing lists classes whose line bundles are declared to have
     no cohomology; it feeds condition (3) of check_sufficient.  source and
-    target are context only and take no part in equality.  A kernel on a
-    surface is built by on, the one place that writes that context and
-    reads the surface's no-cohomology declarations; normalize_twist copies
-    it from the kernel it twists.
+    target are context only and take no part in equality; a surface given
+    must live on the kernel's lattice, as the kernel maps it to itself (Y
+    is isomorphic to X).  Every kernel passes through __init__, which
+    checks each class, declaration and surface.  on fills in the surface
+    and its no-cohomology declarations; normalize_twist copies the context
+    from the kernel it twists.
     """
 
     __slots__ = ("a", "b", "c", "d", "declared_vanishing", "source", "target")
@@ -65,6 +67,9 @@ class KernelSpec(Record):
         for name, dc in (("b", b), ("c", c), ("d", d)):
             if dc.lattice != lat:
                 raise ValueError(f"kernel class {name} lives on a different lattice")
+        for spec in (source, target):
+            if spec is not None and spec.lattice != lat:
+                raise ValueError("kernel classes live on a different lattice from the surface's")
         for dc in declared_vanishing:
             if dc.lattice != lat:
                 raise ValueError("declared vanishing class lives on a different lattice")
@@ -76,8 +81,6 @@ class KernelSpec(Record):
         target are spec, and the declared vanishing is the surface's
         no_cohomology declarations in order, then the given classes.
         ValueError unless the classes live on the surface's lattice."""
-        if a.lattice != spec.lattice:
-            raise ValueError("kernel classes live on a different lattice from the surface's")
         return cls(a, b, c, d, (*spec.declared("no_cohomology"), *vanishing), spec, spec)
 
     @property

@@ -155,9 +155,10 @@ def mat_vec(m, v) -> tuple[Fraction, ...]:
 
 
 def _square_rows(m) -> list[list[int]]:
+    """m's rows as int lists; ValueError unless m is square and not empty."""
     rows = [list(row) for row in integer_matrix(m)]
-    if any(len(row) != len(rows) for row in rows):
-        raise ValueError("matrix is not square")
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise ValueError("matrix must be square and non-empty")
     return rows
 
 

@@ -218,21 +218,18 @@ def hilb_moduli_vector(T: CohTransform, n: int, flavor: str) -> MukaiVector:
     if T.kernel is None:
         raise ValueError("transform carries no kernel data; the flavor check needs b and d")
 
-    g = T.kernel.b + T.kernel.d
-    if flavor == "no-cohomology":
-        pattern = -g
-        if pattern.square != -4:
-            raise RejectionError(
-                f"kernel difference class has square {pattern.square}, "
-                "but the no-cohomology family needs -4"
-            )
-    else:
-        pattern = g
-        if pattern.square != -12:
-            raise RejectionError(
-                f"kernel pattern class has square {pattern.square}, "
-                "but the reflexive family needs -12"
-            )
+    # The square and the family's +-n pattern do not depend on the sign of b + d.
+    pattern = T.kernel.b + T.kernel.d
+    if flavor == "no-cohomology" and pattern.square != -4:
+        raise RejectionError(
+            f"kernel difference class has square {pattern.square}, "
+            "but the no-cohomology family needs -4"
+        )
+    if flavor == "reflexive" and pattern.square != -12:
+        raise RejectionError(
+            f"kernel pattern class has square {pattern.square}, "
+            "but the reflexive family needs -12"
+        )
 
     r, *f, t = [row[0] - n * row[-1] for row in T.matrix]
     s = t + r

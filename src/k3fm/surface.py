@@ -121,12 +121,6 @@ class SurfaceSpec(Record):
         }
 
 
-def _reject_booleans(values, what: str) -> None:
-    # JSON true and false load as bool, an int subclass the lattice would take as 1 and 0.
-    if any(isinstance(x, bool) for x in values):
-        raise SurfaceSpecError(f"{what} must be integers, not true or false")
-
-
 def _unique_keys(pairs) -> dict:
     """A JSON object's pairs as a dict; a repeated key raises SurfaceSpecError."""
     obj = {}
@@ -156,7 +150,6 @@ def surface_spec_from_dict(data: dict) -> SurfaceSpec:
         raise SurfaceSpecError('surface description is missing "gram"') from None
     if not isinstance(gram_rows, list) or not all(isinstance(r, list) for r in gram_rows):
         raise SurfaceSpecError('"gram" must be a list of rows')
-    _reject_booleans((x for row in gram_rows for x in row), '"gram" entries')
     try:
         lattice = NSLattice(tuple(tuple(r) for r in gram_rows))
     except ValueError as exc:
@@ -174,7 +167,6 @@ def surface_spec_from_dict(data: dict) -> SurfaceSpec:
     for name, coords in classes.items():
         if not isinstance(coords, list):
             raise SurfaceSpecError(f"class {name!r} must map to a coordinate list")
-        _reject_booleans(coords, f"class {name!r} coordinates")
         try:
             named.append((str(name), DivisorClass(lattice, tuple(coords))))
         except ValueError as exc:

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, compress, product, repeat
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 
 from . import linalg
 from .kernel import KernelSpec, check_sufficient
@@ -169,13 +169,7 @@ def ch_vector(c: ChernCharacter) -> tuple[Fraction, ...]:
 
 
 def vector_to_ch(lattice: NSLattice, vec: tuple[Fraction, ...]) -> ChernCharacter:
-    r = vec[0]
-    if r.denominator != 1:
-        raise ValueError(f"rank component {r} is not an integer")
-    coords = vec[1:-1]
-    if any(x.denominator != 1 for x in coords):
-        raise ValueError("first-Chern-class coordinates are not integral")
-    return ChernCharacter(r, DivisorClass(lattice, coords), vec[-1])
+    return ChernCharacter(vec[0], DivisorClass(lattice, vec[1:-1]), vec[-1])
 
 
 def identity_transform(lattice: NSLattice) -> CohTransform:
@@ -213,17 +207,18 @@ def _half_square(x, gx) -> int:
     return sum(map(mul, x, gx)) // 2
 
 
-def _rank_two_rows(x, y, sign: int, e, ge, half_e2) -> Matrix:
-    """The rows of X Y^T - T_{sign e} for int columns x, rows y, sign = +-1.
+def _rank_two_rows(x, y, e, ge, half_e2) -> Matrix:
+    """The rows of X Y^T - T_e for int columns x, rows y and the class e,
+    given with ge = G e and half_e2 = e^2/2.
 
-    T_{sign e} has rows (1, 0, 0), (sign e_i, unit_i, 0) and
-    (e^2/2, sign (G e)^T, 1); those entries are subtracted in place from
-    each row of X Y^T, which is one list comprehension.  A row whose
-    coefficient in x0 or x1 is 0 skips that product; about a third of the
-    rows have one when the kernel's classes have entries in {-1, 0, 1}.
+    T_e has rows (1, 0, 0), (e_i, unit_i, 0) and (e^2/2, (G e)^T, 1);
+    those entries are subtracted in place from each row of X Y^T, which is
+    one list comprehension.  A row whose coefficient in x0 or x1 is 0
+    skips that product; about a third of the rows have one when the
+    kernel's classes have entries in {-1, 0, 1}.
     """
     (x0, x1), (y0, y1) = x, y
-    column = (0, *(sign * ei for ei in e), half_e2)
+    column = (0, *e, half_e2)
     rows = []
     for i, (p, q, c) in enumerate(zip(x0, x1, column)):
         if not p:
@@ -236,7 +231,7 @@ def _rank_two_rows(x, y, sign: int, e, ge, half_e2) -> Matrix:
         row[i] -= 1
         rows.append(row)
     last = rows[-1]
-    last[1:-1] = [z - sign * g for z, g in zip(last[1:-1], ge)]
+    last[1:-1] = map(sub, last[1:-1], ge)
     return tuple(map(tuple, rows))
 
 
@@ -287,7 +282,7 @@ class _RankTwoUpdate(Record):
         self._set(u, v, e, ge, half_e2)
 
     def matrix(self) -> Matrix:
-        return _rank_two_rows(self.u, self.v, 1, self.e, self.ge, self.half_e2)
+        return _rank_two_rows(self.u, self.v, self.e, self.ge, self.half_e2)
 
     def inverse(self) -> Matrix:
         """M^{-1} = (T_{-e} U)(V^T T_{-e}) - T_{-e}, the dual kernel's matrix."""
@@ -304,7 +299,7 @@ class _RankTwoUpdate(Record):
             (chi_a - sum(map(mul, e, ga)) + half_e2, *map(sub, ga, ge), 1),
             (2 + half_d2, *map(sub, gc, ge), 1),
         )
-        return _rank_two_rows(x, y, -1, e, ge, half_e2)
+        return _rank_two_rows(x, y, tuple(map(neg, e)), tuple(map(neg, ge)), half_e2)
 
 
 def from_kernel(kernel: KernelSpec, labels: tuple = ()) -> CohTransform:
@@ -371,24 +366,28 @@ def is_mukai_isometry(t: CohTransform) -> bool:
     2006, ch. 5, 10).  from_kernel reads it in O(n) off its Gram products
     and keeps the factors exactly when it holds, so the verdict is whether
     the transform has them, and no n x n product is formed.  Proof: write
-    l_x = ch O(x) = (1, x, x^2/2), e = c + d and chi for the Euler form,
-    which is symmetric, is preserved by every twist and has
-    chi(l_x, l_y) = 2 + (x - y)^2/2.  Then
+    l_x = ch O(x) = (1, x, x^2/2), e = c + d, s = a + b - c - d and chi
+    for the Euler form, which is symmetric, is preserved by every twist
+    and has chi(l_x, l_y) = 2 + (x - y)^2/2.  Then
 
-        T_{-e} M = chi(l_{-a}, .) l_{b-e} + chi(l_{-c}, .) l_{-c} - I,
+        T_{-e} M = chi(l_{-a}, .) l_{b-e} + chi(l_{-c}, .) l_{-c} - I.
 
-    and since chi(l_x, l_x) = 2 the terms in chi(l_{-c}, .) cancel in
+    If: (a - c)^2 = -4 gives chi(l_{-a}, l_{-c}) = 0, so T_{-e} M =
+    -R_{l(-a)} R_{l(-c)} + chi(l_{-a}, .) n, with R_v(w) = w - chi(v, w) v
+    the reflection in a v with chi(v, v) = 2 and n = l_{b-e} - l_{-a} =
+    (0, s, s^2/2 - a.s), which G s = 0 puts in the kernel of E.
+    Reflections and twists are isometries, so M is one.
+
+    Only if: since chi(l_x, l_x) = 2 the terms in chi(l_{-c}, .) cancel in
 
         chi(M v, M w) - chi(v, w) = phi(v) psi(w) + psi(v) phi(w),
 
     where phi = chi(l_{-a}, .) is nonzero, its last entry being 1, and
     psi = chi(z, .) with z = l_{-a} + kappa l_{-c} - l_{b-e} and
     kappa = 2 + (b - d)^2/2.  Taking v with phi(v) != 0 shows that this
-    symmetric form vanishes iff psi = 0, so M is an isometry iff E z = 0.
-    The last entry of E z is kappa; when kappa = 0 its middle is
-    G (a + b - c - d), and once that vanishes the first, a^2/2 - (b - e)^2/2,
-    vanishes too, because b - e = (a + b - c - d) - a.  Likewise, with
-    a + b - c - d in the radical, (b - d)^2 = (a - c)^2, so kappa = 0 iff
+    symmetric form vanishes only if psi = 0, that is E z = 0.  The last
+    entry of E z is kappa, so kappa = 0; then its middle is G s, so
+    G s = 0; and then (b - d)^2 = (a - c)^2, as b - d = s - (a - c), so
     (a - c)^2 = -4.
     """
     if t.kernel is not None:
@@ -503,8 +502,16 @@ CLOSED_FORMS = {
 
 
 def closed_form_matrix(t: CohTransform, formula_id: str) -> Matrix:
-    """The named block's matrix, of the classes the transform labels."""
-    block, names = CLOSED_FORMS[formula_id]
+    """The named block's matrix, of the classes the transform labels.
+
+    ValueError for a formula id that CLOSED_FORMS does not name, and for a
+    transform that lacks one of the labels the block reads."""
+    try:
+        block, names = CLOSED_FORMS[formula_id]
+    except KeyError:
+        raise ValueError(
+            f"unknown formula id {formula_id!r}; known: {sorted(CLOSED_FORMS)}"
+        ) from None
     found = t.label_map
     missing = [name for name in names if name not in found]
     if missing:
@@ -609,20 +616,14 @@ def crosscheck_specialized(t: CohTransform, formula_id: str, grid=None) -> DiffR
     is (0, D, 0) with D = 2 (h.f - t) lhat (nondegenerate),
     (l.f)(l - h) - 2 (h.f)(l + 2h) (type I) or (h.f)(d2 - 3 d1) (type II).
     """
-    if formula_id not in CLOSED_FORMS:
-        raise ValueError(
-            f"unknown formula id {formula_id!r}; known: {sorted(CLOSED_FORMS)}"
-        )
+    closed = closed_form_matrix(t, formula_id)
     grid = default_grid(t.source) if grid is None else tuple(grid)
     width = t.source.rank + 2
     if not set(map(len, grid)) <= {width}:
         raise ValueError("coordinate vector has the wrong length for the source lattice")
-    closed = closed_form_matrix(t, formula_id)
     delta_matrix = tuple(
         tuple(x - y for x, y in zip(crow, mrow)) for crow, mrow in zip(closed, t.matrix)
     )
-    if not grid or not any(map(any, delta_matrix)):
-        return DiffReport(formula_id=formula_id, points=len(grid), entries=())
     # N: one row per coordinate, one column per point, over one denominator.
     flat, v = linalg.scaled(chain.from_iterable(grid))
     numerators = [flat[j::width] for j in range(width)]

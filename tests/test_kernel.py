@@ -279,6 +279,19 @@ def test_reflexive_kernels_are_on_their_surface():
     ]
 
 
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_init_refuses_a_surface_on_another_lattice(side):
+    """A kernel maps its surface to itself, so a source or target given to
+    the constructor directly must live on the kernel's lattice too."""
+    m = NSLattice(((-4,),)).basis(0)
+    zero = m.lattice.zero()
+    spec = load_surface_spec(SURFACES / "reflexive.json")
+    with pytest.raises(ValueError, match="different lattice from the surface's"):
+        KernelSpec(zero, zero, m, -m, **{side: spec})
+    own = KernelSpec(H, H, L, H + H - L, **{side: spec})
+    assert getattr(own, side) is spec
+
+
 def test_on_refuses_classes_from_another_lattice():
     """The no-cohomology kernel (0, 0, m, -m) of Gram (-4) is not on
     reflexive-type-i.json, which declares no no_cohomology class, so no

@@ -68,6 +68,15 @@ def test_det_small_cases():
         linalg.det([[1, 2]])
 
 
+@pytest.mark.parametrize("op", [linalg.det, linalg.inverse])
+@pytest.mark.parametrize("m", [(), []])
+def test_empty_matrix_is_rejected(op, m):
+    """An empty matrix has no last pivot to read; it is refused like a
+    non-square one, with ValueError, not IndexError."""
+    with pytest.raises(ValueError, match="must be square and non-empty"):
+        op(m)
+
+
 @given(unimodular())
 def test_inverse_of_unimodular(m):
     inv = linalg.inverse(m)

@@ -101,9 +101,9 @@ def test_identity_transform_fixes_everything():
 
 
 def test_vector_to_ch_integrality():
-    with pytest.raises(ValueError, match="rank"):
+    with pytest.raises(ValueError, match="rank must be an integer"):
         vector_to_ch(REFLEXIVE, (Fraction(1, 2), 0, 0, 0))
-    with pytest.raises(ValueError, match="integral"):
+    with pytest.raises(ValueError, match="divisor coordinate must be an integer"):
         vector_to_ch(REFLEXIVE, (1, Fraction(1, 2), 0, 0))
     c = vector_to_ch(REFLEXIVE, (1, 0, 2, Fraction(3, 2)))
     assert c == ChernCharacter(1, 2 * L, Fraction(3, 2))
@@ -721,10 +721,10 @@ def ch_column(x):
 
 def assert_factors_match_dense_twist(t):
     """On an isometry K = I - V^T T_{-e} U is -I, and the factors inverse()
-    hands to _rank_two_rows are X = T_{-e} U and Y^T = V^T T_{-e}, all
-    against a dense T_{-e} and U = (l_b, l_d), V = (E l_{-a}, E l_{-c})
-    written out from the kernel's classes.  Off an isometry there are no
-    factors."""
+    hands to _rank_two_rows are X = T_{-e} U, Y^T = V^T T_{-e} and the
+    class -e with G(-e), all against a dense T_{-e}, a dense Gram product
+    and U = (l_b, l_d), V = (E l_{-a}, E l_{-c}) written out from the
+    kernel's classes.  Off an isometry there are no factors."""
     if t._rank_two is None:
         assert not dense_isometry(t)
         return
@@ -745,10 +745,13 @@ def assert_factors_match_dense_twist(t):
             transform, "_rank_two_rows", lambda *args: seen.append(args) or real(*args)
         )
         t.inverse()
-    ((x, y, sign, *_),) = seen
+    ((x, y, e, ge, half_e2),) = seen
     assert transpose(x) == mat_mul(untwist, u)
     assert y == mat_mul(transpose(v), untwist)
-    assert sign == -1
+    minus_e = (-(k.c + k.d)).coords
+    assert e == minus_e
+    assert ge == mat_vec(t.source.gram, minus_e)
+    assert half_e2 == (k.c + k.d).square // 2
 
 
 @settings(max_examples=200)
@@ -1183,6 +1186,21 @@ def test_crosscheck_unknown_formula():
     t = nondeg_transform()
     with pytest.raises(ValueError, match="unknown formula"):
         crosscheck_specialized(t, "nonsense")
+
+
+def test_closed_form_matrix_unknown_formula():
+    """An unknown id is a ValueError from the table's reader itself, and the
+    crosscheck reports it before it reads a grid too large to build."""
+    t = nondeg_transform()
+    with pytest.raises(ValueError, match="unknown formula id 'nope'; known: \\['general'"):
+        closed_form_matrix(t, "nope")
+    wide = identity_transform(NSLattice(tuple(
+        tuple(-2 * (i == j) for j in range(11)) for i in range(11)
+    )))
+    with pytest.raises(ValueError, match="more than the"):
+        default_grid(wide.source)
+    with pytest.raises(ValueError, match="unknown formula id"):
+        crosscheck_specialized(wide, "nope")
 
 
 def test_closed_form_requires_labels():
