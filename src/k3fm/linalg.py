@@ -2,12 +2,13 @@
 
 Every routine that eliminates rests on one fraction-free Gauss-Jordan
 elimination (Bareiss 1968; Cohen, A Course in Computational Algebraic
-Number Theory, section 2.2).  After each pivot step every working entry is,
-up to sign, a minor of the input (Sylvester's identity below the pivots,
-Cramer's rule in the pivot rows), so each division by the previous pivot
-is exact and the entries stay integers.  Quotients are taken with //,
-never /, which would turn two ints into a float.  solve_columns is the one
-solver, on integer right-hand sides.
+Number Theory, section 2.2).  Each pivot step updates every column of
+every other row, so after it every working entry is, up to sign, a minor
+of the input (Sylvester's identity below the pivots, Cramer's rule in the
+pivot rows), each division by the previous pivot is exact and the entries
+stay integers.  Quotients are taken with //, never /, which would turn two
+ints into a float.  rank_factors is the one solver: m = m[:, P] w / p, with
+pivots sought in every column, answers every right-hand side carried in m.
 
 Every number a caller passes into the package goes through exact_int (an
 int or an integral Fraction) or exact_rational (an int or a Fraction); both
@@ -36,7 +37,7 @@ __all__ = [
     "det",
     "rank",
     "inverse",
-    "solve_columns",
+    "rank_factors",
 ]
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -72,7 +73,7 @@ def exact_rational(value, what: str) -> Fraction:
 # it is asked for and evicts nothing, so past the bound a value is built
 # fresh.  Read through the dict's own __getitem__, which calls __missing__
 # only on a miss, it costs less per lookup than an lru_cache.  It pays:
-# 120 integral values take 4.5 us from it, 50 us fresh (97 calls per sweep op),
+# 120 integral values take 4.5 us from it, 50 us fresh (51 calls per sweep op, seed 1),
 # and bench/run.py's reflexive-sweep op_p50_ref reads 0.357 with it, 0.647
 # with Fraction in its place (medians of 4 alternating pairs, 8 s runs).
 _INTEGRAL_BOUND = 2048
@@ -154,9 +155,20 @@ def mat_vec(m, v) -> tuple[Fraction, ...]:
     return fraction_vector((sum(map(mul, row, nums)) for row in m), den)
 
 
+def _int_rows(m) -> list[list[int]]:
+    """m's rows as new int lists, each entry through exact_int.
+
+    Lists, not integer_matrix's tuples: the elimination works in place,
+    and freed tuples of a length nothing else builds stay on CPython's
+    tuple free list for the life of the process (as tuples, the
+    crosscheck's rows left 2156 8- and 9-tuples there after 12
+    reflexive-sweep rounds, about 0.5 MB of peak RSS)."""
+    return [[exact_int(x, "matrix entry") for x in row] for row in m]
+
+
 def _square_rows(m) -> list[list[int]]:
     """m's rows as int lists; ValueError unless m is square and not empty."""
-    rows = [list(row) for row in integer_matrix(m)]
+    rows = _int_rows(m)
     if not rows or any(len(row) != len(rows) for row in rows):
         raise ValueError("matrix must be square and non-empty")
     return rows
@@ -166,14 +178,15 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
     """Fraction-free Gauss-Jordan elimination of rows, in place.
 
     Pivots are sought in the first ncols columns; any further columns (a
-    right-hand side) are carried along.  Returns the pivot columns and the
-    sign of the row permutation.  Afterwards, with p the last pivot (a
-    minor of the input), the carried columns of pivot row i hold p times
-    row i of the solution, and every other row is zero in the first ncols
-    columns.
+    right-hand side) are carried along.  Each pivot step updates every
+    column of every other row, those left of the pivot included, so after
+    it every entry is, up to sign, a minor of the input.  Returns the
+    pivot columns and the sign of the row permutation.  Afterwards, with p
+    the last pivot, pivot row i is p times row i of the reduced row
+    echelon form (p at its own pivot column, 0 at the others), and every
+    other row is zero in the first ncols columns.
     """
     n = len(rows)
-    width = len(rows[0]) if rows else 0
     pivots: list[int] = []
     sign, prev = 1, 1
     for col in range(ncols):
@@ -186,11 +199,10 @@ def _eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
             sign = -sign
         top = rows[k]
         p = top[col]
-        for row in rows:
-            if row is not top:
+        for i, row in enumerate(rows):
+            if i != k:
                 f = row[col]
-                for j in range(col, width):
-                    row[j] = (p * row[j] - f * top[j]) // prev
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
         prev = p
         pivots.append(col)
     return pivots, sign
@@ -207,8 +219,9 @@ def det(m) -> int:
 
 
 def rank(m) -> int:
-    rows = [list(row) for row in integer_matrix(m)]
-    return len(_eliminate(rows, len(rows[0]) if rows else 0)[0])
+    """The rank of m, its number of pivots in rank_factors, which refuses
+    any m that is not a non-empty rectangular integer matrix."""
+    return len(rank_factors(m)[0])
 
 
 def inverse(m) -> Matrix:
@@ -229,31 +242,24 @@ def inverse(m) -> Matrix:
     return tuple(tuple(p * x for x in row[n:]) for row in rows)
 
 
-def solve_columns(a, b) -> tuple[Matrix, Matrix, int] | None:
-    """Solve a x = b for every column of b with one elimination of [a | b].
+def rank_factors(m) -> tuple[tuple[int, ...], list[list[int]], int]:
+    """A rank factorization of m from one elimination, pivots in every column.
 
-    a and b are integer matrices with as many rows, each entry through
-    exact_int.  Returns None when the columns of a are dependent.
-    Otherwise returns (x, r, d): integer matrices x and r with b's
-    columns, and d, the last pivot, a nonzero int.  Column j of b lies in
-    the span of a's columns exactly when column j of r is zero, and its
-    solution is then column j of x over d.  Both are linear in the
-    columns: for a rational vector v, b v lies in the span exactly when
-    r v = 0, and the solution is x v / d.  Empty or ragged input raises
-    ValueError.
+    m is a non-empty rectangular integer matrix, each entry through
+    exact_int; anything else raises ValueError.  Returns (P, w, p): the
+    pivot columns P in increasing order, the pivot rows w, one int list
+    per pivot, and the last pivot p, a nonzero int (1 when m is zero), with
+
+        m = m[:, P] w / p.
+
+    w / p is the nonzero part of m's reduced row echelon form and the
+    columns m[:, P] are independent, so m x = 0 exactly when w x = 0, and a
+    column of m lies in the span of the columns left of it exactly when it
+    is not a pivot.
     """
-    a, b = integer_matrix(a), integer_matrix(b)
-    ncols, width = len(a[0]) if a else 0, len(b[0]) if b else 0
-    if (
-        not ncols
-        or not width
-        or len(b) != len(a)
-        or any(len(row) != ncols for row in a)
-        or any(len(row) != width for row in b)
-    ):
-        raise ValueError("solve needs a non-empty rectangular matrix and right-hand side")
-    rows = [[*row, *rhs] for row, rhs in zip(a, b)]
-    if len(_eliminate(rows, ncols)[0]) < ncols:
-        return None
-    x, r = (tuple(tuple(row[ncols:]) for row in part) for part in (rows[:ncols], rows[ncols:]))
-    return x, r, rows[ncols - 1][ncols - 1]
+    rows = _int_rows(m)
+    if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("matrix must be non-empty and rectangular")
+    pivots, _ = _eliminate(rows, len(rows[0]))
+    p = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
+    return tuple(pivots), rows[: len(pivots)], p

@@ -14,15 +14,17 @@ family is written separately, as the matrix of its displayed formula in
 the classes CLOSED_FORMS names for it, and crosscheck_specialized compares
 it with this engine as a matrix identity; where a block disagrees, the
 difference is reported, never patched into either side.  The difference
-is linear in the grid point, and so are its (hhat, lhat) coordinates
-delta_hat: one elimination of [H | Delta_mid] per crosscheck
-(linalg.solve_columns) gives them at every point.  The grid is scaled
-once, to integer numerators over one denominator, and the difference
-comes first: one integer product with the whole grid finds the
-disagreeing points, and the engine values and hat coordinates are formed
-on those columns only, so no point runs a product or a solve of its own.
-The report is built column by column: each row of integer results is
-turned into Fractions in one map (the integral ones shared through
+Delta is linear in the grid point, and so are its (hhat, lhat)
+coordinates delta_hat: one elimination of [H | Delta_mid] per crosscheck
+(linalg.rank_factors) factors Delta's divisor rows through their rank,
+at most 2 on the reflexive blocks, and gives delta_hat at every point.
+The grid is scaled once, to integer numerators over one denominator, and
+the difference comes first: the grid meets only the r factor rows and
+Delta's nonzero end rows, which find the disagreeing points, and the
+difference, the engine values and the hat coordinates are formed on those
+columns only, so no point runs a product or a solve of its own.  The
+report is built column by column: each row of integer results is turned
+into Fractions in one map (the integral ones shared through
 linalg.fraction), and the rows are zipped into the entries.
 
 Transforms are stored as integer matrices (integral on an even lattice)
@@ -56,6 +58,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, compress, product, repeat
+from math import gcd
 from operator import add, mul, neg, sub
 
 from . import linalg
@@ -530,7 +533,7 @@ class DiffEntry(Record):
         delta: tuple[Fraction, ...],
         delta_hat: tuple[Fraction, Fraction] | None = None,
     ):
-        # Per-field sets, not _set (see record.py): 52 entries per reflexive-sweep operation
+        # Per-field sets, not _set (see record.py): 52.5 entries per reflexive-sweep op (seed 1)
         object.__setattr__(self, "input", input)
         object.__setattr__(self, "engine", engine)
         object.__setattr__(self, "closed_form", closed_form)
@@ -574,12 +577,20 @@ def default_grid(lattice: NSLattice) -> tuple[tuple[int, ...], ...]:
 
 def _times(row, matrix) -> list[int]:
     """row times matrix: the sum, over the nonzero entries a of the row,
-    of a times the matching row of the matrix."""
-    total = [0] * len(matrix[0])
+    of a times the matching row of the matrix, starting from the first
+    such term; a coefficient 1 adds the row itself, with no product.  A
+    zero row gives a row of zeros."""
+    total = None
     for a, mrow in zip(row, matrix):
-        if a:
-            total = list(map(add, total, map(mul, repeat(a), mrow)))
-    return total
+        if not a:
+            continue
+        if total is None:
+            total = list(mrow) if a == 1 else [a * y for y in mrow]
+        elif a == 1:
+            total = list(map(add, total, mrow))
+        else:
+            total = [x + a * y for x, y in zip(total, mrow)]
+    return [0] * len(matrix[0]) if total is None else total
 
 
 def crosscheck_specialized(t: CohTransform, formula_id: str, grid=None) -> DiffReport:
@@ -594,23 +605,36 @@ def crosscheck_specialized(t: CohTransform, formula_id: str, grid=None) -> DiffR
     and the sweep's, is its own numerators over v = 1; on a rational grid
     every point shares the lcm of all its denominators.
 
-    The difference comes first.  A point is a disagreement exactly where
-    Delta n is nonzero, and N and Delta N are cut to those columns once;
-    the engine values M n, and the hat rows below, are formed on them
-    only.  Each disagreement is recorded with the engine value M n / v,
-    the closed-form value (M n + Delta n) / v and their difference
-    Delta n / v.  The report is built column by column: every row is
-    turned into Fractions by linalg.fraction, which shares the integral
-    ones, and the rows are zipped into the entries.  For reflexive
-    formulas, when the transform names hhat and lhat, the divisor part
-    of the difference is also expressed in their basis H.  That map is
-    linear in x, so [H | Delta_mid] is eliminated once per crosscheck
-    (linalg.solve_columns) into solution rows X, residual rows R and the
-    last pivot d: delta_hat is X n / (d v) where R n = 0, and None where
-    the difference leaves the span of H or H is degenerate.  Every entry
-    is built here, eagerly, in grid order.  An empty entry list means
-    exact agreement on the grid.  The block is built on the transform's
-    one lattice, so C and M always have the same shape.
+    The divisor rows Delta_mid of the difference are factored once per
+    crosscheck, behind the hat basis H = [hhat lhat] when the transform
+    names both classes: linalg.rank_factors eliminates B = [H | Delta_mid]
+    into its pivot columns P, pivot rows W and last pivot p, and W's
+    Delta part W_Delta and p are divided by their gcd, signed as p, so
+    that p > 0 and integral values are over 1.  Then
+
+        Delta_mid n = B[:, P] (W_Delta n) / p,
+
+    so the grid meets only the r rows of W_Delta, r the rank of B (2 or 3
+    on the sweep's reflexive surfaces, where Delta has rank 1 or 2), and
+    Delta's rank and ch2 rows, each multiplied directly unless it is
+    zero, as both are on every reflexive block.  The columns B[:, P] are
+    independent, so a point is a disagreement exactly where one of those
+    products is nonzero.  N and the products are cut to those points once,
+    and Delta_mid n, the engine values M n and the hat coordinates are
+    formed there only.  Each disagreement is recorded with the engine
+    value M n / v, the closed-form value (M n + Delta n) / v and their
+    difference Delta n / v.  When H's two columns are both pivots, the
+    rows of W_Delta at them give X n and the others R n: Delta_mid n lies
+    in the span of H exactly where R n = 0, and delta_hat is X n / (p v)
+    there and None elsewhere.  It is None everywhere when H is absent or
+    its columns are dependent.
+
+    The report is built column by column: every row is turned into
+    Fractions by linalg.fraction, which shares the integral ones, and the
+    rows are zipped into the entries.  Every entry is built here, eagerly,
+    in grid order.  An empty entry list means exact agreement on the grid.
+    The block is built on the transform's one lattice, so C and M always
+    have the same shape.
 
     On reflexive.transform_for's transforms, in their labels, Delta (r, f, t)
     is (0, D, 0) with D = 2 (h.f - t) lhat (nondegenerate),
@@ -627,27 +651,51 @@ def crosscheck_specialized(t: CohTransform, formula_id: str, grid=None) -> DiffR
     # N: one row per coordinate, one column per point, over one denominator.
     flat, v = linalg.scaled(chain.from_iterable(grid))
     numerators = [flat[j::width] for j in range(width)]
-    delta = [_times(row, numerators) for row in delta_matrix]
-    mask = tuple(map(any, zip(*delta)))
-    numerators = [list(compress(row, mask)) for row in numerators]
-    delta = [list(compress(row, mask)) for row in delta]
-    engine = [_times(row, numerators) for row in t.matrix]
+    labels = t.label_map
+    hats = ()
+    if "hhat" in labels and "lhat" in labels:
+        hats = (labels["hhat"].coords, labels["lhat"].coords)
+    # Delta_mid = B[:, P] W_Delta / p for B = [H | Delta_mid], with W_Delta
+    # and p divided by their gcd: the grid meets only W_Delta's rows and
+    # Delta's nonzero end rows.
+    b = [[*(x[i] for x in hats), *row] for i, row in enumerate(delta_matrix[1:-1])]
+    pivots, w, p = linalg.rank_factors(b)
+    g = gcd(p, *chain.from_iterable(row[len(hats):] for row in w))
+    g = g if p > 0 else -g
+    p //= g
+    factors = [_times([x // g for x in row[len(hats):]], numerators) for row in w]
+    first, last = (
+        _times(row, numerators) if any(row) else None for row in (delta_matrix[0], delta_matrix[-1])
+    )
+    mask = tuple(map(any, zip(*factors, *(row for row in (first, last) if row is not None))))
+    zeros = [0] * sum(mask)
+
+    def cut(row):
+        """The row at the disagreeing points; None stands for a zero row."""
+        return zeros if row is None else list(compress(row, mask))
+
+    def times(row, matrix):
+        return _times(row, matrix) if any(row) else zeros
+
+    numerators = list(map(cut, numerators))
+    factors = list(map(cut, factors))
+    middle = []
+    for brow in b:
+        row = times([brow[j] for j in pivots], factors)
+        middle.append(row if p == 1 else [x // p for x in row])
+    delta = [cut(first), *middle, cut(last)]
+    engine = [times(row, numerators) for row in t.matrix]
 
     def fractions(rows, den=v):
         """The rows as Fractions over den, zipped into one tuple per point."""
         return zip(*(linalg.fraction_vector(row, den) for row in rows))
 
     delta_hats = repeat(None)
-    labels = t.label_map
-    if "hhat" in labels and "lhat" in labels:
-        hats = transpose((labels["hhat"].coords, labels["lhat"].coords))
-        hat_map = linalg.solve_columns(hats, delta_matrix[1:-1])
-        if hat_map is not None:
-            x_rows, r_rows, d = hat_map
-            delta_hats = fractions([_times(row, numerators) for row in x_rows], d * v)
-            if r_rows:
-                outside = map(any, zip(*(_times(row, numerators) for row in r_rows)))
-                delta_hats = [None if off else x for x, off in zip(delta_hats, outside)]
+    if hats and pivots[:2] == (0, 1):
+        delta_hats = fractions(factors[:2], p * v)
+        if len(factors) > 2:
+            outside = map(any, zip(*factors[2:]))
+            delta_hats = [None if off else x for x, off in zip(delta_hats, outside)]
     entries = map(
         DiffEntry,
         fractions(numerators),

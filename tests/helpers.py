@@ -137,3 +137,17 @@ def raised(compute):
     except Exception as error:
         return type(error), str(error)
     raise AssertionError("no error raised")
+
+
+# A rank-6 non-degenerate reflexive surface: the standard reflexive lattice
+# (h^2 = 2, l^2 = -12) plus four orthogonal (-2)-classes, with l+2h declared
+# to have no cohomology.  Its default crosscheck grid has 9 * 3^6 = 6561 points.
+RANK_6_REFLEXIVE = {
+    "rank": 6,
+    "gram": [[x if i == j else 0 for j in range(6)] for i, x in enumerate((2, -12, -2, -2, -2, -2))],
+    "classes": {"h": [1, 0, 0, 0, 0, 0], "l": [0, 1, 0, 0, 0, 0], "l2h": [2, 1, 0, 0, 0, 0]},
+    "assumptions": [
+        {"kind": "ample", "class": "h"},
+        {"kind": "no_cohomology", "class": "l2h"},
+    ],
+}

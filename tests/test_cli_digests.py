@@ -14,12 +14,15 @@ in-process through cli.main from the repository root, with K3FM_FORMAT
 unset, so a changed byte or status in any of them fails here.
 """
 
+import json
 from hashlib import sha256
 from pathlib import Path
 
 import pytest
 
 from k3fm.cli import main
+
+from helpers import RANK_6_REFLEXIVE
 
 ROOT = Path(__file__).resolve().parent.parent
 REFLEXIVE = "surfaces/reflexive.json"
@@ -286,3 +289,27 @@ def test_cli_stdout_and_status_are_unchanged(argv, capsys, monkeypatch):
         status = done.code
     out = capsys.readouterr().out
     assert (status, sha256(out.encode()).hexdigest()) == DIGESTS[argv]
+
+
+# transform-crosscheck of the non-degenerate reflexive kernel on the rank-6
+# surface of helpers.RANK_6_REFLEXIVE (6561 grid points, 5832 mismatches),
+# written to a file per test; the argv below follows "--surface <file>".
+RANK_6_DIGESTS = {
+    ():
+        (0, "61e42468e1c8fd38dfe24a67045d794e6ae50a61dbc542959b46e11cee08c28a"),
+    ("--max-entries", "100000"):
+        (0, "51ba1272d3b63d4c8096decf06d5a60b600110150780eea41568073ecce4afb1"),
+    ("--format", "text"):
+        (0, "76bc1b16a885533b945ae6265d03f4d9ec2846b06d81d2e721712e58338dc9b5"),
+}
+
+
+@pytest.mark.parametrize("extra", list(RANK_6_DIGESTS), ids=lambda argv: " ".join(argv) or "default")
+def test_rank_6_crosscheck_is_unchanged(extra, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("K3FM_FORMAT", raising=False)
+    surface = tmp_path / "rank-6.json"
+    surface.write_text(json.dumps(RANK_6_REFLEXIVE))
+    argv = ["transform-crosscheck", "--builder", "reflexive-nondegenerate", "--surface", str(surface)]
+    status = main([*argv, *extra])
+    out = capsys.readouterr().out
+    assert (status, sha256(out.encode()).hexdigest()) == RANK_6_DIGESTS[extra]

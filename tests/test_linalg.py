@@ -106,39 +106,113 @@ def column(b):
     return [(x,) for x in b]
 
 
+def fraction_rref(m):
+    """Reference: the pivot columns and the nonzero rows of m's reduced row
+    echelon form, by Gauss-Jordan over Fraction; no code shared with linalg."""
+    rows = [list(map(Fraction, row)) for row in m]
+    pivots = []
+    for j in range(len(rows[0])):
+        k = len(pivots)
+        found = next((i for i in range(k, len(rows)) if rows[i][j]), None)
+        if found is None:
+            continue
+        rows[k], rows[found] = rows[found], rows[k]
+        rows[k] = [x / rows[k][j] for x in rows[k]]
+        for i, row in enumerate(rows):
+            if i != k and row[j]:
+                rows[i] = [x - row[j] * y for x, y in zip(row, rows[k])]
+        pivots.append(j)
+    return tuple(pivots), [tuple(row) for row in rows[: len(pivots)]]
+
+
+def solve_by_factors(a, b):
+    """Solve a x = b for every column of b from one rank_factors of [a | b],
+    as crosscheck_specialized reads its factors: None when a's columns are
+    dependent (not all pivots), else (x, r, p), with x b's part of the rows
+    of w at a's pivots and r b's part of the others.  Column j of b is in
+    the span of a's columns exactly where column j of r is zero, with the
+    solution column j of x over p."""
+    m = len(a[0])
+    pivots, w, p = linalg.rank_factors([(*row, *rhs) for row, rhs in zip(a, b)])
+    if pivots[:m] != tuple(range(m)):
+        return None
+    return tuple(tuple(row[m:]) for row in w[:m]), tuple(tuple(row[m:]) for row in w[m:]), p
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """Integer k x m matrices U V of rank at most r, for r from 0 (the zero
+    matrix) to min(k, m), so most draws are rank-deficient."""
+    k, m = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    r = draw(st.integers(0, min(k, m)))
+    u = draw(st.lists(st.lists(ENTRIES, min_size=r, max_size=r), min_size=k, max_size=k))
+    v = draw(st.lists(st.lists(ENTRIES, min_size=m, max_size=m), min_size=r, max_size=r))
+    return [[sum(u[i][q] * v[q][j] for q in range(r)) for j in range(m)] for i in range(k)]
+
+
+@given(low_rank_matrices())
+def test_rank_factors_reproduce_the_matrix(m):
+    """m = m[:, P] w / p, with P the pivot columns and w / p the nonzero
+    rows of the reduced row echelon form, against a Fraction reference."""
+    pivots, w, p = linalg.rank_factors(m)
+    ref_pivots, ref_rows = fraction_rref(m)
+    assert pivots == ref_pivots
+    assert len(pivots) == linalg.rank(m) == len(w)
+    assert type(p) is int and p != 0
+    assert all(type(x) is int for row in w for x in row)
+    assert [tuple(Fraction(x, p) for x in row) for row in w] == ref_rows
+    for i, row in enumerate(m):
+        for j, entry in enumerate(row):
+            assert p * entry == sum(row[c] * w[q][j] for q, c in enumerate(pivots))
+    if not pivots:
+        assert p == 1
+
+
+def test_eliminate_updates_columns_left_of_a_later_pivot():
+    """The second pivot step rescales row 0 in the columns left of it too, so
+    each pivot row ends as p times its row of the reduced echelon form:
+    (9, 0, -9, 0, 0), not (3, 0, -9, 0, 0)."""
+    m = [[3, 3, 3, -3, -1], [-3, 0, 3, 0, 0]]
+    rows = [list(row) for row in m]
+    assert linalg._eliminate(rows, 5) == ([0, 1], 1)
+    assert rows == [[9, 0, -9, 0, 0], [0, 9, 18, -9, -3]]
+    assert linalg.rank_factors(m) == ((0, 1), [[9, 0, -9, 0, 0], [0, 9, 18, -9, -3]], 9)
+
+
 @given(ENTRIES, ENTRIES, st.integers(1, 4))
-def test_solve_columns_recovers_hat_coordinates(alpha, factor, den):
+def test_rank_factors_recover_hat_coordinates(alpha, factor, den):
     """A divisor difference alpha*hhat + (factor/den)*lhat, written over den,
-    solves back to its coordinates, read as x / (d den)."""
+    solves back to its coordinates, read as x / (p den)."""
     a = linalg.transpose((HHAT, LHAT))
     b = [den * alpha * x + factor * y for x, y in zip(HHAT, LHAT)]
-    x, r, d = linalg.solve_columns(a, column(b))
+    x, r, p = solve_by_factors(a, column(b))
     assert r == ()
-    assert tuple(Fraction(row[0], d * den) for row in x) == (alpha, Fraction(factor, den))
+    assert tuple(Fraction(row[0], p * den) for row in x) == (alpha, Fraction(factor, den))
 
 
 @given(st.data())
-def test_solve_columns_recovers_rational_solution(data):
+def test_rank_factors_recover_rational_solution(data):
     k = data.draw(st.integers(1, 5))
     m = data.draw(st.integers(1, k))
     a = data.draw(st.lists(st.lists(ENTRIES, min_size=m, max_size=m), min_size=k, max_size=k))
     x = [Fraction(data.draw(ENTRIES), data.draw(st.integers(1, 4))) for _ in range(m)]
     den = lcm(*(xi.denominator for xi in x))
     b = [sum(ai * xi * den for ai, xi in zip(row, x)) for row in a]
-    got = linalg.solve_columns(a, column(b))
+    got = solve_by_factors(a, column(b))
     if linalg.rank(a) < m:
         assert got is None
     else:
-        nums, r, d = got
+        nums, r, p = got
         assert not any(row[0] for row in r)
-        assert [Fraction(row[0], d * den) for row in nums] == x
+        assert [Fraction(row[0], p * den) for row in nums] == x
 
 
-def test_solve_columns_outside_span_or_dependent():
+def test_rank_factors_outside_span_or_dependent():
     a = ((1, 0), (0, 1), (0, 0))
-    assert linalg.solve_columns(a, column((1, 2, 3))) == (((1,), (2,)), ((3,),), 1)
-    assert linalg.solve_columns(((1, 2), (2, 4)), column((1, 2))) is None
-    assert linalg.solve_columns(a, column((1, 2, 0))) == (((1,), (2,)), ((0,),), 1)
+    # (1, 2, 3) leaves the span: it is a pivot column of its own.
+    assert solve_by_factors(a, column((1, 2, 3))) == (((0,), (0,)), ((3,),), 3)
+    assert solve_by_factors(((1, 2), (2, 4)), column((1, 2))) is None
+    assert solve_by_factors(a, column((1, 2, 0))) == (((1,), (2,)), (), 1)
 
 
 RATIONALS = st.builds(Fraction, ENTRIES, st.integers(1, 4))
@@ -167,13 +241,13 @@ def systems(draw):
 
 
 @given(systems(), st.lists(RATIONALS, min_size=4, max_size=4))
-def test_solve_columns_matches_column_by_column(system, v):
-    """One elimination of [a | b] answers every column, and every combination
-    b v; the rational b goes in as integer numerators over one denominator
-    den, so each solution is read over d den."""
+def test_rank_factors_match_column_by_column(system, v):
+    """One factorization of [a | b] answers every column, and every
+    combination b v; the rational b goes in as integer numerators over one
+    denominator den, so each solution is read over p den."""
     a, b = system
     den = lcm(*(Fraction(x).denominator for row in b for x in row))
-    found = linalg.solve_columns(a, [[int(x * den) for x in row] for row in b])
+    found = solve_by_factors(a, [[int(x * den) for x in row] for row in b])
     width = len(b[0])
     bv = [sum(x * y for x, y in zip(row, v)) for row in b]
     references = [fraction_solve(a, col) for col in (*linalg.transpose(b), bv)]
@@ -181,43 +255,44 @@ def test_solve_columns_matches_column_by_column(system, v):
         assert found is None
         assert linalg.rank(a) < len(a[0])
         return
-    x, r, d = found
-    assert type(d) is int and d != 0
+    x, r, p = found
+    assert type(p) is int and p != 0
     assert all(type(e) is int for part in (x, r) for row in part for e in row)
     assert all(len(row) == width for part in (x, r) for row in part)
-    assert len(x) == len(a[0]) and len(r) == len(a) - len(a[0])
+    assert len(x) == len(a[0]) and len(r) <= min(width, len(a) - len(a[0]))
     for j, ref in enumerate(references[:width]):
-        solution = [Fraction(row[j], d * den) for row in x]
+        solution = [Fraction(row[j], p * den) for row in x]
         assert ref == (None if any(row[j] for row in r) else tuple(solution))
     # Linear in the columns: b v is in the span exactly where r v = 0.
     rv = [sum(e * y for e, y in zip(row, v)) for row in r]
-    xv = tuple(sum(e * y for e, y in zip(row, v)) / (d * den) for row in x)
+    xv = tuple(sum(e * y for e, y in zip(row, v)) / (p * den) for row in x)
     assert references[-1] == (None if any(rv) else xv)
 
 
-@pytest.mark.parametrize(
-    "a, b",
-    [
-        ([], []),
-        ([[]], [[1]]),
-        ([[1]], [[]]),
-        ([[1], [2]], [[1]]),
-        ([[1, 2], [3]], [[1], [2]]),
-        ([[1], [2]], [[1], [2, 3]]),
-    ],
-)
-def test_solve_columns_rejects_empty_or_ragged_input(a, b):
-    with pytest.raises(ValueError, match="non-empty rectangular"):
-        linalg.solve_columns(a, b)
+RAGGED = [[[1], [2, 3]], [[1, 2], [3]], [[1, 1], [2]], [[1], [2], [3, 4]]]
 
 
-def test_solve_columns_takes_integers_only():
-    """An integral Fraction in b is the int it equals; a fractional one is
+@pytest.mark.parametrize("m", [[], (), [[]], [[], []], *RAGGED])
+def test_rank_factors_reject_empty_or_ragged_input(m):
+    with pytest.raises(ValueError, match="^matrix must be non-empty and rectangular$"):
+        linalg.rank_factors(m)
+
+
+@pytest.mark.parametrize("m", RAGGED)
+def test_rank_refuses_ragged_input(m):
+    """rank shares rank_factors' rectangular check: a ragged matrix is a
+    ValueError, not a rank read off its first row or an IndexError."""
+    with pytest.raises(ValueError, match="^matrix must be non-empty and rectangular$"):
+        linalg.rank(m)
+
+
+def test_rank_factors_take_integers_only():
+    """An integral Fraction is the int it equals; a fractional one is
     refused, as a bool, float or string is, before any elimination."""
-    a = ((2, 0), (0, 1))
-    assert linalg.solve_columns(a, ((Fraction(4, 2),), (3,))) == linalg.solve_columns(a, ((2,), (3,)))
+    m = ((2, 0, 2), (0, 1, 3))
+    assert linalg.rank_factors(((2, 0, Fraction(4, 2)), (0, 1, 3))) == linalg.rank_factors(m)
     with pytest.raises(ValueError, match=r"^matrix entry must be an integer, got Fraction\(1, 2\)$"):
-        linalg.solve_columns(a, ((Fraction(1, 2),), (3,)))
+        linalg.rank_factors(((2, 0, Fraction(1, 2)), (0, 1, 3)))
 
 
 @given(st.integers(1, 4).flatmap(lambda k: st.tuples(
@@ -238,7 +313,7 @@ def test_mat_vec_is_exact():
 def test_scaled_rejects_non_exact_entries_among_ints(bad):
     """An all-int vector is its own numerators over 1; a bool, float or
     string among ints is still rejected, by scaled and mat_vec, and by
-    solve_columns, which takes integer entries only."""
+    rank_factors, which takes integer entries only."""
     assert linalg.scaled(iter((3, -4))) == ([3, -4], 1)
     message = f"^vector entry must be an integer or a Fraction, got {bad!r}$"
     with pytest.raises(ValueError, match=message):
@@ -246,7 +321,7 @@ def test_scaled_rejects_non_exact_entries_among_ints(bad):
     with pytest.raises(ValueError, match=message):
         linalg.mat_vec(((1, 0), (0, 1)), (bad, 2))
     with pytest.raises(ValueError, match=f"^matrix entry must be an integer, got {bad!r}$"):
-        linalg.solve_columns(((1,), (0,)), ((bad,), (2,)))
+        linalg.rank_factors(((1, bad), (0, 2)))
 
 
 def integer_matrix_by_entries(rows):

@@ -27,6 +27,7 @@ from k3fm import (
     load_surface_spec,
     mukai_pairing,
     standard_spec,
+    surface_spec_from_dict,
     transform_for,
     validate_reflexive,
 )
@@ -48,6 +49,7 @@ from k3fm.transform import (
 )
 
 from helpers import (
+    RANK_6_REFLEXIVE,
     SQUARE_MINUS_4,
     characters_on,
     class_on,
@@ -1097,6 +1099,23 @@ def test_point_scan_runs_no_elimination(monkeypatch, builder):
     assert crosscheck_by_points(t, formula_id) == expected
 
 
+def test_rank_6_crosscheck_matches_point_scan_on_a_rational_grid():
+    """On the rank-6 reflexive surface, where the hat classes span only two
+    of six divisor coordinates, a grid with denominators 1, 2, 3 and 4 in
+    every coordinate gives the point scan's report."""
+    t = transform_for(validate_reflexive(surface_spec_from_dict(RANK_6_REFLEXIVE)), "nondegenerate")
+    rng = random.Random(6)
+    grid = [
+        tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3, 4))) for _ in range(8))
+        for _ in range(200)
+    ]
+    report = crosscheck_specialized(t, "reflexive_nondegenerate", grid)
+    assert report == crosscheck_by_points(t, "reflexive_nondegenerate", grid)
+    assert_fraction_fields(report)
+    assert 0 < len(report.entries) < len(grid)
+    assert all(e.delta_hat is not None for e in report.entries)
+
+
 @pytest.mark.parametrize("variant", ["type-i", "type-ii"])
 def test_crosscheck_eliminates_once_whatever_the_grid(monkeypatch, variant):
     """At most one elimination per crosscheck: a doubled grid runs no more."""
@@ -1120,7 +1139,7 @@ def test_crosscheck_eliminates_once_whatever_the_grid(monkeypatch, variant):
 def test_crosscheck_scales_the_grid_once(monkeypatch, size, rational):
     """The whole grid goes through linalg.scaled in one call, a grid of
     plain ints as well as a rational one.  The general block has no hat
-    classes, so solve_columns never runs."""
+    classes, so every delta_hat is None."""
     t = CohTransform(
         REFLEXIVE,
         nondeg_transform().matrix,
